@@ -179,13 +179,10 @@ class NetworkSpec:
                 for j in range(self.n):
                     yield f"{name}.{i + 1}.{j + 1}", mat[i][j]
 
-    def activation_value(self, j: int, u):
-        return self.activations[j].fn(u)
-
-    # -- pointwise coefficient table ------------------------------------
+    # -- coefficient tables -----------------------------------------------
 
     def coeffs_at(self, t: float) -> "CoeffTable":
-        """Evaluate every coefficient at one time (cached by the stepper)."""
+        """Evaluate every coefficient at one time (the scalar reference path)."""
         n = self.n
         vec = {name: np.array([getattr(self, name)[i](t) for i in range(n)])
                for name in self.VECTOR_FIELDS}
@@ -194,12 +191,35 @@ class NetworkSpec:
                for name in self.MATRIX_FIELDS}
         return CoeffTable(t=t, **vec, **mat)
 
+    def coeffs_on(self, times: np.ndarray) -> "CoeffTable":
+        """Evaluate every coefficient at each of ``times`` at once.
+
+        Every field of the returned table gains a leading axis of
+        ``len(times)``: vectors are ``(B, n)`` and matrices ``(B, n, n)``.
+        """
+        times = np.asarray(times, dtype=float)
+        n, fields = self.n, {}
+        for name in self.VECTOR_FIELDS:
+            out = fields[name] = np.empty((len(times), n))
+            for i, expr in enumerate(getattr(self, name)):
+                out[:, i] = expr(times)
+        for name in self.MATRIX_FIELDS:
+            out = fields[name] = np.empty((len(times), n, n))
+            for i, row in enumerate(getattr(self, name)):
+                for j, expr in enumerate(row):
+                    out[:, i, j] = expr(times)
+        return CoeffTable(t=times, **fields)
+
 
 @dataclass(frozen=True)
 class CoeffTable:
-    """All coefficient values of a :class:`NetworkSpec` at one instant."""
+    """All coefficient values of a :class:`NetworkSpec` at one instant.
 
-    t: float
+    A table from :meth:`NetworkSpec.coeffs_on` holds them at an array of
+    instants ``t`` instead, with a leading time axis on every field.
+    """
+
+    t: float | np.ndarray
     alpha: np.ndarray
     c: np.ndarray
     B: np.ndarray

@@ -26,12 +26,26 @@ post hoc against the reference right-hand-side evaluator.
 Lookup semantics: a delayed argument that falls strictly between scale
 points resolves by *snapping down* to the nearest scale point at or below it
 on scattered stretches, and by linear interpolation between committed grid
-values on dense stretches.  Distributed integrals are maintained
-incrementally with prefix sums over committed panels plus a live-panel term:
-activation-of-state integrands use the trapezoid of their grid samples on
-dense panels (matching the time scale's own quadrature convention), while
-activation-of-derivative integrands use the piecewise-constant panel-slope
-convention natural to nabla calculus.
+values on dense stretches.  Distributed integrals use prefix sums over
+committed panels plus a live-panel term: activation-of-state integrands use
+the trapezoid of their grid samples on dense panels (matching the time
+scale's own quadrature convention), while activation-of-derivative
+integrands use the piecewise-constant panel-slope convention natural to
+nabla calculus.  One vectorised helper, :class:`_Located`, implements these
+lookups, including the partial-panel term of the prefix integrals, for
+:meth:`Trajectory.value` / :meth:`Trajectory.slope` and for the engine.
+
+Engine: coefficients are evaluated over blocks of consecutive grid points at
+once (:meth:`NetworkSpec.coeffs_on`), each block holding at most
+``TABLE_BYTES`` (0.5 MiB) of coefficient table, so the working set stays
+flat in the grid length; a whole-grid table would hold 1.7 MiB for a
+two-neuron dense run of 5,000 steps.  At each grid point one
+``searchsorted`` locates every delayed query time and window start.  The
+state being solved for is written into its grid column before each
+right-hand-side evaluation, so queries landing in the live panel read it
+like committed values, and the right-hand side is one product of a
+coefficient pattern with the gathered values.  Nothing compiled outlives a
+:func:`simulate` call.
 """
 
 from __future__ import annotations
@@ -42,7 +56,7 @@ from typing import Callable, IO
 import numpy as np
 
 from .network import NetworkSpec, StateAccessor
-from .timescale import POINT_TOL, TimeScale
+from .timescale import POINT_TOL, TimeScale, _eval_on
 
 __all__ = [
     "SimulationError",
@@ -55,6 +69,9 @@ __all__ = [
     "distance_series",
     "trajectory_norm_distance",
 ]
+
+# Largest coefficient table one compiled block may hold: 0.5 MiB.
+TABLE_BYTES = 1 << 19
 
 
 class SimulationError(RuntimeError):
@@ -71,6 +88,72 @@ class StepFailureError(SimulationError):
 
 class HistoryUnderflowError(SimulationError):
     """A delayed lookup reached below the supplied history window."""
+
+
+# ---------------------------------------------------------------------------
+# committed-grid lookups
+# ---------------------------------------------------------------------------
+
+
+class _Located:
+    """Query times located on a committed grid, with the lookups built on them.
+
+    Each query ``u[q]`` reads arrays shaped ``(rows, len(times))``, passed
+    flattened, at flat offset ``offsets[q]`` (its row times ``len(times)``).  ``ilo`` is the flat index of
+    the grid point at or below the query and ``ihi`` that of the next grid
+    point when the query lies strictly inside a panel (else ``ilo``); ``d``
+    is the distance into the panel when the panel is dense (else 0) and
+    ``lam`` that distance as a fraction of the panel width.  Queries must
+    not exceed ``times[-1]``.
+    """
+
+    __slots__ = ("lo", "ilo", "ihi", "d", "lam")
+
+    def __init__(self, times: np.ndarray, dense: np.ndarray, u: np.ndarray, offsets):
+        lo = times.searchsorted(u + POINT_TOL) - 1
+        if lo.min() < 0:
+            raise HistoryUnderflowError(
+                f"lookup at t={float(u.min())!r} reaches below the recorded range "
+                f"(starts at {float(times[0])!r}); supply a longer history window"
+            )
+        t_lo = times[lo]
+        inside = u > t_lo + POINT_TOL
+        hi = lo + inside
+        self.d = (u - t_lo) * (inside & dense[hi])
+        # off-panel queries have d = 0; adding 1 to their zero width keeps lam = 0
+        self.lam = self.d / (times[hi] - t_lo + ~inside)
+        self.lo, self.ilo, self.ihi = lo, offsets + lo, offsets + hi
+
+    def part(self, sel: slice) -> "_Located":
+        """The queries ``sel`` alone."""
+        out = object.__new__(_Located)
+        for name in self.__slots__:
+            setattr(out, name, getattr(self, name)[sel])
+        return out
+
+    def value(self, flat: np.ndarray) -> np.ndarray:
+        """Values at the queries: linear interpolation between grid values
+        on dense panels, snap-down on scattered ones."""
+        base = flat[self.ilo]
+        return base + self.lam * (flat[self.ihi] - base)
+
+    def slope(self, flat: np.ndarray) -> np.ndarray:
+        """Backward panel slopes at the queries: of the panel ending at a grid
+        point, else of the panel containing the query."""
+        return flat[self.ihi]
+
+    def partial_weights(self, trapezoid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Weights ``(a, b)`` of the partial-panel integral ``a * s[lo] + b * s[hi]``.
+
+        That is the integral of samples ``s`` from the grid point at or below
+        each query up to the query, so the prefix integral to the query is
+        the prefix at that grid point plus this term.  Where ``trapezoid`` is
+        1 it integrates the linear interpolant of the samples; where it is 0,
+        the panel's right-end sample held constant.  Scattered panels carry
+        their mass at the right end, which a query inside them never reaches.
+        """
+        a = trapezoid * (self.d - 0.5 * self.d * self.lam)
+        return a, self.d - a
 
 
 ScalarFn = Callable[[float], float]
@@ -141,28 +224,16 @@ class Trajectory:
 
     # -- committed-state lookups ----------------------------------------
 
-    def _locate(self, u: float) -> int:
-        j = int(np.searchsorted(self.times, u + POINT_TOL)) - 1
-        if j < 0:
-            raise HistoryUnderflowError(
-                f"lookup at t={u!r} reaches below the recorded range "
-                f"(starts at {self.times[0]!r}); supply a longer history window"
-            )
+    def _locate(self, index: int, u: float) -> _Located:
         if u > self.times[-1] + POINT_TOL:
             raise ValueError(f"lookup at t={u!r} is beyond the trajectory end")
-        return j
+        return _Located(self.times, self._panel_dense, np.array([u], dtype=float),
+                        index % self.n * len(self.times))
 
     def value(self, index: int, u: float) -> float:
         """State ``index`` (0..n-1 short-term, n..2n-1 long-term) at ``u``."""
         arr = self.x if index < self.n else self.s
-        row = index % self.n
-        j = self._locate(u)
-        if u <= self.times[j] + POINT_TOL or j + 1 >= len(self.times):
-            return float(arr[row, j])
-        if self._panel_dense[j + 1]:
-            lam = (u - self.times[j]) / (self.times[j + 1] - self.times[j])
-            return float(arr[row, j] + lam * (arr[row, j + 1] - arr[row, j]))
-        return float(arr[row, j])  # snap down over a scattered panel
+        return float(self._locate(index, u).value(arr.ravel())[0])
 
     def slope(self, index: int, u: float) -> float:
         """Backward panel slope of state ``index`` at ``u``.
@@ -173,11 +244,7 @@ class Trajectory:
         quotient of the panel containing the query.
         """
         arr = self._slope_x if index < self.n else self._slope_s
-        row = index % self.n
-        j = self._locate(u)
-        if u <= self.times[j] + POINT_TOL or j + 1 >= len(self.times):
-            return float(arr[row, j])
-        return float(arr[row, j + 1])
+        return float(self._locate(index, u).slope(arr.ravel())[0])
 
     def accessor(self) -> StateAccessor:
         """Adapter for the reference right-hand-side evaluator."""
@@ -205,8 +272,25 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
+def _activation(spec: NetworkSpec, owner: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Activations applied elementwise to an array whose entry ``e`` belongs
+    to neuron ``owner[e]``."""
+    fns = [spec.activations[j].fn for j in owner]
+    if all(fn is fns[0] for fn in fns):
+        return fns[0]
+    return lambda z: np.array([fn(v) for fn, v in zip(fns, z)])
+
+
 class _Engine:
-    """One simulation run; owns the grid, state arrays, and prefix sums."""
+    """One simulation run: the grid, its columns, and one coefficient block.
+
+    Grid columns stack both layers, short-term rows ``0..n-1`` above
+    long-term rows ``n..2n-1``: ``Y`` holds the states, ``dY`` the
+    derivative traces and ``SL`` the backward panel slopes.  ``V`` holds
+    the integrands ``f_j(x_j)`` (rows ``j``) and ``f_j`` of the panel slope
+    of ``x_j`` (rows ``n + j``), and ``F`` their prefix integrals from the
+    grid start.
+    """
 
     def __init__(self, spec: NetworkSpec, history: HistorySpec, ts: TimeScale,
                  t_end: float, t0: float, corrector_iters: int):
@@ -216,10 +300,8 @@ class _Engine:
             raise ValueError("corrector_iters must be at least 1")
         if not t_end > t0:
             raise ValueError("t_end must exceed the start time")
-        self.spec = spec
-        self.ts = ts
-        self.n = spec.n
-        self.corrector_iters = corrector_iters
+        self.spec, self.ts, self.corrector_iters = spec, ts, corrector_iters
+        self.n = n = spec.n
 
         lo = t0 - history.window
         mn = ts.min_point()
@@ -235,263 +317,180 @@ class _Engine:
             raise SimulationError("no live points fall in (t0, t_end]")
         self.times = times
         self.k0 = k0
-        width = np.empty_like(times)
-        width[0] = 0.0
-        width[1:] = np.diff(times)
-        self.width = width
-        dense = np.zeros(len(times), dtype=bool)
-        dense[1:] = nu[1:] <= 0.5 * width[1:]
-        self.dense = dense
+        self.width = np.diff(times, prepend=times[0])
+        self.dense = np.concatenate(([False], nu[1:] <= 0.5 * self.width[1:]))
 
-        n, N = self.n, len(times)
-        self.x = np.zeros((n, N))
-        self.s = np.zeros((n, N))
-        self.dx = np.zeros((n, N))
-        self.ds = np.zeros((n, N))
-        self.fv = np.zeros((n, N))     # f_j(x_j) samples
-        self.slx = np.zeros((n, N))    # backward panel slopes of x
-        self.sls = np.zeros((n, N))    # backward panel slopes of S
-        self.fsl = np.zeros((n, N))    # f_j(panel slope of x_j) samples
-        self.Fv = np.zeros((n, N))     # prefix integrals of f_j(x_j)
-        self.Fsl = np.zeros((n, N))    # prefix integrals of f_j(x_j^nabla)
+        N = len(times)
+        self.Y, self.dY, self.SL, self.V, self.F = (np.zeros((2 * n, N)) for _ in range(5))
+        self.Yf, self.Vf, self.Ff = self.Y.ravel(), self.V.ravel(), self.F.ravel()
+        # The mass of panel k in V's rows is w * (left * V[k-1] + right * V[k]):
+        # the trapezoid of f(x) on dense panels, the right-end atom of f(x)
+        # on scattered ones, and f(slope) constant over every panel.
+        self.mass_dense = (np.repeat([0.5, 0.0], n), np.repeat([0.5, 1.0], n))
+        self.mass_scattered = (np.zeros(2 * n), np.ones(2 * n))
+        neurons = np.arange(n)
+        self.f = _activation(spec, np.tile(neurons, 2))
+        self.f_lag = _activation(spec, np.tile(neurons, n))
+
+        # Queries of one grid point, in order: eta_i, varsigma_i and tau_ij
+        # look up x_i, S_i and x_j; sigma_ij and zeta_ij open the windows of
+        # the integrals of V's rows j and n + j.
+        nn = n * n
+        pairs_i, pairs_j = np.repeat(neurons, n), np.tile(neurons, n)
+        query_rows = np.concatenate((neurons, n + neurons, pairs_j, pairs_j, n + pairs_j))
+        self.query_offsets = query_rows * N
+        self.looks = slice(0, 2 * n + nn)
+        self.windows = slice(2 * n + nn, None)
+        self.window_rows = query_rows[self.windows]
+        self.window_ends = self.query_offsets[self.windows]
+        self.trapezoid = np.repeat([1.0, 0.0], nn)
+        # The right-hand side is coupling @ z with z = [x(t - eta),
+        # S(t - varsigma), f(x(t - tau)), spread windows, neutral windows,
+        # f(x(t)), S(t), 1]; coupling_slots is the pattern of its entries.
+        self.z_tail = np.ones(1)
+        self.z_len = 4 * n + 3 * nn + 1
+        base = 2 * n + 3 * nn
+        rows = np.concatenate((neurons, n + neurons, pairs_i, pairs_i, pairs_i, pairs_i,
+                               n + neurons, neurons, neurons, n + neurons))
+        cols = np.concatenate((neurons, n + neurons, 2 * n + np.arange(3 * nn), base + pairs_j,
+                               base + neurons, base + n + neurons, np.full(2 * n, self.z_len - 1)))
+        self.coupling_slots = rows * self.z_len + cols
+        row_bytes = 8 * (len(spec.VECTOR_FIELDS) * n + len(spec.MATRIX_FIELDS) * nn)
+        self.block_len = max(2, TABLE_BYTES // row_bytes)
+        self.tbl, self.block_start, self.block_end = None, 0, 0
 
         # fill the history segment from the declared callables
-        for k in range(k0 + 1):
-            rel = times[k] - times[k0]
-            for i in range(n):
-                self.x[i, k] = history.stm[i](rel)
-                self.dx[i, k] = history.stm_slope[i](rel)
-                self.s[i, k] = history.ltm[i](rel)
-                self.ds[i, k] = history.ltm_slope[i](rel)
-        for i in range(n):
-            fn = spec.activations[i].fn
-            self.fv[i, :k0 + 1] = [fn(v) for v in self.x[i, :k0 + 1]]
-        self.slx[:, 0] = self.dx[:, 0]
-        self.sls[:, 0] = self.ds[:, 0]
+        rel = times[:k0 + 1] - times[k0]
+        for row, fn in enumerate(history.stm + history.ltm):
+            self.Y[row, :k0 + 1] = _eval_on(fn, rel)
+        for row, fn in enumerate(history.stm_slope + history.ltm_slope):
+            self.dY[row, :k0 + 1] = _eval_on(fn, rel)
+        self.SL[:, 0] = self.dY[:, 0]
+        self.V[:, 0] = self.f(np.concatenate((self.Y[:n, 0], self.SL[:n, 0])))
         for k in range(1, k0 + 1):
-            self.slx[:, k] = (self.x[:, k] - self.x[:, k - 1]) / width[k]
-            self.sls[:, k] = (self.s[:, k] - self.s[:, k - 1]) / width[k]
-        for i in range(n):
-            fn = spec.activations[i].fn
-            self.fsl[i, :k0 + 1] = [fn(v) for v in self.slx[i, :k0 + 1]]
-        for k in range(1, k0 + 1):
-            self._accumulate_prefixes(k)
+            self._set_column(k, self.Y[:, k])
 
-        self.prev_rhs: tuple[np.ndarray, np.ndarray] | None = None
+        self.prev_rhs: np.ndarray | None = None
 
-    # -- prefix bookkeeping ----------------------------------------------
+    # -- grid columns ------------------------------------------------------
 
-    def _accumulate_prefixes(self, k: int) -> None:
-        w = self.width[k]
-        if self.dense[k]:
-            panel_v = 0.5 * w * (self.fv[:, k - 1] + self.fv[:, k])
-        else:
-            panel_v = w * self.fv[:, k]
-        self.Fv[:, k] = self.Fv[:, k - 1] + panel_v
-        self.Fsl[:, k] = self.Fsl[:, k - 1] + w * self.fsl[:, k]
+    def _set_column(self, k: int, y: np.ndarray) -> None:
+        """Make ``y`` the state at grid point ``k``, with its slopes,
+        integrand samples and prefix integrals.  ``mass`` keeps the panel
+        masses, for the right-hand side at ``k``."""
+        n, w = self.n, self.width[k]
+        self.Y[:, k] = y
+        slopes = self.SL[:, k] = (y - self.Y[:, k - 1]) / w
+        self.V[:, k] = self.f(np.concatenate((y[:n], slopes[:n])))
+        left, right = self.mass_dense if self.dense[k] else self.mass_scattered
+        self.mass = w * (left * self.V[:, k - 1] + right * self.V[:, k])
+        self.F[:, k] = self.F[:, k - 1] + self.mass
 
-    def _prefix_state_at(self, j: int, lo: float) -> float:
-        """Committed integral of f_j(x_j) from the grid start to ``lo``."""
-        times = self.times
-        idx = int(np.searchsorted(times, lo + POINT_TOL)) - 1
-        if idx < 0:
-            raise HistoryUnderflowError(
-                f"distributed term reaches t={lo!r}, below the recorded range "
-                f"(starts at {times[0]!r}); supply a longer history window"
-            )
-        if lo <= times[idx] + POINT_TOL:
-            return float(self.Fv[j, idx])
-        if self.dense[idx + 1]:
-            w = times[idx + 1] - times[idx]
-            lam = (lo - times[idx]) / w
-            f_lo = self.fv[j, idx] + lam * (self.fv[j, idx + 1] - self.fv[j, idx])
-            return float(self.Fv[j, idx] + 0.5 * (lo - times[idx]) * (self.fv[j, idx] + f_lo))
-        return float(self.Fv[j, idx])  # scattered panel: mass sits at its right end
+    def _compile(self, start: int) -> None:
+        """Evaluate the coefficients over the block of grid points from ``start``."""
+        self.tbl = None  # release the previous block before building the next
+        stop = min(start + self.block_len, len(self.times))
+        self.tbl = self.spec.coeffs_on(self.times[start:stop])
+        self.block_start, self.block_end = start, stop
 
-    def _prefix_slope_at(self, j: int, lo: float) -> float:
-        """Committed integral of f_j(x_j^nabla) from the grid start to ``lo``."""
-        times = self.times
-        idx = int(np.searchsorted(times, lo + POINT_TOL)) - 1
-        if idx < 0:
-            raise HistoryUnderflowError(
-                f"derivative-coupled term reaches t={lo!r}, below the recorded "
-                f"range (starts at {times[0]!r}); supply a longer history window"
-            )
-        if lo <= times[idx] + POINT_TOL:
-            return float(self.Fsl[j, idx])
-        if self.dense[idx + 1]:
-            return float(self.Fsl[j, idx] + (lo - times[idx]) * self.fsl[j, idx + 1])
-        return float(self.Fsl[j, idx])
+    # -- right-hand side ---------------------------------------------------
 
-    # -- right-hand side at a live point ----------------------------------
+    def _plan(self, k: int) -> tuple:
+        """What the right-hand side at grid point ``k`` needs besides the columns.
 
-    def _rhs_live(self, k: int, tbl, x_live: np.ndarray, s_live: np.ndarray,
-                  sl_override: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        One ``searchsorted`` locates every query: the delayed states
+        (``looks``) and the window starts (``windows``, with their
+        partial-panel weights and a mask that is 0 on windows of zero width).
+        Queries are clamped to ``t`` and read columns up to ``k``, so those
+        that land in the live panel read the live column.  The coefficient
+        row is laid into the ``coupling`` pattern.
+        """
+        n, tbl, b, t = self.n, self.tbl, k - self.block_start, self.times[k]
+        delays = np.concatenate((tbl.eta[b], tbl.varsigma[b], tbl.tau[b].ravel(),
+                                 tbl.sigma_d[b].ravel(), tbl.zeta[b].ravel()))
+        at = _Located(self.times, self.dense, np.minimum(t - delays, t), self.query_offsets)
+        windows = at.part(self.windows)
+        coupling = np.zeros((2 * n, self.z_len))
+        coupling.flat[self.coupling_slots] = np.concatenate((
+            -tbl.alpha[b], -tbl.c[b], tbl.Dtau[b].ravel(), tbl.Dbar[b].ravel(),
+            tbl.Dtil[b].ravel(), tbl.D[b].ravel(), tbl.E[b], tbl.B[b], tbl.I[b], tbl.J[b]))
+        return (at.part(self.looks), windows, *windows.partial_weights(self.trapezoid),
+                windows.lo < k, coupling)
+
+    def _rhs(self, k: int, plan: tuple) -> np.ndarray:
+        """Both layers' right-hand sides at grid point ``k``, the last column set."""
         n = self.n
-        spec = self.spec
-        times = self.times
-        t = times[k]
-        w = self.width[k]
-        dense = bool(self.dense[k])
-        x_prev = self.x[:, k - 1]
-        s_prev = self.s[:, k - 1]
-        if sl_override is not None:
-            sl_live = sl_override
-        elif w > POINT_TOL:
-            sl_live = (x_live - x_prev) / w
-        else:
-            sl_live = self.slx[:, k]
-        fx_live = np.array([spec.activations[j].fn(x_live[j]) for j in range(n)])
-        fsl_live = np.array([spec.activations[j].fn(sl_live[j]) for j in range(n)])
-
-        def lookup(arr: np.ndarray, live: np.ndarray, j: int, u: float) -> float:
-            if u >= t - POINT_TOL:
-                return float(live[j])
-            if u > times[k - 1] + POINT_TOL:
-                if dense:
-                    lam = (u - times[k - 1]) / w
-                    base = arr[j, k - 1]
-                    return float(base + lam * (live[j] - base))
-                return float(arr[j, k - 1])
-            idx = int(np.searchsorted(times, u + POINT_TOL)) - 1
-            if idx < 0:
-                raise HistoryUnderflowError(
-                    f"delayed lookup at t={u!r} reaches below the recorded range "
-                    f"(starts at {times[0]!r}); supply a longer history window"
-                )
-            if u <= times[idx] + POINT_TOL:
-                return float(arr[j, idx])
-            if self.dense[idx + 1]:
-                lam = (u - times[idx]) / (times[idx + 1] - times[idx])
-                return float(arr[j, idx] + lam * (arr[j, idx + 1] - arr[j, idx]))
-            return float(arr[j, idx])
-
-        def integral_state(j: int, lo: float) -> float:
-            if lo >= t - POINT_TOL:
-                return 0.0
-            if dense:
-                live_part = 0.5 * w * (self.fv[j, k - 1] + fx_live[j])
-            else:
-                live_part = w * fx_live[j]
-            if lo > times[k - 1] + POINT_TOL:  # window starts inside the live panel
-                if dense:
-                    lam = (lo - times[k - 1]) / w
-                    f_lo = self.fv[j, k - 1] + lam * (fx_live[j] - self.fv[j, k - 1])
-                    return float(live_part - 0.5 * (lo - times[k - 1]) * (self.fv[j, k - 1] + f_lo))
-                return float(live_part)
-            base = self.Fv[j, k - 1] - self._prefix_state_at(j, lo)
-            return float(base + live_part)
-
-        def integral_slope(j: int, lo: float) -> float:
-            if lo >= t - POINT_TOL:
-                return 0.0
-            live_part = w * fsl_live[j]
-            if lo > times[k - 1] + POINT_TOL:
-                if dense:
-                    return float(live_part - (lo - times[k - 1]) * fsl_live[j])
-                return float(live_part)
-            base = self.Fsl[j, k - 1] - self._prefix_slope_at(j, lo)
-            return float(base + live_part)
-
-        fx = np.empty(n)
-        fs = np.empty(n)
-        for i in range(n):
-            acc = -tbl.alpha[i] * lookup(self.x, x_live, i, t - tbl.eta[i])
-            for j in range(n):
-                acc += tbl.D[i, j] * fx_live[j]
-                acc += tbl.Dtau[i, j] * spec.activations[j].fn(
-                    lookup(self.x, x_live, j, t - tbl.tau[i, j]))
-                acc += tbl.Dbar[i, j] * integral_state(j, t - tbl.sigma_d[i, j])
-                acc += tbl.Dtil[i, j] * integral_slope(j, t - tbl.zeta[i, j])
-            acc += tbl.B[i] * s_live[i] + tbl.I[i]
-            fx[i] = acc
-            fs[i] = (-tbl.c[i] * lookup(self.s, s_live, i, t - tbl.varsigma[i])
-                     + tbl.E[i] * fx_live[i] + tbl.J[i])
-        return fx, fs
-
-    def _rhs_at_committed(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        tbl = self.spec.coeffs_at(float(self.times[k]))
-        if k == 0:
-            raise SimulationError("cannot evaluate the dynamics at the grid start")
-        return self._rhs_live(k, tbl, self.x[:, k], self.s[:, k],
-                              sl_override=self.slx[:, k])
+        looks, windows, wa, wb, is_open, coupling = plan
+        looked = looks.value(self.Yf)
+        # integral over (u, t]: committed panels, live panel, minus the part below u
+        integrals = is_open * (
+            (self.Ff[self.window_ends + (k - 1)] - self.Ff[windows.ilo])
+            + self.mass[self.window_rows]
+            - (wa * self.Vf[windows.ilo] + wb * self.Vf[windows.ihi]))
+        z = np.concatenate((looked[:2 * n], self.f_lag(looked[2 * n:]), integrals,
+                            self.V[:n, k], self.Y[n:, k], self.z_tail))
+        return coupling @ z
 
     # -- stepping ----------------------------------------------------------
 
-    def _commit(self, k: int, x_new: np.ndarray, s_new: np.ndarray) -> None:
-        t = float(self.times[k])
-        if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(s_new))):
-            raise StepFailureError(t, "state became non-finite")
-        w = self.width[k]
-        self.x[:, k] = x_new
-        self.s[:, k] = s_new
-        self.slx[:, k] = (x_new - self.x[:, k - 1]) / w
-        self.sls[:, k] = (s_new - self.s[:, k - 1]) / w
-        for i in range(self.n):
-            fn = self.spec.activations[i].fn
-            self.fv[i, k] = fn(x_new[i])
-            self.fsl[i, k] = fn(self.slx[i, k])
-        self._accumulate_prefixes(k)
-
-    def _step_dense(self, k: int, tbl) -> None:
+    def _step_dense(self, k: int) -> None:
         w = self.width[k]
         if self.prev_rhs is None:
-            self.prev_rhs = self._rhs_at_committed(k - 1)
-        k1x, k1s = self.prev_rhs
-        xp = self.x[:, k - 1] + w * k1x
-        sp = self.s[:, k - 1] + w * k1s
-        if not (np.all(np.isfinite(xp)) and np.all(np.isfinite(sp))):
+            if k - 1 == 0:
+                raise SimulationError("cannot evaluate the dynamics at the grid start")
+            self.prev_rhs = self._rhs(k - 1, self._plan(k - 1))
+        plan = self._plan(k)
+        y_prev = self.Y[:, k - 1]
+        y_pred = y_prev + w * self.prev_rhs
+        if not np.isfinite(y_pred).all():
             raise StepFailureError(float(self.times[k]), "predictor became non-finite")
-        k2x, k2s = self._rhs_live(k, tbl, xp, sp)
-        x_new = self.x[:, k - 1] + 0.5 * w * (k1x + k2x)
-        s_new = self.s[:, k - 1] + 0.5 * w * (k1s + k2s)
-        self._commit(k, x_new, s_new)
-        k3x, k3s = self._rhs_live(k, tbl, x_new, s_new)
-        self.dx[:, k] = k3x
-        self.ds[:, k] = k3s
-        self.prev_rhs = (k3x, k3s)
+        self._set_column(k, y_pred)
+        y_new = y_prev + 0.5 * w * (self.prev_rhs + self._rhs(k, plan))
+        if not np.isfinite(y_new).all():
+            raise StepFailureError(float(self.times[k]), "state became non-finite")
+        self._set_column(k, y_new)
+        self.prev_rhs = self.dY[:, k] = self._rhs(k, plan)
 
-    def _step_scattered(self, k: int, tbl) -> None:
+    def _step_scattered(self, k: int) -> None:
         t = float(self.times[k])
         w = self.width[k]
-        x_prev = self.x[:, k - 1].copy()
-        s_prev = self.s[:, k - 1].copy()
-        x_live, s_live = x_prev.copy(), s_prev.copy()
+        plan = self._plan(k)
+        y_prev = y_live = self.Y[:, k - 1]
         first_gap = last_gap = 0.0
         for m in range(self.corrector_iters):
-            fx, fs = self._rhs_live(k, tbl, x_live, s_live)
-            x_next = x_prev + w * fx
-            s_next = s_prev + w * fs
-            if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(s_next))):
+            self._set_column(k, y_live)
+            y_next = y_prev + w * self._rhs(k, plan)
+            if not np.isfinite(y_next).all():
                 raise StepFailureError(t, "fixed-point iteration became non-finite")
-            gap = max(np.max(np.abs(x_next - x_live)), np.max(np.abs(s_next - s_live)))
+            gap = float(abs(y_next - y_live).max())
             if m == 0:
                 first_gap = gap
             last_gap = gap
-            x_live, s_live = x_next, s_next
-        scale = 1.0 + max(np.max(np.abs(x_live)), np.max(np.abs(s_live)))
+            y_live = y_next
+        scale = 1.0 + float(abs(y_live).max())
         if (self.corrector_iters >= 2 and last_gap > 1e-9 * scale
                 and last_gap > 0.5 * first_gap):
             raise StepFailureError(
                 t, f"fixed-point iteration did not contract "
                    f"(residual {last_gap:.3e} from initial {first_gap:.3e}); "
                    f"the implicit update appears divergent at this gap size")
-        self._commit(k, x_live, s_live)
-        self.dx[:, k] = self.slx[:, k]
-        self.ds[:, k] = self.sls[:, k]
+        self._set_column(k, y_live)  # y_live passed the finiteness check
+        self.dY[:, k] = self.SL[:, k]
         self.prev_rhs = None
 
     def run(self) -> Trajectory:
         for k in range(self.k0 + 1, len(self.times)):
-            tbl = self.spec.coeffs_at(float(self.times[k]))
+            if k >= self.block_end:
+                self._compile(k - 1)  # a dense step may also need the row of k - 1
             if self.dense[k]:
-                self._step_dense(k, tbl)
+                self._step_dense(k)
             else:
-                self._step_scattered(k, tbl)
+                self._step_scattered(k)
+        n = self.n
         return Trajectory(
             ts=self.ts, times=self.times, start_index=self.k0,
-            x=self.x, s=self.s, dx=self.dx, ds=self.ds,
-            _panel_dense=self.dense, _slope_x=self.slx, _slope_s=self.sls,
+            x=self.Y[:n], s=self.Y[n:], dx=self.dY[:n], ds=self.dY[n:],
+            _panel_dense=self.dense, _slope_x=self.SL[:n], _slope_s=self.SL[n:],
         )
 
 
@@ -531,15 +530,10 @@ def history_norm(hist_a: HistorySpec, hist_b: HistorySpec, ts: TimeScale,
     if len(grid) == 0:
         raise ValueError("no scale points fall in the history window")
     rel = grid - t0
-    best = 0.0
-    for i in range(hist_a.n):
-        for fa, fb in ((hist_a.stm[i], hist_b.stm[i]),
-                       (hist_a.stm_slope[i], hist_b.stm_slope[i]),
-                       (hist_a.ltm[i], hist_b.ltm[i]),
-                       (hist_a.ltm_slope[i], hist_b.ltm_slope[i])):
-            gaps = [abs(float(fa(r)) - float(fb(r))) for r in rel]
-            best = max(best, max(gaps))
-    return best
+    pairs = zip(hist_a.stm + hist_a.stm_slope + hist_a.ltm + hist_a.ltm_slope,
+                hist_b.stm + hist_b.stm_slope + hist_b.ltm + hist_b.ltm_slope)
+    return max(float(np.max(np.abs(_eval_on(fa, rel) - _eval_on(fb, rel))))
+               for fa, fb in pairs)
 
 
 def distance_series(traj_a: Trajectory, traj_b: Trajectory) -> tuple[np.ndarray, np.ndarray]:

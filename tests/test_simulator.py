@@ -233,8 +233,7 @@ def test_lattice_commits_solve_implicit_equation():
     assert worst < 1e-12
 
 
-def test_dense_derivative_trace_matches_standalone_evaluator():
-    spec = two_neuron_spec()
+def _worst_dense_trace_gap(spec):
     hist, _ = history_pairs()["trig"]
     ts = TimeScale.real_interval(-2.0, 3.0, 0.01)
     traj = simulate(spec, hist, ts, t_end=3.0)
@@ -246,7 +245,17 @@ def test_dense_derivative_trace_matches_standalone_evaluator():
             worst = max(worst,
                         abs(traj.dx[i, k] - rhs_stm(spec, acc, ts, t, i)),
                         abs(traj.ds[i, k] - rhs_ltm(spec, acc, ts, t, i)))
-    assert worst < 1e-12
+    return worst
+
+
+def test_dense_derivative_trace_matches_standalone_evaluator():
+    assert _worst_dense_trace_gap(two_neuron_spec()) < 1e-12
+
+
+def test_per_neuron_activations_match_standalone_evaluator():
+    spec = dataclasses.replace(
+        two_neuron_spec(), activations=(ACTIVATIONS["identity"], ACTIVATIONS["sin_half"]))
+    assert _worst_dense_trace_gap(spec) < 1e-12
 
 
 def test_rerun_is_bit_identical():
