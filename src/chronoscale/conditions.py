@@ -212,13 +212,13 @@ def compute_bounds(
     t0: float = 0.0,
     t1: float = 1000.0,
     samples: int = 100_000,
-    nu_window: tuple[float, float] = (0.0, 100.0),
 ) -> BoundSet:
     """Sample sup/inf envelopes for every coefficient of ``spec``.
 
     Entries of ``spec.bound_overrides`` replace the sampled values.  When a
-    time scale is supplied, ``nu_sup`` is taken as the graininess supremum
-    over ``nu_window``; otherwise it is 0 (purely dense analysis).
+    time scale is supplied, ``nu_sup`` is its graininess supremum over the
+    whole scale (:meth:`TimeScale.max_graininess`), sound for any horizon;
+    otherwise it is 0 (purely dense analysis).
     """
     n = spec.n
     sup: dict[str, np.ndarray] = {
@@ -242,7 +242,7 @@ def compute_bounds(
         elif name == "c":
             inf_c[idx] = pair.inf_abs
 
-    nu_sup = ts.graininess_sup(*nu_window) if ts is not None else 0.0
+    nu_sup = ts.max_graininess() if ts is not None else 0.0
     return BoundSet(
         n=n,
         alpha_sup=sup["alpha"],

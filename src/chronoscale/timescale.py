@@ -382,6 +382,16 @@ class TimeScale:
             return np.empty(0), np.empty(0)
         return np.concatenate(gs), np.concatenate(nus)
 
+    def max_graininess(self) -> float:
+        """sup of nu over the whole scale, from its pieces.
+
+        The largest lattice spacing or gap between consecutive pieces (0 on
+        a purely dense scale): a bound on the graininess over any horizon.
+        """
+        spacings = [p.spacing for p in self.pieces if isinstance(p, LatticePiece)]
+        gaps = [nxt.start - prev.stop for prev, nxt in zip(self.pieces, self.pieces[1:])]
+        return float(max(spacings + gaps, default=0.0))
+
     def graininess_sup(self, a: float, b: float) -> float:
         """sup of nu over scale points in (a, b] (0 on purely dense windows)."""
         _, nu = self.grid_with_graininess(a, b)

@@ -24,7 +24,7 @@ from chronoscale.conditions import (
     search_r,
 )
 from chronoscale.network import ACTIVATIONS, NetworkSpec
-from chronoscale.timescale import TimeScale
+from chronoscale.timescale import DensePiece, LatticePiece, TimeScale
 
 L = (1.0, 1.0)
 F0 = (0.0, 0.0)
@@ -104,6 +104,17 @@ def test_nu_sup_reflects_the_time_scale():
     union = compute_bounds(
         spec, TimeScale.union_of_intervals([(0.0, 1.0), (2.0, 3.0)], step=0.01))
     assert union.nu_sup == pytest.approx(1.0)
+
+
+def test_nu_sup_covers_the_whole_scale():
+    # The supremum must hold past any fixed horizon: the widest gap of the
+    # mixed scale sits at t = 100..102.5, and the union's at t = 110..130.
+    spec = benchmark.two_neuron_spec()
+    hybrid = TimeScale([LatticePiece(-2.0, 20.0, 0.05), DensePiece(20.5, 30.0, 0.01),
+                        LatticePiece(31.0, 100.0, 0.5), LatticePiece(102.5, 120.0, 0.1)])
+    assert compute_bounds(spec, hybrid).nu_sup == pytest.approx(2.5)
+    union = TimeScale.union_of_intervals([(-3.0, 110.0), (130.0, 140.0)])
+    assert compute_bounds(spec, union).nu_sup == pytest.approx(20.0)
 
 
 # ---------------------------------------------------------------------------
