@@ -22,10 +22,6 @@ Subcommands
 
 Exit codes (stable contract): 0 success, 1 infeasible or bound violated,
 2 configuration error, 3 runtime (stepping) failure.
-
-The environment variable ``CHRONOSCALE_SEED`` is reserved for future
-stochastic extensions; nothing reads it today, and all commands are fully
-deterministic.
 """
 
 from __future__ import annotations

@@ -260,10 +260,10 @@ def test_bad_union_flag_is_config_error(bench_cfg, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_module_entry_point(bench_cfg):
+def test_module_entry_point(bench_cfg, src_env):
     proc = subprocess.run(
         [sys.executable, "-m", "chronoscale", "check", str(bench_cfg)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=src_env)
     assert proc.returncode == 0
     assert "feasible" in proc.stdout
 

@@ -28,9 +28,9 @@ _MARKERS = {
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(script):
+def test_demo_runs(script, src_env):
     proc = subprocess.run([sys.executable, str(script)], capture_output=True,
-                          text=True, timeout=300)
+                          text=True, timeout=300, env=src_env)
     assert proc.returncode == 0, proc.stderr
     for marker in _MARKERS[script.name]:
         assert marker in proc.stdout, f"{script.name}: missing {marker!r}"
