@@ -98,13 +98,13 @@ class HistoryUnderflowError(SimulationError):
 class _Located:
     """Query times located on a committed grid, with the lookups built on them.
 
-    Each query ``u[q]`` reads arrays shaped ``(rows, len(times))``, passed
-    flattened, at flat offset ``offsets[q]`` (its row times ``len(times)``).  ``ilo`` is the flat index of
-    the grid point at or below the query and ``ihi`` that of the next grid
-    point when the query lies strictly inside a panel (else ``ilo``); ``d``
-    is the distance into the panel when the panel is dense (else 0) and
-    ``lam`` that distance as a fraction of the panel width.  Queries must
-    not exceed ``times[-1]``.
+    Each query ``u[q]`` reads flattened ``(rows, len(times))`` arrays at
+    offset ``offsets[q]``, its row times ``len(times)``.  ``ilo`` is the
+    flat index of the grid point at or below the query and ``ihi`` that of
+    the next grid point when the query lies strictly inside a panel (else
+    ``ilo``); ``d`` is the distance into the panel when the panel is dense
+    (else 0) and ``lam`` that distance as a fraction of the panel width.
+    Queries must not exceed ``times[-1]``.
     """
 
     __slots__ = ("lo", "ilo", "ihi", "d", "lam")
@@ -136,11 +136,6 @@ class _Located:
         on dense panels, snap-down on scattered ones."""
         base = flat[self.ilo]
         return base + self.lam * (flat[self.ihi] - base)
-
-    def slope(self, flat: np.ndarray) -> np.ndarray:
-        """Backward panel slopes at the queries: of the panel ending at a grid
-        point, else of the panel containing the query."""
-        return flat[self.ihi]
 
     def partial_weights(self, trapezoid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Weights ``(a, b)`` of the partial-panel integral ``a * s[lo] + b * s[hi]``.
@@ -196,7 +191,8 @@ class Trajectory:
     ``start_index`` marks the start time within ``times``.  State arrays are
     shaped ``(n, len(times))``.  ``dx``/``ds`` hold the nabla-derivative
     traces (declared slopes over the history segment, scheme derivatives
-    afterwards).
+    afterwards).  Backward panel slopes are not stored: :meth:`slope`
+    derives them from the states.
     """
 
     ts: TimeScale
@@ -207,8 +203,6 @@ class Trajectory:
     dx: np.ndarray
     ds: np.ndarray
     _panel_dense: np.ndarray
-    _slope_x: np.ndarray
-    _slope_s: np.ndarray
 
     @property
     def n(self) -> int:
@@ -243,8 +237,12 @@ class Trajectory:
         history slope at the very first point); between grid points, the
         quotient of the panel containing the query.
         """
-        arr = self._slope_x if index < self.n else self._slope_s
-        return float(self._locate(index, u).slope(arr.ravel())[0])
+        states, declared = (self.x, self.dx) if index < self.n else (self.s, self.ds)
+        row, times = index % self.n, self.times
+        k = int(self._locate(index, u).ihi[0]) - row * len(times)
+        if k == 0:
+            return float(declared[row, 0])
+        return float((states[row, k] - states[row, k - 1]) / (times[k] - times[k - 1]))
 
     def accessor(self) -> StateAccessor:
         """Adapter for the reference right-hand-side evaluator."""
@@ -285,8 +283,8 @@ class _Engine:
     """One simulation run: the grid, its columns, and one coefficient block.
 
     Grid columns stack both layers, short-term rows ``0..n-1`` above
-    long-term rows ``n..2n-1``: ``Y`` holds the states, ``dY`` the
-    derivative traces and ``SL`` the backward panel slopes.  ``V`` holds
+    long-term rows ``n..2n-1``: ``Y`` holds the states and ``dY`` the
+    derivative traces.  ``V`` holds
     the integrands ``f_j(x_j)`` (rows ``j``) and ``f_j`` of the panel slope
     of ``x_j`` (rows ``n + j``), and ``F`` their prefix integrals from the
     grid start.
@@ -321,7 +319,7 @@ class _Engine:
         self.dense = np.concatenate(([False], nu[1:] <= 0.5 * self.width[1:]))
 
         N = len(times)
-        self.Y, self.dY, self.SL, self.V, self.F = (np.zeros((2 * n, N)) for _ in range(5))
+        self.Y, self.dY, self.V, self.F = (np.zeros((2 * n, N)) for _ in range(4))
         self.Yf, self.Vf, self.Ff = self.Y.ravel(), self.V.ravel(), self.F.ravel()
         # The mass of panel k in V's rows is w * (left * V[k-1] + right * V[k]):
         # the trapezoid of f(x) on dense panels, the right-end atom of f(x)
@@ -365,8 +363,7 @@ class _Engine:
             self.Y[row, :k0 + 1] = _eval_on(fn, rel)
         for row, fn in enumerate(history.stm_slope + history.ltm_slope):
             self.dY[row, :k0 + 1] = _eval_on(fn, rel)
-        self.SL[:, 0] = self.dY[:, 0]
-        self.V[:, 0] = self.f(np.concatenate((self.Y[:n, 0], self.SL[:n, 0])))
+        self.V[:, 0] = self.f(np.concatenate((self.Y[:n, 0], self.dY[:n, 0])))
         for k in range(1, k0 + 1):
             self._set_column(k, self.Y[:, k])
 
@@ -374,17 +371,18 @@ class _Engine:
 
     # -- grid columns ------------------------------------------------------
 
-    def _set_column(self, k: int, y: np.ndarray) -> None:
-        """Make ``y`` the state at grid point ``k``, with its slopes,
-        integrand samples and prefix integrals.  ``mass`` keeps the panel
-        masses, for the right-hand side at ``k``."""
+    def _set_column(self, k: int, y: np.ndarray) -> np.ndarray:
+        """Make ``y`` the state at grid point ``k``, with its integrand
+        samples and prefix integrals, and return its backward panel slopes.
+        ``mass`` keeps the panel masses, for the right-hand side at ``k``."""
         n, w = self.n, self.width[k]
         self.Y[:, k] = y
-        slopes = self.SL[:, k] = (y - self.Y[:, k - 1]) / w
+        slopes = (y - self.Y[:, k - 1]) / w
         self.V[:, k] = self.f(np.concatenate((y[:n], slopes[:n])))
         left, right = self.mass_dense if self.dense[k] else self.mass_scattered
         self.mass = w * (left * self.V[:, k - 1] + right * self.V[:, k])
         self.F[:, k] = self.F[:, k - 1] + self.mass
+        return slopes
 
     def _compile(self, start: int) -> None:
         """Evaluate the coefficients over the block of grid points from ``start``."""
@@ -474,8 +472,7 @@ class _Engine:
                 t, f"fixed-point iteration did not contract "
                    f"(residual {last_gap:.3e} from initial {first_gap:.3e}); "
                    f"the implicit update appears divergent at this gap size")
-        self._set_column(k, y_live)  # y_live passed the finiteness check
-        self.dY[:, k] = self.SL[:, k]
+        self.dY[:, k] = self._set_column(k, y_live)  # y_live passed the finiteness check
         self.prev_rhs = None
 
     def run(self) -> Trajectory:
@@ -490,7 +487,7 @@ class _Engine:
         return Trajectory(
             ts=self.ts, times=self.times, start_index=self.k0,
             x=self.Y[:n], s=self.Y[n:], dx=self.dY[:n], ds=self.dY[n:],
-            _panel_dense=self.dense, _slope_x=self.SL[:n], _slope_s=self.SL[n:],
+            _panel_dense=self.dense,
         )
 
 
