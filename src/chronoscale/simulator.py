@@ -218,16 +218,16 @@ class Trajectory:
 
     # -- committed-state lookups ----------------------------------------
 
-    def _locate(self, index: int, u: float) -> _Located:
+    def _locate(self, u: float) -> _Located:
+        """``u`` located on the grid, for lookups in one row."""
         if u > self.times[-1] + POINT_TOL:
             raise ValueError(f"lookup at t={u!r} is beyond the trajectory end")
-        return _Located(self.times, self._panel_dense, np.array([u], dtype=float),
-                        index % self.n * len(self.times))
+        return _Located(self.times, self._panel_dense, np.array([u], dtype=float), 0)
 
     def value(self, index: int, u: float) -> float:
         """State ``index`` (0..n-1 short-term, n..2n-1 long-term) at ``u``."""
         arr = self.x if index < self.n else self.s
-        return float(self._locate(index, u).value(arr.ravel())[0])
+        return float(self._locate(u).value(arr[index % self.n])[0])
 
     def slope(self, index: int, u: float) -> float:
         """Backward panel slope of state ``index`` at ``u``.
@@ -239,7 +239,7 @@ class Trajectory:
         """
         states, declared = (self.x, self.dx) if index < self.n else (self.s, self.ds)
         row, times = index % self.n, self.times
-        k = int(self._locate(index, u).ihi[0]) - row * len(times)
+        k = int(self._locate(u).ihi[0])
         if k == 0:
             return float(declared[row, 0])
         return float((states[row, k] - states[row, k - 1]) / (times[k] - times[k - 1]))
@@ -284,10 +284,9 @@ class _Engine:
 
     Grid columns stack both layers, short-term rows ``0..n-1`` above
     long-term rows ``n..2n-1``: ``Y`` holds the states and ``dY`` the
-    derivative traces.  ``V`` holds
-    the integrands ``f_j(x_j)`` (rows ``j``) and ``f_j`` of the panel slope
-    of ``x_j`` (rows ``n + j``), and ``F`` their prefix integrals from the
-    grid start.
+    derivative traces.  ``V`` holds the integrands ``f_j(x_j)`` (rows ``j``)
+    and ``f_j`` of the panel slope of ``x_j`` (rows ``n + j``), and ``F``
+    their prefix integrals from the grid start.
     """
 
     def __init__(self, spec: NetworkSpec, history: HistorySpec, ts: TimeScale,
@@ -340,7 +339,7 @@ class _Engine:
         self.looks = slice(0, 2 * n + nn)
         self.windows = slice(2 * n + nn, None)
         self.window_rows = query_rows[self.windows]
-        self.window_ends = self.query_offsets[self.windows]
+        self.window_offsets = self.query_offsets[self.windows]
         self.trapezoid = np.repeat([1.0, 0.0], nn)
         # The right-hand side is coupling @ z with z = [x(t - eta),
         # S(t - varsigma), f(x(t - tau)), spread windows, neutral windows,
@@ -422,7 +421,7 @@ class _Engine:
         looked = looks.value(self.Yf)
         # integral over (u, t]: committed panels, live panel, minus the part below u
         integrals = is_open * (
-            (self.Ff[self.window_ends + (k - 1)] - self.Ff[windows.ilo])
+            (self.Ff[self.window_offsets + (k - 1)] - self.Ff[windows.ilo])
             + self.mass[self.window_rows]
             - (wa * self.Vf[windows.ilo] + wb * self.Vf[windows.ihi]))
         z = np.concatenate((looked[:2 * n], self.f_lag(looked[2 * n:]), integrals,

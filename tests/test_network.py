@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from chronoscale.benchmark import two_neuron_spec
 from chronoscale.coeffs import Const, Scale, Sin, TimeVar
 from chronoscale.network import ACTIVATIONS, NetworkSpec, rhs_ltm, rhs_stm
 from chronoscale.timescale import TimeScale
@@ -121,6 +122,17 @@ def test_coeffs_at_matches_expressions():
     assert table.t == t
     assert table.alpha[0] == pytest.approx(0.3 * math.sin(t))
     assert table.D[0, 0] == pytest.approx(0.2)
+
+
+def test_coeffs_on_rows_match_coeffs_at():
+    spec = two_neuron_spec()
+    times = np.array([-1.25, 0.0, 0.37, 3.0, 41.9])
+    block = spec.coeffs_on(times)
+    for b, t in enumerate(times):
+        point = spec.coeffs_at(float(t))
+        for name in spec.VECTOR_FIELDS + spec.MATRIX_FIELDS:
+            assert np.allclose(getattr(block, name)[b], getattr(point, name),
+                               rtol=0.0, atol=1e-15), name
 
 
 # ---------------------------------------------------------------------------
