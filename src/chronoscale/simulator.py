@@ -526,10 +526,15 @@ def history_norm(hist_a: HistorySpec, hist_b: HistorySpec, ts: TimeScale,
     if len(grid) == 0:
         raise ValueError("no scale points fall in the history window")
     rel = grid - t0
-    pairs = zip(hist_a.stm + hist_a.stm_slope + hist_a.ltm + hist_a.ltm_slope,
-                hist_b.stm + hist_b.stm_slope + hist_b.ltm + hist_b.ltm_slope)
-    return max(float(np.max(np.abs(_eval_on(fa, rel) - _eval_on(fb, rel))))
-               for fa, fb in pairs)
+    best = 0.0
+    for i in range(hist_a.n):
+        for fa, fb in ((hist_a.stm[i], hist_b.stm[i]),
+                       (hist_a.stm_slope[i], hist_b.stm_slope[i]),
+                       (hist_a.ltm[i], hist_b.ltm[i]),
+                       (hist_a.ltm_slope[i], hist_b.ltm_slope[i])):
+            gaps = [abs(float(fa(r)) - float(fb(r))) for r in rel]
+            best = max(best, max(gaps))
+    return best
 
 
 def distance_series(traj_a: Trajectory, traj_b: Trajectory) -> tuple[np.ndarray, np.ndarray]:
