@@ -6,15 +6,17 @@ Subcommands
     Print coefficient bounds and the solvability report for each candidate
     invariance radius; exit 0 iff some radius passes.
 ``certificate CONFIG``
-    Compute the exponential-decay certificate (lambda, M) and print it with
-    the margin-function values; exit 1 when the contraction check fails.
+    Print the smallest feasible radius and the exponential-decay certificate
+    (lambda, M) with the margin-function values; exit 1 when no radius
+    passes or the contraction check fails.
 ``simulate CONFIG``
     Integrate the network and write the trajectory CSV
     (``t,x_1..x_n,S_1..S_n,dx_1..dx_n,dS_1..dS_n``).
 ``stability CONFIG --history2 FILE``
-    Simulate the same network from two histories, compute the certificate,
-    and verify the decay envelope against the measured trajectory distance;
-    exit 0 iff the bound is never violated.
+    Gate on the smallest feasible radius (exit 1 when none passes), simulate
+    the same network from two histories, compute the certificate, and verify
+    the decay envelope against the measured trajectory distance; exit 0 iff
+    the bound is never violated.
 ``example``
     Materialize the built-in two-neuron benchmark configuration and run
     check + certificate + stability on a continuum grid (h = 0.01) and on
@@ -36,24 +38,26 @@ from . import benchmark
 from .analyzer import verify_bound, write_stability_csv
 from .conditions import (
     DEFAULT_R_GRID,
-    BoundSet,
     Certificate,
+    H3Report,
     InfeasibleError,
     check_H3,
     compute_bounds,
     find_lambda,
+    search_r,
 )
 from .config import (
     ConfigError,
     RunConfig,
     RunOptions,
+    build_timescale,
     parse_config,
     parse_history_text,
     serialize_config,
     serialize_history,
 )
 from .network import NetworkSpec
-from .simulator import HistorySpec, SimulationError, StepFailureError, simulate
+from .simulator import SimulationError, StepFailureError, simulate
 from .timescale import RegressivityError, TimeScale, TimeScaleError
 
 __all__ = ["main", "build_parser"]
@@ -143,61 +147,44 @@ def _load_config(path: str) -> RunConfig:
     return parse_config(_read_text(path))
 
 
-def _timescale_from_flag(flag: str, h: float | None,
-                         start: float, stop: float) -> TimeScale:
-    kind = flag.strip()
-    upper = kind.upper()
-    if upper == "Z":
-        return TimeScale.integer_lattice()
-    if upper == "R":
-        return TimeScale.real_interval(start, stop, h if h is not None else 0.01)
-    if upper.startswith("UNION:"):
-        body = kind[len("union:"):]
-        intervals = []
-        for chunk in body.split(";"):
-            parts = chunk.split(",")
-            if len(parts) != 2:
-                raise ConfigError(
-                    f"--timescale union: each interval needs 'a,b', got {chunk!r}")
-            try:
-                intervals.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise ConfigError(
-                    f"--timescale union: bad endpoint in {chunk!r}") from None
-        if not intervals:
-            raise ConfigError("--timescale union: no intervals given")
-        return TimeScale.union_of_intervals(
-            intervals, step=h if h is not None else 0.01)
-    raise ConfigError(
-        f"unknown --timescale value {flag!r} (expected Z, R, or union:<...>)")
-
-
 def _resolve_timescale(args: argparse.Namespace, cfg: RunConfig,
                        t_end: float, required: bool = True) -> TimeScale | None:
-    """Pick the time scale: the --timescale flag wins over the config section."""
-    window = cfg.history.window if cfg.history is not None else 1.0
-    start = cfg.run.t0 - window - 0.5
+    """Pick the time scale: the --timescale flag wins over the config section.
+
+    The flag is translated into a ``[timescale]`` description and ``--h``
+    sets the step of a dense description; both then go through
+    :func:`build_timescale`.
+    """
     flag = getattr(args, "timescale", None)
     h = getattr(args, "h", None)
-    if flag:
-        return _timescale_from_flag(flag, h, start, t_end)
-    if cfg.timescale is not None:
-        if h is not None:
-            desc = dict(cfg.timescale_desc)
-            kind = desc.get("kind", "").upper()
-            if kind in ("R", "UNION"):
-                desc["step"] = repr(h)
-                from .config import _build_timescale  # rebuild with the new step
-                items = [(0, k, v) for k, v in desc.items()]
-                return _build_timescale(items)[0]
-        return cfg.timescale
-    if required:
-        raise ConfigError("no [timescale] section and no --timescale flag")
-    return None
+    kind = (flag or "").strip()
+    if not flag:
+        if cfg.timescale is None and required:
+            raise ConfigError("no [timescale] section and no --timescale flag")
+        if cfg.timescale is None or h is None:
+            return cfg.timescale
+        desc = dict(cfg.timescale_desc)
+    elif kind.upper() == "Z":
+        desc = {"kind": "Z"}
+    elif kind.upper() == "R":
+        window = cfg.history.window if cfg.history is not None else 1.0
+        desc = {"kind": "R", "start": repr(cfg.run.t0 - window - 0.5),
+                "stop": repr(t_end), "step": "0.01"}
+    elif kind.upper().startswith("UNION:"):
+        desc = {"kind": "union", "intervals": kind[len("union:"):]}
+    else:
+        raise ConfigError(
+            f"unknown --timescale value {flag!r} (expected Z, R, or union:<...>)")
+    if h is not None and desc["kind"].strip().upper() in ("R", "UNION"):
+        desc["step"] = repr(h)
+    try:
+        return build_timescale(desc)
+    except ConfigError as exc:  # only the flag's interval text can be malformed
+        raise ConfigError(f"--timescale {flag!r}: {exc}") from None
 
 
 def _activation_zeros(spec: NetworkSpec) -> tuple[float, ...]:
-    return tuple(float(a.fn(0.0)) for a in spec.activations)
+    return tuple(a.at_zero for a in spec.activations)
 
 
 def _radius_grid(args: argparse.Namespace, run: RunOptions) -> Sequence[float]:
@@ -210,10 +197,23 @@ def _radius_grid(args: argparse.Namespace, run: RunOptions) -> Sequence[float]:
     return tuple(float(v) for v in DEFAULT_R_GRID)
 
 
-def _certificate_for(spec: NetworkSpec, bounds: BoundSet,
-                     include_delayed_feedback: bool) -> Certificate:
-    return find_lambda(bounds, spec.lipschitz,
-                       include_delayed_feedback=include_delayed_feedback)
+def _certify(spec: NetworkSpec, ts: TimeScale, r_grid: Sequence[float],
+             include_delayed_feedback: bool) -> tuple[H3Report, Certificate]:
+    """Gate on the smallest feasible radius in ``r_grid``, then certify.
+
+    Returns the solvability report at that radius and the decay certificate;
+    raises :class:`InfeasibleError` when no radius passes.
+    """
+    bounds = compute_bounds(spec, ts)
+    f0 = _activation_zeros(spec)
+    r = search_r(bounds, spec.lipschitz, f0, r_grid, include_delayed_feedback)
+    if r is None:
+        raise InfeasibleError(
+            "no radius in the grid passes the solvability check; "
+            "no certificate is issued")
+    gate = check_H3(bounds, spec.lipschitz, f0, r, include_delayed_feedback)
+    return gate, find_lambda(bounds, spec.lipschitz,
+                             include_delayed_feedback=include_delayed_feedback)
 
 
 # ---------------------------------------------------------------------------
@@ -241,23 +241,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_certificate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    t_end = cfg.run.t_end
-    ts = _resolve_timescale(args, cfg, t_end)
-    bounds = compute_bounds(cfg.spec, ts)
-    grid = _radius_grid(args, cfg.run)
-    gate = None
-    for r in grid:
-        report = check_H3(bounds, cfg.spec.lipschitz, _activation_zeros(cfg.spec),
-                          float(r), cfg.run.include_delayed_feedback)
-        if report.feasible:
-            gate = report
-            break
-    if gate is None:
-        raise InfeasibleError(
-            "no radius in the grid passes the solvability check; "
-            "no certificate is issued")
+    ts = _resolve_timescale(args, cfg, cfg.run.t_end)
+    gate, cert = _certify(cfg.spec, ts, _radius_grid(args, cfg.run),
+                          cfg.run.include_delayed_feedback)
     print(f"feasible radius r = {gate.r:g} (kappa = {gate.kappa:.6f})")
-    cert = _certificate_for(cfg.spec, bounds, cfg.run.include_delayed_feedback)
     print(cert.to_text(), end="")
     return EXIT_OK
 
@@ -287,8 +274,8 @@ def cmd_stability(args: argparse.Namespace) -> int:
     hist2 = parse_history_text(_read_text(args.history2), cfg.spec.n)
     t_end = args.t_end if args.t_end is not None else cfg.run.t_end
     ts = _resolve_timescale(args, cfg, t_end)
-    bounds = compute_bounds(cfg.spec, ts)
-    cert = _certificate_for(cfg.spec, bounds, cfg.run.include_delayed_feedback)
+    _, cert = _certify(cfg.spec, ts, _radius_grid(args, cfg.run),
+                       cfg.run.include_delayed_feedback)
     if args.lambda_override is not None:
         cert = dataclasses.replace(
             cert, lam=float(args.lambda_override),
@@ -323,12 +310,14 @@ def cmd_example(args: argparse.Namespace) -> int:
     print(f"wrote {history2_path}")
     print()
 
-    L = spec.lipschitz
-    f0 = _activation_zeros(spec)
-    bounds_plain = compute_bounds(spec)
-    report = check_H3(bounds_plain, L, f0, 0.45,
-                      include_delayed_feedback=False)
-    print("== solvability check (r = 0.45) ==")
+    scales: tuple[tuple[str, TimeScale, float], ...] = (
+        ("R (grid h = 0.01)", build_timescale(ts_desc), run.t_end),
+        ("Z (unit lattice)", TimeScale.integer_lattice(), 200.0),
+    )
+    certified = [_certify(spec, ts, (run.r,), run.include_delayed_feedback)
+                 for _, ts, _ in scales]
+    report = certified[0][0]
+    print(f"== solvability check (r = {report.r:g}) ==")
     print(f"P_1 = {report.P[0]:.4f}   P_2 = {report.P[1]:.4f}")
     print(f"Q_1 = {report.Q[0]:.4f}   Q_2 = {report.Q[1]:.4f}")
     print(f"Pbar_1 = {report.Pbar[0]:.4f}   Pbar_2 = {report.Pbar[1]:.4f}")
@@ -337,14 +326,8 @@ def cmd_example(args: argparse.Namespace) -> int:
     print(f"kappa = {report.kappa:.4f}")
     print(f"feasible: {'yes' if report.feasible else 'no'}")
 
-    ok = report.feasible
-    scales: tuple[tuple[str, TimeScale, float], ...] = (
-        ("R (grid h = 0.01)", TimeScale.real_interval(-2.0, 50.0, 0.01), 50.0),
-        ("Z (unit lattice)", TimeScale.integer_lattice(), 200.0),
-    )
-    for label, ts, t_end in scales:
-        bounds = compute_bounds(spec, ts)
-        cert = _certificate_for(spec, bounds, include_delayed_feedback=False)
+    ok = True
+    for (label, ts, t_end), (_, cert) in zip(scales, certified):
         print()
         print(f"== certificate on T = {label} ==")
         print(cert.to_text(), end="")

@@ -25,8 +25,9 @@ headers.  ``#`` starts a comment; blank lines are ignored.  Sections:
 
 ``[timescale]`` (optional)
     ``kind = Z`` with optional ``spacing``/``anchor``; ``kind = R`` with
-    ``start``, ``stop``, ``step``; ``kind = union`` with ``intervals = a b;
-    c d; ...`` and ``step``.
+    ``start``, ``stop``, ``step``; ``kind = union`` with ``intervals = a,b;
+    c,d; ...`` (or ``a b; c d; ...``) and optional ``step`` (default 0.01).
+    :func:`build_timescale` turns the section into a ``TimeScale``.
 
 ``[run]`` (optional)
     ``t_end``, ``t0``, ``corrector_iters``, ``r``, ``r_grid`` (either
@@ -37,7 +38,7 @@ headers.  ``#`` starts a comment; blank lines are ignored.  Sections:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from .coeffs import BoundPair, CoeffExpr, ExprParseError, parse_expr, to_text
 from .network import ACTIVATIONS, NetworkSpec
@@ -48,6 +49,7 @@ __all__ = [
     "ConfigError",
     "RunOptions",
     "RunConfig",
+    "build_timescale",
     "parse_config",
     "parse_history_text",
     "serialize_config",
@@ -263,50 +265,52 @@ def _build_history(items: list[tuple[int, str, str]], n: int) -> HistorySpec:
                        ltm_slope=ltm_slope, window=window)
 
 
-def _build_timescale(items: list[tuple[int, str, str]]) -> tuple[TimeScale, dict[str, str]]:
-    table = _as_map(items, "timescale")
-    desc = {key: value for key, (_, value) in table.items()}
-    if "kind" not in table:
+def build_timescale(desc: Mapping[str, str],
+                    lines: Mapping[str, int] | None = None) -> TimeScale:
+    """Build the time scale a ``[timescale]`` description names.
+
+    ``desc`` maps the section's keys to their text, as in
+    :attr:`RunConfig.timescale_desc`; union endpoints are separated by a
+    comma or by whitespace.  ``lines`` maps keys to the line numbers that
+    prefix the diagnostics of a parsed file.
+    """
+    lines = lines or {}
+
+    def fail(key: str, message: str) -> ConfigError:
+        return ConfigError(f"line {lines[key]}: {message}" if key in lines else message)
+
+    def to_float(key: str, text: str) -> float:
+        try:
+            return float(text)
+        except ValueError:
+            raise fail(key, f"{key} must be a number, got {text!r}") from None
+
+    def number(key: str, default: float | None = None) -> float:
+        if key in desc:
+            return to_float(key, desc[key])
+        if default is None:
+            raise ConfigError(f"[timescale] kind R requires {key}")
+        return default
+
+    if "kind" not in desc:
         raise ConfigError("[timescale] section must set kind")
-    line_no, kind = table["kind"]
-    kind_norm = kind.strip().upper()
-    if kind_norm == "Z":
-        spacing = 1.0
-        anchor = 0.0
-        if "spacing" in table:
-            ln, raw = table["spacing"]
-            spacing = _parse_float(raw, ln, "spacing")
-        if "anchor" in table:
-            ln, raw = table["anchor"]
-            anchor = _parse_float(raw, ln, "anchor")
-        return TimeScale.integer_lattice(spacing=spacing, anchor=anchor), desc
-    if kind_norm == "R":
-        vals = {}
-        for key in ("start", "stop", "step"):
-            if key not in table:
-                raise ConfigError(f"[timescale] kind R requires {key}")
-            ln, raw = table[key]
-            vals[key] = _parse_float(raw, ln, key)
-        return TimeScale.real_interval(vals["start"], vals["stop"], vals["step"]), desc
-    if kind_norm == "UNION":
-        if "intervals" not in table:
+    kind = desc["kind"].strip().upper()
+    if kind == "Z":
+        return TimeScale.integer_lattice(spacing=number("spacing", 1.0),
+                                         anchor=number("anchor", 0.0))
+    if kind == "R":
+        return TimeScale.real_interval(number("start"), number("stop"), number("step"))
+    if kind == "UNION":
+        if "intervals" not in desc:
             raise ConfigError("[timescale] kind union requires intervals")
-        ln, raw = table["intervals"]
         intervals = []
-        for chunk in raw.split(";"):
-            parts = chunk.split()
-            if len(parts) != 2:
-                raise ConfigError(
-                    f"line {ln}: each interval needs two endpoints, got {chunk!r}")
-            intervals.append((_parse_float(parts[0], ln, "intervals"),
-                              _parse_float(parts[1], ln, "intervals")))
-        step = 0.01
-        if "step" in table:
-            ln, raw = table["step"]
-            step = _parse_float(raw, ln, "step")
-        return TimeScale.union_of_intervals(intervals, step=step), desc
-    raise ConfigError(f"line {line_no}: unknown timescale kind {kind!r} "
-                      f"(expected Z, R, or union)")
+        for chunk in desc["intervals"].split(";"):
+            ends = chunk.split(",") if "," in chunk else chunk.split()
+            if len(ends) != 2:
+                raise fail("intervals", f"each interval needs two endpoints, got {chunk!r}")
+            intervals.append(tuple(to_float("intervals", text) for text in ends))
+        return TimeScale.union_of_intervals(intervals, step=number("step", 0.01))
+    raise fail("kind", f"unknown timescale kind {desc['kind']!r} (expected Z, R, or union)")
 
 
 def _build_run(items: list[tuple[int, str, str]]) -> RunOptions:
@@ -379,7 +383,9 @@ def parse_config(text: str) -> RunConfig:
     timescale = None
     desc: dict[str, str] = {}
     if "timescale" in sections:
-        timescale, desc = _build_timescale(sections["timescale"])
+        table = _as_map(sections["timescale"], "timescale")
+        desc = {key: value for key, (_, value) in table.items()}
+        timescale = build_timescale(desc, {key: ln for key, (ln, _) in table.items()})
     run = _build_run(sections.get("run", []))
     return RunConfig(spec=spec, history=history, timescale=timescale,
                      timescale_desc=desc, run=run)
@@ -443,16 +449,7 @@ def serialize_config(spec: NetworkSpec, history: HistorySpec | None = None,
                 lines.append(f"{key} = {pair.sup_abs!r}")
     if history is not None:
         lines.append("")
-        lines.append("[history]")
-        lines.append(f"window = {history.window!r}")
-        for prefix, group in (("phi", history.stm), ("phi_nabla", history.stm_slope),
-                              ("psi", history.ltm), ("psi_nabla", history.ltm_slope)):
-            for i, fn in enumerate(group):
-                if not isinstance(fn, CoeffExpr):
-                    raise ValueError(
-                        f"history entry {prefix}.{i + 1} is not an expression; "
-                        f"only expression-valued histories serialize")
-                lines.append(f"{prefix}.{i + 1} = {to_text(fn)}")
+        lines.extend(serialize_history(history).splitlines())
     if timescale_desc:
         lines.append("")
         lines.append("[timescale]")

@@ -330,19 +330,7 @@ class TimeScale:
         anchored panel edge on dense pieces, and the window endpoints
         themselves whenever they belong to the scale.
         """
-        if b < a:
-            raise TimeScaleError("grid window requires a <= b")
-        chunks: list[np.ndarray] = []
-        for piece in self.pieces:
-            if piece.stop < a - POINT_TOL or piece.start > b + POINT_TOL:
-                continue
-            if isinstance(piece, LatticePiece):
-                chunks.append(piece.nodes(a, b))
-            else:
-                chunks.append(piece.edges(a, b))
-        if not chunks:
-            return np.empty(0)
-        return np.concatenate(chunks)
+        return self.grid_with_graininess(a, b)[0]
 
     def grid_with_graininess(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
         """Grid over [a, b] plus nu(t) for every grid point (vectorised).
@@ -391,13 +379,6 @@ class TimeScale:
         spacings = [p.spacing for p in self.pieces if isinstance(p, LatticePiece)]
         gaps = [nxt.start - prev.stop for prev, nxt in zip(self.pieces, self.pieces[1:])]
         return float(max(spacings + gaps, default=0.0))
-
-    def graininess_sup(self, a: float, b: float) -> float:
-        """sup of nu over scale points in (a, b] (0 on purely dense windows)."""
-        _, nu = self.grid_with_graininess(a, b)
-        if nu.size <= 1:
-            return float(nu.max()) if nu.size else 0.0
-        return float(nu[1:].max())
 
     # -- derivative ------------------------------------------------------
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chronoscale.benchmark import history_pairs, two_neuron_spec
-from chronoscale.cli import main
+from chronoscale.cli import _resolve_timescale, build_parser, main
 from chronoscale.coeffs import BoundPair, Const, Scale
 from chronoscale.config import (
     ConfigError,
@@ -112,6 +112,21 @@ def test_parse_errors_carry_line_numbers():
         parse_config("[network]\nn = 1\n[mystery]\n")
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("[network]\nn = banana\n")
+
+
+def test_union_interval_syntaxes_build_the_same_scale(tmp_path):
+    base = serialize_config(two_neuron_spec(), history_pairs()["trig"][0])
+    scales = [parse_config(f"{base}[timescale]\nkind = union\nintervals = {text}\n").timescale
+              for text in ("0,1; 2,3", "0 1; 2 3")]
+    path = tmp_path / "noscale.cfg"
+    path.write_text(base)
+    args = build_parser().parse_args(["check", str(path), "--timescale", "union:0,1;2,3"])
+    scales.append(_resolve_timescale(args, parse_config(base), 50.0))
+    assert len({ts.describe() for ts in scales}) == 1
+    assert scales[0].describe() == "interval[0, 1; step 0.01] u interval[2, 3; step 0.01]"
+    line = base.count("\n") + 3
+    with pytest.raises(ConfigError, match=f"line {line}: each interval needs two endpoints"):
+        parse_config(f"{base}[timescale]\nkind = union\nintervals = 0,1,2\n")
 
 
 def test_parse_history_text_roundtrip():
@@ -222,6 +237,40 @@ def test_stability_lambda_override_fails_cleanly(bench_cfg, history2_file, capsy
                "--lambda-override", "4.0"])
     assert rc == 1
     assert "regressivity" in capsys.readouterr().err
+
+
+def test_stability_gates_on_the_solvability_check(bench_cfg, history2_file,
+                                                  tmp_path, capsys):
+    path = tmp_path / "tiny.cfg"
+    path.write_text(bench_cfg.read_text().replace("r = 0.45", "r = 0.05"))
+    assert main(["stability", str(path), "--history2", str(history2_file)]) == 1
+    assert "infeasible" in capsys.readouterr().err
+
+
+def test_certificate_reports_smallest_feasible_radius(tmp_path, capsys):
+    path = tmp_path / "grid.cfg"
+    path.write_text(serialize_config(
+        two_neuron_spec(), None, {"kind": "Z"},
+        RunOptions(r_grid=(0.9, 0.5, 0.45), include_delayed_feedback=False)))
+    assert main(["certificate", str(path)]) == 0
+    assert "feasible radius r = 0.45 " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("desc", [
+    {"kind": "R", "start": "-2.0", "stop": "3.0"},
+    {"kind": "union", "intervals": "-2 1; 1.5 3"},
+])
+def test_simulate_h_sets_the_dense_step(desc, tmp_path, capsys):
+    def rows(step, *flags):
+        path = tmp_path / "dense.cfg"
+        path.write_text(serialize_config(
+            two_neuron_spec(), history_pairs()["trig"][0], dict(desc, step=step),
+            RunOptions(t_end=3.0)))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "traj.csv"),
+                     *flags]) == 0
+        return capsys.readouterr().out
+
+    assert rows("0.01", "--h", "0.05") == rows("0.05") != rows("0.01")
 
 
 def test_stability_requires_second_history(bench_cfg, capsys):

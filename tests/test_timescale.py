@@ -102,7 +102,6 @@ class TestStructure:
         at_2 = int(np.argmin(np.abs(g - 2.0)))
         assert nu[at_2] == pytest.approx(1.0)
         assert nu[at_2 + 1] == 0.0
-        assert union.graininess_sup(0.0, 3.0) == pytest.approx(1.0)
 
     def test_piece_validation(self):
         with pytest.raises(TimeScaleError):
