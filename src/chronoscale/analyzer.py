@@ -7,9 +7,8 @@ Three instruments:
   sentinel for pairs that have converged to numerical identity;
 * :func:`verify_bound` -- checks a decay certificate ``(lambda, M)``
   against a simulated trajectory pair: the distance between the runs must
-  stay below ``M * nexp(-lambda)(t, t0) * |history gap|`` at every grid
-  point, where the envelope is the nabla exponential of the certified rate
-  composed with the scale's graininess;
+  stay below ``M * |history gap| / nexp_lambda(t, t0)``, which equals
+  ``M * nexp_{circleminus lambda}(t, t0) * |history gap|``, at every point;
 * :func:`translation_error` / :func:`scan_translation_numbers` -- an
   almost-periodicity diagnostic: the shifts ``tau`` whose translated copy of
   a signal stays uniformly within ``epsilon`` of the original.  With finite
@@ -25,9 +24,10 @@ from typing import IO, Sequence
 
 import numpy as np
 
+from .coeffs import Const
 from .conditions import Certificate
 from .simulator import HistorySpec, Trajectory, distance_series, history_norm
-from .timescale import TimeScale, circle_minus
+from .timescale import TimeScale
 
 __all__ = [
     "decay_fit",
@@ -128,35 +128,34 @@ class StabilityReport:
 
 def verify_bound(traj_a: Trajectory, traj_b: Trajectory,
                  hist_a: HistorySpec, hist_b: HistorySpec,
-                 cert: Certificate, ts: TimeScale,
-                 abs_tol: float = 1e-9, rel_tol: float = 1e-6,
-                 burn_in: float | None = None) -> StabilityReport:
+                 cert: Certificate, ts: TimeScale) -> StabilityReport:
     """Check the certified decay envelope against a simulated pair.
 
     Evaluates, at every live grid point, the inequality
 
-        distance(t) <= M * nexp(circle_minus(lambda, nu))(t, t0) * gap0,
+        distance(t) <= M * gap0 / nexp_lambda(t, t0),
 
-    where ``gap0`` is the sup distance between the two supplied histories.
-    A point violates the bound when the distance exceeds the envelope by
-    more than ``abs_tol`` plus ``rel_tol`` times the envelope.  Raises
-    :class:`~chronoscale.timescale.RegressivityError` when the certified
-    rate is not admissible on this scale (``1 - nu*lambda <= 0`` somewhere),
-    which callers should treat as a failed certificate.
+    where ``gap0`` is the sup distance between the two supplied histories;
+    the right side is ``M * nexp_{circleminus lambda}(t, t0) * gap0`` by the
+    group identity nexp_{circleminus p} = 1 / nexp_p (Bohner & Peterson,
+    2001).  A point violates the bound when the distance exceeds the
+    envelope by more than 1e-9 plus 1e-6 times the envelope.  Raises
+    :class:`~chronoscale.timescale.RegressivityError`, with ``at_time``,
+    when the certified rate is not admissible on this scale
+    (``1 - nu*lambda <= 0`` somewhere): a failed certificate.
     """
     times, dist = distance_series(traj_a, traj_b)
-    gap0 = history_norm(hist_a, hist_b, ts, t0=float(times[0]))
-    grid, env = ts.nabla_exp_grid(
-        lambda u: circle_minus(cert.lam, ts.graininess(u)),
-        float(times[0]), float(times[-1]), t0=float(times[0]))
+    t0 = float(times[0])
+    gap0 = history_norm(hist_a, hist_b, ts, t0=t0)
+    grid, growth = ts.nabla_exp_grid(Const(cert.lam), t0, float(times[-1]))
     if len(grid) != len(times) or not np.allclose(grid, times, atol=1e-9, rtol=0.0):
         raise ValueError("envelope grid does not match the trajectory grid")
-    bounds = cert.big_m * env * gap0
+    bounds = cert.big_m * gap0 / growth
     margins = bounds - dist
     rel = margins / np.maximum(bounds, 1e-300)
-    violated = bool(np.any(dist > bounds + abs_tol + rel_tol * bounds))
+    violated = bool(np.any(dist > bounds + 1e-9 + 1e-6 * bounds))
     try:
-        lam_fit, r2 = decay_fit(times, dist, burn_in=burn_in)
+        lam_fit, r2 = decay_fit(times, dist)
     except ValueError:
         lam_fit, r2 = math.nan, math.nan
     return StabilityReport(

@@ -61,12 +61,14 @@ positive (``h_functions``): with ``nu = nu_sup`` and the beta-weighted slope
                     ( c_i+ varsigma_i+ e^{b varsigma_i+} + E_i+ L_i ).
 
 At ``b = 0`` their positivity is exactly the contraction condition, so a
-passing check guarantees a positive rate exists.  The overshoot constant is
+passing check guarantees a positive rate exists, and bisection finds the
+largest one (see :func:`find_lambda`).  The overshoot constant is
 
     M = max_i max{ alpha_i- / Pbar_i,  c_i- / Qbar_i }  (> 1 when kappa < 1),
 
 and the certified envelope for the gap between any two solutions is
-``M * nexp_{circleminus lam}(t, t0) * (initial history norm)``.
+``M * nexp_{circleminus lam}(t, t0) * gap_0 = M * gap_0 / nexp_lam(t, t0)``
+with ``gap_0`` the initial history norm.
 """
 
 from __future__ import annotations
@@ -206,19 +208,14 @@ _SUP_FIELD = {
 }
 
 
-def compute_bounds(
-    spec: NetworkSpec,
-    ts: TimeScale | None = None,
-    t0: float = 0.0,
-    t1: float = 1000.0,
-    samples: int = 100_000,
-) -> BoundSet:
+def compute_bounds(spec: NetworkSpec, ts: TimeScale | None = None) -> BoundSet:
     """Sample sup/inf envelopes for every coefficient of ``spec``.
 
-    Entries of ``spec.bound_overrides`` replace the sampled values.  When a
-    time scale is supplied, ``nu_sup`` is its graininess supremum over the
-    whole scale (:meth:`TimeScale.max_graininess`), sound for any horizon;
-    otherwise it is 0 (purely dense analysis).
+    Sampling is :func:`~chronoscale.coeffs.bound_sup_inf` on its default
+    window; entries of ``spec.bound_overrides`` replace the sampled values.
+    When a time scale is supplied, ``nu_sup`` is its graininess supremum over
+    the whole scale (:meth:`TimeScale.max_graininess`), sound for any
+    horizon; otherwise it is 0 (purely dense analysis).
     """
     n = spec.n
     sup: dict[str, np.ndarray] = {
@@ -234,7 +231,7 @@ def compute_bounds(
         name = parts[0]
         idx = tuple(int(p) - 1 for p in parts[1:])
         override = spec.bound_overrides.get(key)
-        pair = override if override is not None else bound_sup_inf(expr, t0, t1, samples)
+        pair = override if override is not None else bound_sup_inf(expr)
         sources[key] = pair.source
         sup[name][idx] = pair.sup_abs
         if name == "alpha":
@@ -474,8 +471,8 @@ class HValues:
             min(self.h.min(), self.h_bar.min(), self.h_star.min(), self.h_bar_star.min())
         )
 
-    def all_positive(self, margin: float = 0.0) -> bool:
-        return self.min_value() > margin
+    def all_positive(self) -> bool:
+        return self.min_value() > 0.0
 
 
 def h_functions(
@@ -563,21 +560,36 @@ class Certificate:
         return lam, big_m
 
 
+POSITIVITY_MARGIN = 1e-9  # the certified rate keeps every margin above this
+
+
 def find_lambda(
     b: BoundSet,
     L: Sequence[float],
     include_delayed_feedback: bool = True,
-    positivity_margin: float = 1e-9,
-    scan_points: int = 4096,
 ) -> Certificate:
     """Largest decay rate with all four margin families positive, plus M.
 
-    The admissible interval is (0, cap) with
-    ``cap = min(alpha_inf, c_inf)`` (shrunk below ``1/nu_sup`` on scales with
-    positive graininess so the decay envelope stays positively regressive).
-    A grid scan brackets the first sign change of the pointwise minimum of
-    the margin functions; bisection then pins the boundary, and the returned
-    ``lam`` keeps a positivity margin of at least ``positivity_margin``.
+    The admissible interval is [0, cap] with ``cap = min(alpha_inf, c_inf)``
+    (shrunk below ``1/nu_sup`` on scales with positive graininess so the
+    decay envelope stays positively regressive).  The rate is ``cap`` if the
+    minimum margin there exceeds ``POSITIVITY_MARGIN``; otherwise bisection
+    on [0, cap] pins the last rate where it does, to 1e-15.
+
+    Bisection suffices because each family is strictly decreasing wherever
+    it is nonnegative.  H and Hbar are for every b, because W and the
+    exponential weights are nondecreasing.  Where Hstar >= 0, writing a+, a-
+    for alpha_sup, alpha_inf (a+ >= a- > cap >= b),
+
+        (a+ e^{b nu} + a- - b)(W + B) <= a- - b,
+
+    and the first factor exceeds a- - b, so W + B < 1 and
+
+        Hstar' = -1 + (W + B) - a+ nu e^{b nu} (W + B)
+                 - (a+ e^{b nu} + a- - b) W'  <  0.
+
+    Hbarstar follows likewise.  So the rates where the minimum margin
+    exceeds ``POSITIVITY_MARGIN`` form an initial interval of [0, cap].
 
     Raises :class:`InfeasibleError` when the margin functions are not all
     positive at 0+ (equivalently: the contraction check fails).
@@ -598,20 +610,13 @@ def find_lambda(
             "check fails, no decay certificate exists"
         )
 
-    betas = np.linspace(0.0, cap, scan_points)
-    lo = 0.0
-    hi = None
-    for beta in betas[1:]:
-        if g(float(beta)) - positivity_margin <= 0.0:
-            hi = float(beta)
-            break
-        lo = float(beta)
-    if hi is None:
+    if g(cap) - POSITIVITY_MARGIN > 0.0:
         lam = cap
     else:
+        lo, hi = 0.0, cap
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if g(mid) - positivity_margin > 0.0:
+            if g(mid) - POSITIVITY_MARGIN > 0.0:
                 lo = mid
             else:
                 hi = mid
@@ -632,10 +637,10 @@ def find_lambda(
         )
     else:
         worst = g(inflated)
-        if worst <= positivity_margin:
+        if worst <= POSITIVITY_MARGIN:
             witness = (
                 f"maximal: lambda*1.01 = {inflated:.9g} drives the minimum "
-                f"margin to {worst:.3g} <= {positivity_margin:g}"
+                f"margin to {worst:.3g} <= {POSITIVITY_MARGIN:g}"
             )
         else:
             witness = (

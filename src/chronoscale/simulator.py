@@ -513,7 +513,7 @@ def history_norm(hist_a: HistorySpec, hist_b: HistorySpec, ts: TimeScale,
 
     The supremum runs over every scale point of ``[t0 - window, t0]`` and
     over all ``4 n`` component series: both state families and both declared
-    derivative families.
+    derivative families, each evaluated once over the window.
     """
     if hist_a.n != hist_b.n:
         raise ValueError("histories must have the same width")
@@ -532,8 +532,8 @@ def history_norm(hist_a: HistorySpec, hist_b: HistorySpec, ts: TimeScale,
                        (hist_a.stm_slope[i], hist_b.stm_slope[i]),
                        (hist_a.ltm[i], hist_b.ltm[i]),
                        (hist_a.ltm_slope[i], hist_b.ltm_slope[i])):
-            gaps = [abs(float(fa(r)) - float(fb(r))) for r in rel]
-            best = max(best, max(gaps))
+            gaps = np.abs(_eval_on(fa, rel) - _eval_on(fb, rel))
+            best = max(best, float(gaps.max()))
     return best
 
 

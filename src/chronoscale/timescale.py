@@ -44,8 +44,8 @@ Numerical conventions
   split points: it is the exact integral of one fixed interpolant.
 * Reversed bounds negate: ``integral_a^b = -integral_b^a``.
 * Derivatives at left-dense points use a central difference of half-width
-  ``dt`` (default ``1e-4``), falling back to a backward difference when the
-  point sits at the right end of its piece.
+  ``DERIVATIVE_STEP`` (``1e-4``), falling back to a backward difference when
+  the point sits at the right end of its piece.
 """
 
 from __future__ import annotations
@@ -72,6 +72,9 @@ __all__ = [
 # Tolerance for deciding whether a floating-point time coincides with a grid
 # node / piece boundary.  All membership and snapping questions use it.
 POINT_TOL = 1e-9
+
+# Half-width of the central difference at left-dense points.
+DERIVATIVE_STEP = 1e-4
 
 
 class TimeScaleError(ValueError):
@@ -279,9 +282,6 @@ class TimeScale:
         """The minimum of the scale (may be -inf for unbounded lattices)."""
         return self.pieces[0].start
 
-    def max_point(self) -> float:
-        return self.pieces[-1].stop
-
     def _require_member(self, t: float, what: str = "point") -> None:
         if not self.contains(t):
             raise TimeScaleError(f"{what} {t!r} is not a point of the time scale")
@@ -336,9 +336,9 @@ class TimeScale:
         """Grid over [a, b] plus nu(t) for every grid point (vectorised).
 
         For dense-piece nodes nu = 0; for lattice nodes nu = spacing; the
-        first node of every piece after the first carries the gap width.
-        The very first returned node gets its true graininess via
-        :meth:`backward_jump` when it lies inside the window's piece.
+        first node of every piece after the first carries the gap width and
+        the scale's minimum carries 0 (rho(min) = min), so every node, the
+        window's first included, gets its true graininess.
         """
         if b < a:
             raise TimeScaleError("grid window requires a <= b")
@@ -357,12 +357,9 @@ class TimeScale:
                 g = piece.edges(a, b)
                 nu = np.zeros(g.shape)
             if g.size:
-                if abs(g[0] - piece.start) <= POINT_TOL and prev_stop is not None:
-                    nu[0] = piece.start - prev_stop
-                elif isinstance(piece, LatticePiece) and not math.isfinite(piece.start):
-                    pass  # spacing already correct
-                elif abs(g[0] - piece.start) <= POINT_TOL and prev_stop is None:
-                    nu[0] = 0.0  # global minimum: rho(min) = min
+                if abs(g[0] - piece.start) <= POINT_TOL:
+                    # the gap to the previous piece; 0 at the global minimum
+                    nu[0] = 0.0 if prev_stop is None else piece.start - prev_stop
                 gs.append(g)
                 nus.append(nu)
             prev_stop = piece.stop
@@ -382,13 +379,13 @@ class TimeScale:
 
     # -- derivative ------------------------------------------------------
 
-    def nabla_derivative(self, f: Callable[[float], float], t: float, dt: float = 1e-4) -> float:
+    def nabla_derivative(self, f: Callable[[float], float], t: float) -> float:
         """The nabla derivative of ``f`` at ``t``.
 
         Exact backward difference quotient at left-scattered points; central
-        difference of half-width ``dt`` at left-dense points (backward
-        difference at a piece's right endpoint).  Undefined at the scale
-        minimum when that minimum is left-dense.
+        difference of half-width ``DERIVATIVE_STEP`` at left-dense points
+        (backward difference at a piece's right endpoint).  Undefined at the
+        scale minimum when that minimum is left-dense.
         """
         self._require_member(t)
         rho = self.backward_jump(t)
@@ -405,7 +402,7 @@ class TimeScale:
                 f"nabla derivative undefined at the left-dense minimum {t!r}"
             )
         room_right = piece.stop - t
-        h = min(dt, room_left)
+        h = min(DERIVATIVE_STEP, room_left)
         if room_right > h - POINT_TOL and room_right > POINT_TOL:
             h = min(h, room_right)
             return (float(f(t + h)) - float(f(t - h))) / (2.0 * h)
@@ -522,19 +519,6 @@ class TimeScale:
             jump = -np.log(np.where(dense, 1.0, one_minus))
         return g, np.where(dense, trap, jump)
 
-    def log_nabla_exp(self, p: Callable[[float], float], t: float, s: float) -> float:
-        """log of the nabla exponential: signed accumulation from s to t."""
-        if t == s:
-            return 0.0
-        sign = 1.0
-        lo, hi = s, t
-        if t < s:
-            sign, lo, hi = -1.0, t, s
-        self._require_member(lo, "exponential bound")
-        self._require_member(hi, "exponential bound")
-        _, inc = self._log_increments(p, lo, hi)
-        return sign * float(np.sum(inc))
-
     def nabla_exp(self, p: Callable[[float], float], t: float, s: float) -> float:
         """The nabla exponential nexp_p(t, s); see the module docstring.
 
@@ -542,7 +526,16 @@ class TimeScale:
         ``t`` on either side of ``s`` (group property: nexp_p(s,t) is the
         reciprocal).
         """
-        return math.exp(self.log_nabla_exp(p, t, s))
+        if t == s:
+            return 1.0
+        sign = 1.0
+        lo, hi = s, t
+        if t < s:
+            sign, lo, hi = -1.0, t, s
+        self._require_member(lo, "exponential bound")
+        self._require_member(hi, "exponential bound")
+        _, inc = self._log_increments(p, lo, hi)
+        return math.exp(sign * float(np.sum(inc)))
 
     def nabla_exp_grid(
         self, p: Callable[[float], float], a: float, b: float, t0: float | None = None

@@ -304,7 +304,7 @@ def test_certificate_well_posedness(stability_experiment):
     for cert in certs.values():
         assert cert.lam > 0.0
         assert cert.big_m > 1.0
-        assert cert.h_at_lambda.all_positive
+        assert cert.h_at_lambda.all_positive()
         assert cert.witness
 
 

@@ -17,7 +17,7 @@ from chronoscale.coeffs import Const
 from chronoscale.conditions import Certificate
 from chronoscale.network import ACTIVATIONS, NetworkSpec
 from chronoscale.simulator import HistorySpec, simulate
-from chronoscale.timescale import RegressivityError, TimeScale
+from chronoscale.timescale import DensePiece, LatticePiece, RegressivityError, TimeScale
 
 
 def stub_cert(lam, big_m):
@@ -157,6 +157,43 @@ def test_verify_bound_rejects_inadmissible_rate():
     ts, ha, hb, ta, tb = leak_pair(t_end=10.0)
     with pytest.raises(RegressivityError):
         verify_bound(ta, tb, ha, hb, stub_cert(1.2, 2.0), ts)
+
+
+def hybrid_leak_pair():
+    """The leak network on lattice [-2, 3] (0.5) u dense [4, 6] u lattice [7, 9] (0.25)."""
+    ts = TimeScale([LatticePiece(-2.0, 3.0, 0.5), DensePiece(4.0, 6.0, 0.1),
+                    LatticePiece(7.0, 9.0, 0.25)])
+    spec = leak_spec()
+    ha, hb = flat_history(x0=0.8), flat_history(x0=0.2)
+    return (ts, ha, hb, simulate(spec, ha, ts, t_end=9.0, corrector_iters=40),
+            simulate(spec, hb, ts, t_end=9.0, corrector_iters=40))
+
+
+def test_verify_bound_envelope_on_a_hybrid_scale():
+    # e_{circleminus lam}(t, 0): a factor 1 - lam*nu per left-scattered point
+    # (lattice nodes and the first node after each gap) and e^{-lam * length}
+    # over the dense panels
+    ts, ha, hb, ta, tb = hybrid_leak_pair()
+    lam, big_m = 0.3, 2.0
+    report = verify_bound(ta, tb, ha, hb, stub_cert(lam, big_m), ts)
+    t = report.times
+    nu = np.diff(t)
+    dense = (t[1:] > 4.0 + 1e-9) & (t[1:] <= 6.0 + 1e-9)
+    atoms = np.concatenate([[1.0], np.cumprod(np.where(dense, 1.0, 1.0 - lam * nu))])
+    dense_length = np.concatenate([[0.0], np.cumsum(np.where(dense, nu, 0.0))])
+    assert t[0] == 0.0 and t[-1] == pytest.approx(9.0)
+    assert report.history_gap == pytest.approx(0.6, abs=1e-12)
+    expected = big_m * report.history_gap * atoms * np.exp(-lam * dense_length)
+    np.testing.assert_allclose(report.bounds, expected, rtol=1e-12, atol=0.0)
+
+
+def test_inadmissible_rate_names_the_first_offending_point():
+    # lam = 1.5 keeps 1 - 0.5 lam > 0 on the first lattice; the gap of
+    # width 1 before t = 4 is the first point with 1 - nu lam <= 0
+    ts, ha, hb, ta, tb = hybrid_leak_pair()
+    with pytest.raises(RegressivityError) as info:
+        verify_bound(ta, tb, ha, hb, stub_cert(1.5, 2.0), ts)
+    assert info.value.at_time == pytest.approx(4.0, abs=1e-12)
 
 
 def test_stability_csv_layout():

@@ -9,11 +9,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chronoscale import benchmark
 from chronoscale.coeffs import Add, BoundPair, Const, Scale, Sin, TimeVar
 from chronoscale.conditions import (
     DEFAULT_R_GRID,
+    POSITIVITY_MARGIN,
+    BoundSet,
     Certificate,
     ConditionsError,
     InfeasibleError,
@@ -248,6 +252,54 @@ def test_rate_is_variant_independent_M_is_not(bench_bounds):
     assert full.lam == pytest.approx(red.lam, abs=1e-9)
     assert full.big_m == pytest.approx(3.325929, abs=1e-5)
     assert full.big_m < red.big_m
+
+
+@st.composite
+def feasible_bound_sets(draw):
+    """Random nonnegative envelopes whose margins are positive at rate 0."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weight = draw(st.floats(0.001, 0.04))
+    nu_sup = draw(st.one_of(st.just(0.0),
+                            st.floats(0.0, 3.0, exclude_min=True)))
+    feedback = draw(st.booleans())
+    alpha_inf = rng.uniform(0.5, 3.0, n)
+    c_inf = rng.uniform(0.5, 3.0, n)
+
+    def vec(hi):
+        return rng.uniform(0.0, hi, n)
+
+    def mat(hi):
+        return rng.uniform(0.0, hi, (n, n))
+
+    alpha_sup = alpha_inf * rng.uniform(1.0, 2.0, n)
+    c_sup = c_inf * rng.uniform(1.0, 2.0, n)
+    b = BoundSet(
+        n=n, alpha_sup=alpha_sup, alpha_inf=alpha_inf, c_sup=c_sup, c_inf=c_inf,
+        B_sup=vec(weight), E_sup=vec(weight), I_sup=vec(weight), J_sup=vec(weight),
+        eta_sup=vec(0.1) / alpha_sup, varsigma_sup=vec(0.1) / c_sup,
+        D_sup=mat(weight / n), Dtau_sup=mat(weight / n),
+        Dbar_sup=mat(weight / n), Dtil_sup=mat(weight / n),
+        tau_sup=mat(2.0), sigma_sup=mat(2.0), zeta_sup=mat(2.0), nu_sup=nu_sup,
+    )
+    L_draw = rng.uniform(0.5, 1.5, n)
+    assume(h_functions(b, L_draw, 0.0, feedback).min_value() > POSITIVITY_MARGIN)
+    return b, L_draw, feedback
+
+
+@settings(max_examples=60, deadline=None)
+@given(feasible_bound_sets())
+def test_margins_fall_until_nonpositive_so_bisection_finds_the_rate(case):
+    b, L_draw, feedback = case
+    cert = find_lambda(b, L_draw, include_delayed_feedback=feedback)
+    betas = np.linspace(0.0, cert.cap, 512)
+    mins = np.array([h_functions(b, L_draw, float(beta), feedback).min_value()
+                     for beta in betas])
+    nonpositive = np.flatnonzero(mins <= 0.0)
+    stop = nonpositive[0] if nonpositive.size else len(mins) - 1
+    assert np.all(np.diff(mins[:stop + 1]) < 0.0)
+    assert np.all(mins[betas > cert.lam] <= POSITIVITY_MARGIN)
+    assert np.all(mins[betas <= cert.lam] > POSITIVITY_MARGIN)
 
 
 def test_infeasible_bounds_raise(bench_bounds):

@@ -396,6 +396,26 @@ def test_history_norm_sees_constant_offsets_and_slopes():
     assert history_norm(a, c, ts) == pytest.approx(0.7, abs=1e-12)
 
 
+def test_history_norm_accepts_scalar_only_callables():
+    # one callable rejects arrays, the other ignores their shape; both are
+    # evaluated point by point and give the norm of the Const version
+    def rejects_arrays(v):
+        return lambda r: v + 0.0 * math.cos(r)
+
+    def ignores_shape(v):
+        return lambda r: v
+
+    const = HistorySpec(stm=(Const(0.2),), stm_slope=(Const(0.7),),
+                        ltm=(Const(0.1),), ltm_slope=(Const(0.0),), window=1.0)
+    plain = HistorySpec(stm=(ignores_shape(0.2),), stm_slope=(rejects_arrays(0.7),),
+                        ltm=(rejects_arrays(0.1),), ltm_slope=(ignores_shape(0.0),),
+                        window=1.0)
+    other = flat_history(x0=-0.3, s0=0.1)
+    for ts in (TimeScale.integer_lattice(), TimeScale.real_interval(-2.0, 5.0, 0.1)):
+        assert history_norm(plain, other, ts) == history_norm(const, other, ts)
+        assert history_norm(plain, other, ts) == pytest.approx(0.7, abs=1e-12)
+
+
 def test_initial_distance_equals_largest_component_gap():
     spec = two_neuron_spec()
     ha, hb = history_pairs()["trig"]
