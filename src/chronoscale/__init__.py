@@ -6,7 +6,7 @@ The package provides, bottom-up:
   backward-jump structure, nabla derivatives/integrals, the nu-cylinder
   transform, and nabla exponentials.
 * :mod:`chronoscale.coeffs` -- a tiny expression language for time-varying
-  coefficients (serialisable, vectorised, with sampled sup/inf bounds).
+  coefficients (serialisable, vectorised, with enclosed sup/inf bounds).
 * :mod:`chronoscale.network` -- the model container for a two-layer
   competitive network with leakage, discrete, distributed, and
   derivative-coupled (neutral) delays.

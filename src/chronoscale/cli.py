@@ -23,7 +23,7 @@ Subcommands
     the unit lattice.
 
 Exit codes (stable contract): 0 success, 1 infeasible or bound violated,
-2 configuration error, 3 runtime (stepping) failure.
+2 configuration or conditions error, 3 runtime (stepping) failure.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .analyzer import verify_bound, write_stability_csv
 from .conditions import (
     DEFAULT_R_GRID,
     Certificate,
+    ConditionsError,
     H3Report,
     InfeasibleError,
     check_H3,
@@ -366,6 +367,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except ConditionsError as exc:
+        print(f"conditions error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except RegressivityError as exc:
         print(f"regressivity violated: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -6,8 +6,8 @@ language so that they can be
 
 * evaluated fast, on scalars and on numpy arrays alike,
 * written to / read from configuration files losslessly, and
-* bounded: sampled suprema/infima of the absolute value over a window,
-  with explicit user overrides taking precedence.
+* bounded: interval enclosures over all t in R (Moore, *Interval Analysis*,
+  1966), exact when t occurs once, with user overrides taking precedence.
 
 Grammar (prefix notation, whitespace separated, parentheses group):
 
@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 Number = Union[float, np.ndarray]
+Interval = tuple[float, float]
 
 
 class ExprParseError(ValueError):
@@ -73,10 +74,14 @@ class CoeffExpr:
     """Base class: a real-valued function of time.
 
     Instances are callable; ``expr(t)`` accepts floats or numpy arrays and
-    returns the same shape.
+    returns the same shape.  ``enclose()`` returns ``(lo, hi)`` with
+    ``lo <= expr(t) <= hi`` for every real ``t``.
     """
 
     def __call__(self, t: Number) -> Number:
+        raise NotImplementedError
+
+    def enclose(self) -> Interval:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -92,14 +97,48 @@ class Const(CoeffExpr):
             return np.full(t.shape, self.value)
         return self.value
 
+    def enclose(self) -> Interval:
+        return self.value, self.value
+
 
 @dataclass(frozen=True)
 class TimeVar(CoeffExpr):
     def __call__(self, t: Number) -> Number:
         return t
 
+    def enclose(self) -> Interval:
+        return -math.inf, math.inf
 
-def _unary(name: str, scalar_fn, array_fn):
+
+def _mul(x: Interval, y: Interval) -> Interval:
+    # a zero factor zeroes any value, so 0 * inf counts as 0
+    products = [0.0 if a == 0.0 or b == 0.0 else a * b for a in x for b in y]
+    return min(products), max(products)
+
+
+def _exp(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _periodic(fn, peak: float):
+    """Enclosure rule of ``fn``, a sine shifted to peak at ``peak`` mod 2 pi."""
+
+    def enclose(lo: float, hi: float) -> Interval:
+        if not hi - lo < 2 * math.pi:  # a full period, or an unbounded argument
+            return -1.0, 1.0
+        # the first peak and the first trough at or after lo
+        top = peak + 2 * math.pi * math.ceil((lo - peak) / (2 * math.pi))
+        bottom = top - math.pi if top - math.pi >= lo else top + math.pi
+        ends = (fn(lo), fn(hi))
+        return (-1.0 if bottom <= hi else min(ends), 1.0 if top <= hi else max(ends))
+
+    return enclose
+
+
+def _unary(name: str, scalar_fn, array_fn, enclose_fn):
     @dataclass(frozen=True)
     class Node(CoeffExpr):
         arg: CoeffExpr
@@ -110,15 +149,18 @@ def _unary(name: str, scalar_fn, array_fn):
                 return array_fn(v)
             return scalar_fn(v)
 
+        def enclose(self) -> Interval:
+            return enclose_fn(*self.arg.enclose())
+
     Node.__name__ = Node.__qualname__ = name
     return Node
 
 
-Sin = _unary("Sin", math.sin, np.sin)
-Cos = _unary("Cos", math.cos, np.cos)
-Abs = _unary("Abs", abs, np.abs)
-Exp = _unary("Exp", math.exp, np.exp)
-Neg = _unary("Neg", lambda v: -v, np.negative)
+Sin = _unary("Sin", math.sin, np.sin, _periodic(math.sin, math.pi / 2))
+Cos = _unary("Cos", math.cos, np.cos, _periodic(math.cos, 0.0))
+Abs = _unary("Abs", abs, np.abs, lambda lo, hi: (max(lo, -hi, 0.0), max(-lo, hi)))
+Exp = _unary("Exp", math.exp, np.exp, lambda lo, hi: (_exp(lo), _exp(hi)))
+Neg = _unary("Neg", lambda v: -v, np.negative, lambda lo, hi: (-hi, -lo))
 
 
 @dataclass(frozen=True)
@@ -128,6 +170,9 @@ class Scale(CoeffExpr):
 
     def __call__(self, t: Number) -> Number:
         return self.factor * self.arg(t)
+
+    def enclose(self) -> Interval:
+        return _mul((self.factor, self.factor), self.arg.enclose())
 
 
 @dataclass(frozen=True)
@@ -141,6 +186,9 @@ class Affine(CoeffExpr):
     def __call__(self, t: Number) -> Number:
         return self.slope * self.arg(t) + self.offset
 
+    def enclose(self) -> Interval:
+        return Add(Scale(self.slope, self.arg), Const(self.offset)).enclose()
+
 
 @dataclass(frozen=True)
 class Add(CoeffExpr):
@@ -150,6 +198,10 @@ class Add(CoeffExpr):
     def __call__(self, t: Number) -> Number:
         return self.left(t) + self.right(t)
 
+    def enclose(self) -> Interval:
+        (a, b), (c, d) = self.left.enclose(), self.right.enclose()
+        return a + c, b + d
+
 
 @dataclass(frozen=True)
 class Mul(CoeffExpr):
@@ -158,6 +210,9 @@ class Mul(CoeffExpr):
 
     def __call__(self, t: Number) -> Number:
         return self.left(t) * self.right(t)
+
+    def enclose(self) -> Interval:
+        return _mul(self.left.enclose(), self.right.enclose())
 
 
 _UNARY = {"sin": Sin, "cos": Cos, "abs": Abs, "exp": Exp, "neg": Neg}
@@ -302,29 +357,22 @@ def parse_expr(text: str) -> CoeffExpr:
 
 @dataclass(frozen=True)
 class BoundPair:
-    """Envelope of a coefficient: sup and inf of |f| over a window.
+    """Envelope of a coefficient: sup and inf of |f| over the time scale.
 
-    ``source`` records how the numbers were obtained: ``"sampled"`` for the
-    default dense sampling, ``"override"`` for user-supplied values.
+    ``source`` records how the numbers were obtained: ``"enclosure"`` for
+    :func:`bound_sup_inf`, ``"override"`` for user-supplied values.
     """
 
     sup_abs: float
     inf_abs: float
-    source: str = "sampled"
+    source: str = "override"
 
 
-def bound_sup_inf(
-    expr: CoeffExpr,
-    t0: float = 0.0,
-    t1: float = 1000.0,
-    samples: int = 100_000,
-) -> BoundPair:
-    """Sampled sup/inf of ``|expr|`` over ``[t0, t1]``.
+def bound_sup_inf(expr: CoeffExpr) -> BoundPair:
+    """sup/inf of ``|expr|`` over all t in R, from :meth:`CoeffExpr.enclose`.
 
-    Dense uniform sampling; adequate (about 1e-3) for smooth almost-periodic
-    coefficients with moderate frequencies.  For exact envelopes, supply an
-    override in the model's ``bound_overrides``.
+    A sound envelope, exact when ``expr`` uses t once; the sup is ``inf``
+    for an unbounded coefficient.
     """
-    ts = np.linspace(t0, t1, samples)
-    vals = np.abs(np.asarray(expr(ts), dtype=float))
-    return BoundPair(float(vals.max()), float(vals.min()), source="sampled")
+    inf_abs, sup_abs = Abs(expr).enclose()
+    return BoundPair(sup_abs, inf_abs, source="enclosure")

@@ -2,8 +2,8 @@
 
 Everything here works on a :class:`BoundSet`: per-coefficient envelopes
 (sup/inf of absolute values) plus the supremum ``nu_sup`` of the time scale's
-backward graininess.  Bounds are sampled from a model's expressions by
-:func:`compute_bounds`, with user overrides taking precedence.
+backward graininess.  Bounds are enclosures of a model's expressions over all
+t in R (:func:`compute_bounds`), with user overrides taking precedence.
 
 Solvability check
 -----------------
@@ -79,7 +79,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coeffs import BoundPair, bound_sup_inf
+from .coeffs import bound_sup_inf, to_text
 from .network import NetworkSpec
 from .timescale import TimeScale
 
@@ -121,7 +121,7 @@ class BoundSet:
     ``*_sup`` holds sup|coefficient| (arrays over neurons / neuron pairs);
     ``alpha_inf``/``c_inf`` hold the infima of the decay rates, which must be
     positive for any of the checks to make sense.  ``sources`` maps
-    coefficient keys to "sampled" or "override" for reporting.
+    coefficient keys to "enclosure" or "override" for reporting.
     """
 
     n: int
@@ -164,26 +164,20 @@ class BoundSet:
     def summary_lines(self) -> list[str]:
         """Human-readable dump of every envelope, tagged by provenance."""
         out = ["coefficient bounds:"]
-
-        def tag(key: str) -> str:
-            return self.sources.get(key, "sampled")
-
         for name, sup_field in _SUP_FIELD.items():
             arr = getattr(self, sup_field)
             if arr.ndim == 1:
                 for i in range(self.n):
                     line = f"  {name}.{i + 1}: sup = {arr[i]:.6g}"
-                    if name == "alpha":
-                        line += f", inf = {self.alpha_inf[i]:.6g}"
-                    elif name == "c":
-                        line += f", inf = {self.c_inf[i]:.6g}"
-                    out.append(line + f"  [{tag(f'{name}.{i + 1}')}]")
+                    if name in ("alpha", "c"):
+                        line += f", inf = {getattr(self, name + '_inf')[i]:.6g}"
+                    out.append(line + f"  [{self.sources[f'{name}.{i + 1}']}]")
             else:
                 for i in range(self.n):
                     for j in range(self.n):
                         out.append(
                             f"  {name}.{i + 1}.{j + 1}: sup = {arr[i, j]:.6g}"
-                            f"  [{tag(f'{name}.{i + 1}.{j + 1}')}]"
+                            f"  [{self.sources[f'{name}.{i + 1}.{j + 1}']}]"
                         )
         out.append(f"  graininess sup = {self.nu_sup:.6g}")
         return out
@@ -209,59 +203,39 @@ _SUP_FIELD = {
 
 
 def compute_bounds(spec: NetworkSpec, ts: TimeScale | None = None) -> BoundSet:
-    """Sample sup/inf envelopes for every coefficient of ``spec``.
+    """Enclosed sup/inf envelopes (:func:`~chronoscale.coeffs.bound_sup_inf`).
 
-    Sampling is :func:`~chronoscale.coeffs.bound_sup_inf` on its default
-    window; entries of ``spec.bound_overrides`` replace the sampled values.
-    When a time scale is supplied, ``nu_sup`` is its graininess supremum over
-    the whole scale (:meth:`TimeScale.max_graininess`), sound for any
-    horizon; otherwise it is 0 (purely dense analysis).
+    Entries of ``spec.bound_overrides`` replace the enclosures; an unbounded
+    one without an override raises :class:`ConditionsError`.  When a time
+    scale is supplied, ``nu_sup`` is its graininess supremum over the whole
+    scale (:meth:`TimeScale.max_graininess`), sound for any horizon;
+    otherwise it is 0 (purely dense analysis).
     """
     n = spec.n
     sup: dict[str, np.ndarray] = {
         name: np.zeros(n) for name in NetworkSpec.VECTOR_FIELDS
     }
     sup.update({name: np.zeros((n, n)) for name in NetworkSpec.MATRIX_FIELDS})
-    inf_alpha = np.zeros(n)
-    inf_c = np.zeros(n)
+    inf = {"alpha": np.zeros(n), "c": np.zeros(n)}
     sources: dict[str, str] = {}
 
     for key, expr in spec.coefficient_items():
-        parts = key.split(".")
-        name = parts[0]
-        idx = tuple(int(p) - 1 for p in parts[1:])
-        override = spec.bound_overrides.get(key)
-        pair = override if override is not None else bound_sup_inf(expr)
+        name, *pos = key.split(".")
+        idx = tuple(int(p) - 1 for p in pos)
+        pair = spec.bound_overrides.get(key)
+        if pair is None:
+            pair = bound_sup_inf(expr)
+            if math.isinf(pair.sup_abs):
+                raise ConditionsError(f"coefficient {key} = {to_text(expr)} is unbounded on R")
         sources[key] = pair.source
         sup[name][idx] = pair.sup_abs
-        if name == "alpha":
-            inf_alpha[idx] = pair.inf_abs
-        elif name == "c":
-            inf_c[idx] = pair.inf_abs
+        if name in inf:
+            inf[name][idx] = pair.inf_abs
 
-    nu_sup = ts.max_graininess() if ts is not None else 0.0
     return BoundSet(
-        n=n,
-        alpha_sup=sup["alpha"],
-        alpha_inf=inf_alpha,
-        c_sup=sup["c"],
-        c_inf=inf_c,
-        B_sup=sup["B"],
-        E_sup=sup["E"],
-        I_sup=sup["I"],
-        J_sup=sup["J"],
-        eta_sup=sup["eta"],
-        varsigma_sup=sup["varsigma"],
-        D_sup=sup["D"],
-        Dtau_sup=sup["Dtau"],
-        Dbar_sup=sup["Dbar"],
-        Dtil_sup=sup["Dtil"],
-        tau_sup=sup["tau"],
-        sigma_sup=sup["sigma_d"],
-        zeta_sup=sup["zeta"],
-        nu_sup=nu_sup,
-        sources=sources,
-    )
+        n=n, alpha_inf=inf["alpha"], c_inf=inf["c"], sources=sources,
+        nu_sup=ts.max_graininess() if ts is not None else 0.0,
+        **{attr: sup[name] for name, attr in _SUP_FIELD.items()})
 
 
 # ---------------------------------------------------------------------------

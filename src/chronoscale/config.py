@@ -15,8 +15,8 @@ headers.  ``#`` starts a comment; blank lines are ignored.  Sections:
     (affine 2.646 0 t)))``.
 
 ``[bounds]`` (optional)
-    Overrides for sampled coefficient bounds, keyed like the coefficients:
-    ``key = sup`` or ``key = sup inf``.
+    Overrides for the enclosed coefficient bounds, keyed like the
+    coefficients: ``key = sup`` or ``key = sup inf``.
 
 ``[history]`` (optional)
     ``window`` plus expressions ``phi.i`` / ``phi_nabla.i`` (short-term

@@ -120,7 +120,7 @@ class NetworkSpec:
     the solvability checks use in place of the activation's built-in bound.
 
     ``bound_overrides`` maps coefficient keys (``"alpha.1"``, ``"D.2.1"``,
-    ... -- 1-based) to :class:`BoundPair` values that replace sampled bounds.
+    ... -- 1-based) to :class:`BoundPair` values that replace enclosed bounds.
     """
 
     n: int

@@ -1,5 +1,5 @@
 """Tests for the coefficient expression language: evaluation, lossless
-text round-trips, and sampled sup/inf bounds."""
+text round-trips, interval enclosures and the sup/inf bounds built on them."""
 
 from __future__ import annotations
 
@@ -94,24 +94,78 @@ class TestSerialisation:
 
 class TestBounds:
     def test_constant(self):
-        pair = bound_sup_inf(Const(-0.7), 0.0, 10.0, 1001)
-        assert pair.sup_abs == pytest.approx(0.7, abs=1e-15)
-        assert pair.inf_abs == pytest.approx(0.7, abs=1e-15)
-        assert pair.source == "sampled"
+        assert bound_sup_inf(Const(-0.7)) == BoundPair(0.7, 0.7, "enclosure")
 
     def test_modulated_envelope(self):
         # |0.895 + 0.005 sin(w t)| has sup 0.9, inf 0.89.
         e = Add(Const(0.895), Scale(0.005, Sin(Affine(math.sqrt(7), 0.0, T))))
         pair = bound_sup_inf(e)
-        assert pair.sup_abs == pytest.approx(0.9, abs=1e-3)
-        assert pair.inf_abs == pytest.approx(0.89, abs=1e-3)
+        assert pair.sup_abs == pytest.approx(0.9, abs=1e-15)
+        assert pair.inf_abs == pytest.approx(0.89, abs=1e-15)
 
     def test_abs_envelope(self):
         e = Scale(0.05, Abs(Sin(Affine(math.sqrt(3), 0.0, T))))
-        pair = bound_sup_inf(e)
-        assert pair.sup_abs == pytest.approx(0.05, abs=1e-4)
-        assert pair.inf_abs == pytest.approx(0.0, abs=1e-3)
+        assert bound_sup_inf(e) == BoundPair(0.05, 0.0, "enclosure")
+
+    def test_unbounded(self):
+        assert bound_sup_inf(Affine(0.001, 0.0, T)).sup_abs == math.inf
 
     def test_override_record(self):
-        pair = BoundPair(0.9, 0.89, source="override")
-        assert pair.source == "override"
+        assert BoundPair(0.9, 0.89).source == "override"
+
+
+def _exprs(depth: int):
+    """Grammar expressions of nesting depth <= ``depth`` over all 11 node kinds."""
+    num = st.floats(-3.0, 3.0, allow_nan=False)
+    leaves = st.just(T) | st.builds(Const, num)
+    if depth == 0:
+        return leaves
+    sub = _exprs(depth - 1)
+    return st.one_of(
+        leaves,
+        *(st.builds(node, sub) for node in (Sin, Cos, Abs, Exp, Neg)),
+        st.builds(Scale, num, sub),
+        st.builds(Affine, num, num, sub),
+        st.builds(Add, sub, sub),
+        st.builds(Mul, sub, sub),
+    )
+
+
+class TestEnclosure:
+    @pytest.mark.parametrize("expr, expected", [
+        (T, (-math.inf, math.inf)),
+        (Const(2.5), (2.5, 2.5)),
+        (Exp(T), (0.0, math.inf)),
+        (Mul(Const(0.0), T), (0.0, 0.0)),
+        (Scale(0.0, Exp(T)), (0.0, 0.0)),
+        (Abs(Affine(1.0, -2.0, Sin(T))), (1.0, 3.0)),
+        (Neg(Exp(Sin(T))), (-math.exp(1.0), -math.exp(-1.0))),
+        # no critical point of sin inside [-0.5, 0.5]
+        (Sin(Scale(0.5, Sin(T))), (math.sin(-0.5), math.sin(0.5))),
+        # the peak of cos (0) lies inside [-2, 2], its trough (pi) does not
+        (Cos(Scale(2.0, Sin(T))), (math.cos(2.0), 1.0)),
+        # [0, 2] holds the peak of sin, [2, 4] the trough of cos, [-2, 2] both
+        (Sin(Affine(1.0, 1.0, Sin(T))), (0.0, 1.0)),
+        (Cos(Affine(1.0, 3.0, Sin(T))), (-1.0, math.cos(2.0))),
+        (Sin(Scale(2.0, Sin(T))), (-1.0, 1.0)),
+        # an argument interval of width 8 >= 2 pi covers a full period
+        (Sin(Affine(4.0, 0.0, Sin(T))), (-1.0, 1.0)),
+        # t used twice: sound but not tight (the true range is +-sqrt 2)
+        (Add(Sin(T), Cos(T)), (-2.0, 2.0)),
+        (Mul(Sin(T), Exp(T)), (-math.inf, math.inf)),
+    ])
+    def test_rules(self, expr, expected):
+        assert expr.enclose() == expected
+
+    @given(e=_exprs(3))
+    @settings(max_examples=300, deadline=None)
+    def test_values_lie_in_the_enclosure(self, e):
+        # Round-to-nearest can put an endpoint up to 1 ulp inside the values
+        # numpy computes, so the check allows 1e-12, relative above 1.
+        # NaN comes only from overflowed intermediates (inf * 0, inf - inf).
+        lo, hi = e.enclose()
+        with np.errstate(all="ignore"):
+            v = np.asarray(e(np.linspace(-1e3, 1e3, 2000)), dtype=float)
+        v = v[~np.isnan(v)]
+        tol = 1e-12 * np.maximum(1.0, np.abs(np.where(np.isfinite(v), v, 0.0)))
+        assert np.all(v >= lo - tol) and np.all(v <= hi + tol)

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chronoscale import benchmark
-from chronoscale.coeffs import Add, BoundPair, Const, Scale, Sin, TimeVar
+from chronoscale.coeffs import Add, Affine, BoundPair, Const, Scale, Sin, TimeVar
 from chronoscale.conditions import (
     DEFAULT_R_GRID,
     POSITIVITY_MARGIN,
@@ -79,24 +79,37 @@ def test_summary_lines_tag_provenance(bench_bounds):
     assert "graininess sup" in text
 
 
-def test_sampled_bounds_approximate_envelopes():
+def _one_neuron_spec(I=Const(0.0), overrides=None):
     t = TimeVar()
     z = Const(0.0)
-    spec = NetworkSpec(
+    return NetworkSpec(
         n=1,
         alpha=(Add(Const(0.5), Scale(0.1, Sin(t))),),
         c=(Const(0.4),),
         D=((Scale(0.2, Sin(t)),),), Dtau=((z,),), Dbar=((z,),), Dtil=((z,),),
-        B=(z,), E=(z,), I=(z,), J=(z,),
+        B=(z,), E=(z,), I=(I,), J=(z,),
         eta=(z,), varsigma=(z,),
         tau=((z,),), sigma_d=((z,),), zeta=((z,),),
         activations=(ACTIVATIONS["identity"],),
+        bound_overrides=overrides or {},
     )
-    b = compute_bounds(spec)
-    assert b.alpha_sup[0] == pytest.approx(0.6, abs=1e-3)
-    assert b.alpha_inf[0] == pytest.approx(0.4, abs=1e-3)
-    assert b.D_sup[0, 0] == pytest.approx(0.2, abs=1e-3)
-    assert b.sources["alpha.1"] == "sampled"
+
+
+def test_enclosed_bounds_are_exact_envelopes():
+    b = compute_bounds(_one_neuron_spec())
+    assert b.alpha_sup[0] == pytest.approx(0.6, abs=1e-15)
+    assert b.alpha_inf[0] == pytest.approx(0.4, abs=1e-15)
+    assert b.D_sup[0, 0] == pytest.approx(0.2, abs=1e-15)
+    assert b.sources["alpha.1"] == "enclosure"
+
+
+def test_unbounded_coefficient_needs_an_override():
+    drifting = Affine(0.001, 0.0, TimeVar())
+    with pytest.raises(ConditionsError, match=r"coefficient I\.1 .* unbounded"):
+        compute_bounds(_one_neuron_spec(I=drifting))
+    b = compute_bounds(_one_neuron_spec(I=drifting, overrides={"I.1": BoundPair(1.0, 0.0)}))
+    assert b.I_sup[0] == 1.0
+    assert b.sources["I.1"] == "override"
 
 
 def test_nu_sup_reflects_the_time_scale():

@@ -9,7 +9,7 @@ import pytest
 
 from chronoscale.benchmark import history_pairs, two_neuron_spec
 from chronoscale.cli import _resolve_timescale, build_parser, main
-from chronoscale.coeffs import BoundPair, Const, Scale
+from chronoscale.coeffs import Affine, BoundPair, Const, Scale, TimeVar
 from chronoscale.config import (
     ConfigError,
     RunOptions,
@@ -189,6 +189,30 @@ def test_check_doubled_weights_fails(tmp_path, capsys):
     path = tmp_path / "heavy.cfg"
     path.write_text(serialize_config(heavier))
     assert main(["check", str(path)]) == 1
+
+
+@pytest.mark.parametrize("command", ["check", "certificate"])
+def test_zero_decay_infimum_is_a_conditions_error(command, bench_cfg, capsys):
+    text = bench_cfg.read_text()
+    assert "alpha.1 = 0.9 0.89\n" in text
+    bench_cfg.write_text(text.replace("alpha.1 = 0.9 0.89\n", "alpha.1 = 0.9 0.0\n"))
+    assert main([command, str(bench_cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("conditions error: ")
+    assert "decay-rate infima must be positive" in err[0]
+
+
+@pytest.mark.parametrize("command", ["check", "certificate"])
+def test_unbounded_coefficient_is_a_conditions_error(command, tmp_path, capsys):
+    spec = two_neuron_spec()
+    spec = dataclasses.replace(
+        spec, I=(Affine(0.001, 0.0, TimeVar()), spec.I[1]),
+        bound_overrides={k: v for k, v in spec.bound_overrides.items() if k != "I.1"})
+    path = tmp_path / "unbounded.cfg"
+    path.write_text(serialize_config(spec, None, {"kind": "Z"}, RunOptions(r=0.45)))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("conditions error: coefficient I.1 ")
 
 
 def test_certificate_command(bench_cfg, capsys):
