@@ -118,9 +118,10 @@ class InfeasibleError(ConditionsError):
 class BoundSet:
     """Coefficient envelopes of one model plus the scale's graininess sup.
 
-    ``*_sup`` holds sup|coefficient| (arrays over neurons / neuron pairs);
-    ``alpha_inf``/``c_inf`` hold the infima of the decay rates, which must be
-    positive for any of the checks to make sense.  ``sources`` maps
+    ``<family>_sup`` holds sup|coefficient| (arrays over neurons / neuron
+    pairs); ``alpha_inf``/``c_inf`` hold the infima of the decay rates.
+    Every ``BoundSet`` has positive decay-rate infima: construction raises
+    :class:`ConditionsError` naming each nonpositive key.  ``sources`` maps
     coefficient keys to "enclosure" or "override" for reporting.
     """
 
@@ -140,22 +141,23 @@ class BoundSet:
     Dbar_sup: np.ndarray
     Dtil_sup: np.ndarray
     tau_sup: np.ndarray
-    sigma_sup: np.ndarray
+    sigma_d_sup: np.ndarray
     zeta_sup: np.ndarray
     nu_sup: float = 0.0
     sources: dict[str, str] = field(default_factory=dict)
 
+    def __post_init__(self):
+        inf = {"alpha": self.alpha_inf, "c": self.c_inf}
+        bad = [key for key, name, idx in NetworkSpec.coefficient_keys(self.n)
+               if name in inf and not inf[name][idx] > 0.0]
+        if bad:
+            raise ConditionsError(
+                f"decay-rate infima must be positive: {', '.join(bad)}")
+
     def theta(self) -> float:
         """Largest delay bound: how much history the dynamics can reach."""
-        return float(
-            max(
-                self.eta_sup.max(),
-                self.varsigma_sup.max(),
-                self.tau_sup.max(),
-                self.sigma_sup.max(),
-                self.zeta_sup.max(),
-            )
-        )
+        return float(max(getattr(self, name + "_sup").max()
+                         for name in NetworkSpec.DELAY_FIELDS))
 
     def decay_cap(self) -> float:
         """min over neurons of the decay-rate infima: the rate search ceiling."""
@@ -164,42 +166,13 @@ class BoundSet:
     def summary_lines(self) -> list[str]:
         """Human-readable dump of every envelope, tagged by provenance."""
         out = ["coefficient bounds:"]
-        for name, sup_field in _SUP_FIELD.items():
-            arr = getattr(self, sup_field)
-            if arr.ndim == 1:
-                for i in range(self.n):
-                    line = f"  {name}.{i + 1}: sup = {arr[i]:.6g}"
-                    if name in ("alpha", "c"):
-                        line += f", inf = {getattr(self, name + '_inf')[i]:.6g}"
-                    out.append(line + f"  [{self.sources[f'{name}.{i + 1}']}]")
-            else:
-                for i in range(self.n):
-                    for j in range(self.n):
-                        out.append(
-                            f"  {name}.{i + 1}.{j + 1}: sup = {arr[i, j]:.6g}"
-                            f"  [{self.sources[f'{name}.{i + 1}.{j + 1}']}]"
-                        )
+        for key, name, idx in NetworkSpec.coefficient_keys(self.n):
+            line = f"  {key}: sup = {getattr(self, name + '_sup')[idx]:.6g}"
+            if name in ("alpha", "c"):
+                line += f", inf = {getattr(self, name + '_inf')[idx]:.6g}"
+            out.append(line + f"  [{self.sources[key]}]")
         out.append(f"  graininess sup = {self.nu_sup:.6g}")
         return out
-
-
-_SUP_FIELD = {
-    "alpha": "alpha_sup",
-    "c": "c_sup",
-    "B": "B_sup",
-    "E": "E_sup",
-    "I": "I_sup",
-    "J": "J_sup",
-    "eta": "eta_sup",
-    "varsigma": "varsigma_sup",
-    "D": "D_sup",
-    "Dtau": "Dtau_sup",
-    "Dbar": "Dbar_sup",
-    "Dtil": "Dtil_sup",
-    "tau": "tau_sup",
-    "sigma_d": "sigma_sup",
-    "zeta": "zeta_sup",
-}
 
 
 def compute_bounds(spec: NetworkSpec, ts: TimeScale | None = None) -> BoundSet:
@@ -219,9 +192,8 @@ def compute_bounds(spec: NetworkSpec, ts: TimeScale | None = None) -> BoundSet:
     inf = {"alpha": np.zeros(n), "c": np.zeros(n)}
     sources: dict[str, str] = {}
 
-    for key, expr in spec.coefficient_items():
-        name, *pos = key.split(".")
-        idx = tuple(int(p) - 1 for p in pos)
+    for (key, expr), (_, name, idx) in zip(spec.coefficient_items(),
+                                           NetworkSpec.coefficient_keys(n)):
         pair = spec.bound_overrides.get(key)
         if pair is None:
             pair = bound_sup_inf(expr)
@@ -235,19 +207,12 @@ def compute_bounds(spec: NetworkSpec, ts: TimeScale | None = None) -> BoundSet:
     return BoundSet(
         n=n, alpha_inf=inf["alpha"], c_inf=inf["c"], sources=sources,
         nu_sup=ts.max_graininess() if ts is not None else 0.0,
-        **{attr: sup[name] for name, attr in _SUP_FIELD.items()})
+        **{f"{name}_sup": arr for name, arr in sup.items()})
 
 
 # ---------------------------------------------------------------------------
 # solvability quantities
 # ---------------------------------------------------------------------------
-
-
-def _check_positive_decay(b: BoundSet) -> None:
-    if np.any(b.alpha_inf <= 0.0) or np.any(b.c_inf <= 0.0):
-        raise ConditionsError(
-            "decay-rate infima must be positive (alpha_inf and c_inf)"
-        )
 
 
 def _slope_sums(
@@ -260,7 +225,7 @@ def _slope_sums(
     leak = b.alpha_sup * b.eta_sup * np.exp(beta * b.eta_sup)
     inst = b.D_sup @ L
     lagged = (b.Dtau_sup * np.exp(beta * b.tau_sup)) @ L
-    spread = (b.Dbar_sup * b.sigma_sup * np.exp(beta * b.sigma_sup)) @ L
+    spread = (b.Dbar_sup * b.sigma_d_sup * np.exp(beta * b.sigma_d_sup)) @ L
     neutral = (b.Dtil_sup * b.zeta_sup * np.exp(beta * b.zeta_sup)) @ L
     total = leak + inst + spread + neutral
     if include_delayed_feedback:
@@ -286,7 +251,7 @@ def compute_PQ(
         b.alpha_sup * b.eta_sup * r
         + b.D_sup @ lr
         + b.Dtau_sup @ lr
-        + (b.Dbar_sup * b.sigma_sup) @ lr
+        + (b.Dbar_sup * b.sigma_d_sup) @ lr
         + (b.Dtil_sup * b.zeta_sup) @ lr
         + b.B_sup * r
         + b.I_sup
@@ -371,7 +336,6 @@ def check_H3(
     include_delayed_feedback: bool = True,
 ) -> H3Report:
     """Run the invariance + contraction check at ball radius ``r``."""
-    _check_positive_decay(b)
     L = np.asarray(L, dtype=float)
     f0 = np.asarray(f0, dtype=float)
     P, Q = compute_PQ(b, L, f0, r)
@@ -456,7 +420,6 @@ def h_functions(
     include_delayed_feedback: bool = True,
 ) -> HValues:
     """Evaluate H, Hbar, Hstar, Hbarstar at rate ``beta``; module docstring."""
-    _check_positive_decay(b)
     L = np.asarray(L, dtype=float)
     e_nu = math.exp(beta * b.nu_sup)
     W = _slope_sums(b, L, include_delayed_feedback, beta=beta)
@@ -568,7 +531,6 @@ def find_lambda(
     Raises :class:`InfeasibleError` when the margin functions are not all
     positive at 0+ (equivalently: the contraction check fails).
     """
-    _check_positive_decay(b)
     L = np.asarray(L, dtype=float)
     cap = b.decay_cap()
     if b.nu_sup > 0.0:

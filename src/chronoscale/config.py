@@ -27,7 +27,8 @@ headers.  ``#`` starts a comment; blank lines are ignored.  Sections:
     ``kind = Z`` with optional ``spacing``/``anchor``; ``kind = R`` with
     ``start``, ``stop``, ``step``; ``kind = union`` with ``intervals = a,b;
     c,d; ...`` (or ``a b; c d; ...``) and optional ``step`` (default 0.01).
-    :func:`build_timescale` turns the section into a ``TimeScale``.
+    Any other key is an error.  :func:`build_timescale` turns the section
+    into a ``TimeScale``.
 
 ``[run]`` (optional)
     ``t_end``, ``t0``, ``corrector_iters``, ``r``, ``r_grid`` (either
@@ -38,7 +39,9 @@ headers.  ``#`` starts a comment; blank lines are ignored.  Sections:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
+
+import numpy as np
 
 from .coeffs import BoundPair, CoeffExpr, ExprParseError, parse_expr, to_text
 from .network import ACTIVATIONS, NetworkSpec
@@ -124,6 +127,13 @@ def _as_map(items: list[tuple[int, str, str]], section: str) -> dict[str, tuple[
     return out
 
 
+def _reject_stray(table: Mapping[str, tuple[int | None, str]], section: str) -> None:
+    """Raise on the first key a section builder left unread in ``table``."""
+    for key, (line_no, _) in table.items():
+        where = f"line {line_no}: " if line_no is not None else ""
+        raise ConfigError(f"{where}unknown [{section}] key {key!r}")
+
+
 def _parse_float(value: str, line_no: int, key: str) -> float:
     try:
         return float(value)
@@ -172,39 +182,18 @@ def _build_network(items: list[tuple[int, str, str]],
         else:
             lipschitz.append(activations[-1].lipschitz)
 
-    def need_vector(name: str) -> tuple[CoeffExpr, ...]:
-        out = []
-        for i in range(1, n + 1):
-            key = f"{name}.{i}"
-            if key not in table:
-                raise ConfigError(f"[network] is missing {key}")
-            line_no, value = table.pop(key)
-            out.append(_parse_expr_value(value, line_no, key))
-        return tuple(out)
-
-    def need_matrix(name: str) -> tuple[tuple[CoeffExpr, ...], ...]:
-        rows = []
-        for i in range(1, n + 1):
-            row = []
-            for j in range(1, n + 1):
-                key = f"{name}.{i}.{j}"
-                if key not in table:
-                    raise ConfigError(f"[network] is missing {key}")
-                line_no, value = table.pop(key)
-                row.append(_parse_expr_value(value, line_no, key))
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    vectors = {name: need_vector(name) for name in NetworkSpec.VECTOR_FIELDS}
-    matrices = {name: need_matrix(name) for name in NetworkSpec.MATRIX_FIELDS}
-    if table:
-        stray_line, _ = next(iter(table.values()))
-        stray = next(iter(table))
-        raise ConfigError(f"line {stray_line}: unknown [network] key {stray!r}")
+    coeffs: dict[str, np.ndarray] = {}
+    for key, name, idx in NetworkSpec.coefficient_keys(n):
+        if key not in table:
+            raise ConfigError(f"[network] is missing {key}")
+        line_no, value = table.pop(key)
+        cells = coeffs.setdefault(name, np.empty((n,) * len(idx), dtype=object))
+        cells[idx] = _parse_expr_value(value, line_no, key)
+    _reject_stray(table, "network")
 
     overrides: dict[str, BoundPair] = {}
     if bound_items:
-        valid_keys = {key for key, _ in _iter_coefficient_keys(n)}
+        valid_keys = {key for key, _, _ in NetworkSpec.coefficient_keys(n)}
         for line_no, key, value in bound_items:
             if key not in valid_keys:
                 raise ConfigError(f"line {line_no}: unknown [bounds] key {key!r}")
@@ -221,19 +210,8 @@ def _build_network(items: list[tuple[int, str, str]],
         activations=tuple(activations),
         lipschitz=tuple(lipschitz),
         bound_overrides=overrides,
-        **vectors,
-        **matrices,
+        **coeffs,
     )
-
-
-def _iter_coefficient_keys(n: int) -> Iterator[tuple[str, bool]]:
-    for name in NetworkSpec.VECTOR_FIELDS:
-        for i in range(1, n + 1):
-            yield f"{name}.{i}", False
-    for name in NetworkSpec.MATRIX_FIELDS:
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                yield f"{name}.{i}.{j}", True
 
 
 def _build_history(items: list[tuple[int, str, str]], n: int) -> HistorySpec:
@@ -257,10 +235,7 @@ def _build_history(items: list[tuple[int, str, str]], n: int) -> HistorySpec:
     stm_slope = need("phi_nabla")
     ltm = need("psi")
     ltm_slope = need("psi_nabla")
-    if table:
-        stray = next(iter(table))
-        stray_line, _ = table[stray]
-        raise ConfigError(f"line {stray_line}: unknown [history] key {stray!r}")
+    _reject_stray(table, "history")
     return HistorySpec(stm=stm, stm_slope=stm_slope, ltm=ltm,
                        ltm_slope=ltm_slope, window=window)
 
@@ -271,8 +246,9 @@ def build_timescale(desc: Mapping[str, str],
 
     ``desc`` maps the section's keys to their text, as in
     :attr:`RunConfig.timescale_desc`; union endpoints are separated by a
-    comma or by whitespace.  ``lines`` maps keys to the line numbers that
-    prefix the diagnostics of a parsed file.
+    comma or by whitespace.  A key the kind does not read is an error.
+    ``lines`` maps keys to the line numbers that prefix the diagnostics of a
+    parsed file.
     """
     lines = lines or {}
 
@@ -295,22 +271,26 @@ def build_timescale(desc: Mapping[str, str],
     if "kind" not in desc:
         raise ConfigError("[timescale] section must set kind")
     kind = desc["kind"].strip().upper()
+    reads = {"Z": ("spacing", "anchor"), "R": ("start", "stop", "step"),
+             "UNION": ("intervals", "step")}
+    if kind not in reads:
+        raise fail("kind", f"unknown timescale kind {desc['kind']!r} (expected Z, R, or union)")
+    _reject_stray({key: (lines.get(key), text) for key, text in desc.items()
+                   if key != "kind" and key not in reads[kind]}, "timescale")
     if kind == "Z":
         return TimeScale.integer_lattice(spacing=number("spacing", 1.0),
                                          anchor=number("anchor", 0.0))
     if kind == "R":
         return TimeScale.real_interval(number("start"), number("stop"), number("step"))
-    if kind == "UNION":
-        if "intervals" not in desc:
-            raise ConfigError("[timescale] kind union requires intervals")
-        intervals = []
-        for chunk in desc["intervals"].split(";"):
-            ends = chunk.split(",") if "," in chunk else chunk.split()
-            if len(ends) != 2:
-                raise fail("intervals", f"each interval needs two endpoints, got {chunk!r}")
-            intervals.append(tuple(to_float("intervals", text) for text in ends))
-        return TimeScale.union_of_intervals(intervals, step=number("step", 0.01))
-    raise fail("kind", f"unknown timescale kind {desc['kind']!r} (expected Z, R, or union)")
+    if "intervals" not in desc:
+        raise ConfigError("[timescale] kind union requires intervals")
+    intervals = []
+    for chunk in desc["intervals"].split(";"):
+        ends = chunk.split(",") if "," in chunk else chunk.split()
+        if len(ends) != 2:
+            raise fail("intervals", f"each interval needs two endpoints, got {chunk!r}")
+        intervals.append(tuple(to_float("intervals", text) for text in ends))
+    return TimeScale.union_of_intervals(intervals, step=number("step", 0.01))
 
 
 def _build_run(items: list[tuple[int, str, str]]) -> RunOptions:
@@ -356,10 +336,7 @@ def _build_run(items: list[tuple[int, str, str]]) -> RunOptions:
         if low not in ("true", "false"):
             raise ConfigError(f"line {ln}: include_delayed_feedback must be true or false")
         kwargs["include_delayed_feedback"] = low == "true"
-    if table:
-        stray = next(iter(table))
-        stray_line, _ = table[stray]
-        raise ConfigError(f"line {stray_line}: unknown [run] key {stray!r}")
+    _reject_stray(table, "run")
     return RunOptions(**kwargs)
 
 
@@ -440,7 +417,7 @@ def serialize_config(spec: NetworkSpec, history: HistorySpec | None = None,
     if spec.bound_overrides:
         lines.append("")
         lines.append("[bounds]")
-        order = {key: pos for pos, (key, _) in enumerate(_iter_coefficient_keys(spec.n))}
+        order = {key: pos for pos, (key, _, _) in enumerate(NetworkSpec.coefficient_keys(spec.n))}
         for key in sorted(spec.bound_overrides, key=lambda k: order.get(k, 10**9)):
             pair = spec.bound_overrides[key]
             if pair.inf_abs:

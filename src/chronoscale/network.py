@@ -115,9 +115,9 @@ class NetworkSpec:
     """Complete description of one network instance.
 
     Vectors are indexed by neuron; matrices by (target i, source j).  All
-    entries are time-varying expressions.  ``activations`` may be declared
-    with a per-neuron Lipschitz override (see :meth:`with_lipschitz`), which
-    the solvability checks use in place of the activation's built-in bound.
+    entries are time-varying expressions.  The ``lipschitz`` field holds a
+    per-neuron Lipschitz bound, which the solvability checks use in place of
+    the activation's built-in one (it defaults to the latter).
 
     ``bound_overrides`` maps coefficient keys (``"alpha.1"``, ``"D.2.1"``,
     ... -- 1-based) to :class:`BoundPair` values that replace enclosed bounds.
@@ -146,12 +146,10 @@ class NetworkSpec:
 
     def __post_init__(self):
         n = self.n
-        object.__setattr__(self, "alpha", _as_vector(list(self.alpha), n, "alpha"))
-        object.__setattr__(self, "c", _as_vector(list(self.c), n, "c"))
-        for name in ("D", "Dtau", "Dbar", "Dtil", "tau", "sigma_d", "zeta"):
-            object.__setattr__(self, name, _as_matrix([list(r) for r in getattr(self, name)], n, name))
-        for name in ("B", "E", "I", "J", "eta", "varsigma"):
+        for name in self.VECTOR_FIELDS:
             object.__setattr__(self, name, _as_vector(list(getattr(self, name)), n, name))
+        for name in self.MATRIX_FIELDS:
+            object.__setattr__(self, name, _as_matrix([list(r) for r in getattr(self, name)], n, name))
         if len(self.activations) != n:
             raise ValueError(f"need {n} activations")
         if not self.lipschitz:
@@ -161,23 +159,33 @@ class NetworkSpec:
         elif len(self.lipschitz) != n:
             raise ValueError(f"need {n} Lipschitz constants")
 
-    # -- coefficient key iteration (shared by bounds & config I/O) -----
+    # -- the coefficient layout (shared by bounds & config I/O) ----------
 
     VECTOR_FIELDS = ("alpha", "c", "B", "E", "I", "J", "eta", "varsigma")
     MATRIX_FIELDS = ("D", "Dtau", "Dbar", "Dtil", "tau", "sigma_d", "zeta")
     DELAY_FIELDS = ("eta", "varsigma", "tau", "sigma_d", "zeta")
 
+    @classmethod
+    def coefficient_keys(cls, n: int) -> Iterator[tuple[str, str, tuple[int, ...]]]:
+        """Yield ``(key, field, index)`` for every coefficient in file order.
+
+        Keys are 1-based (``"D.2.1"``), indices 0-based (``(1, 0)``).
+        """
+        for name in cls.VECTOR_FIELDS:
+            for i in range(n):
+                yield f"{name}.{i + 1}", name, (i,)
+        for name in cls.MATRIX_FIELDS:
+            for i in range(n):
+                for j in range(n):
+                    yield f"{name}.{i + 1}.{j + 1}", name, (i, j)
+
     def coefficient_items(self) -> Iterator[tuple[str, CoeffExpr]]:
         """Yield ``(key, expression)`` for every coefficient, 1-based keys."""
-        for name in self.VECTOR_FIELDS:
-            vec = getattr(self, name)
-            for i in range(self.n):
-                yield f"{name}.{i + 1}", vec[i]
-        for name in self.MATRIX_FIELDS:
-            mat = getattr(self, name)
-            for i in range(self.n):
-                for j in range(self.n):
-                    yield f"{name}.{i + 1}.{j + 1}", mat[i][j]
+        for key, name, idx in self.coefficient_keys(self.n):
+            expr = getattr(self, name)
+            for k in idx:
+                expr = expr[k]
+            yield key, expr
 
     # -- coefficient tables -----------------------------------------------
 
@@ -272,7 +280,6 @@ def rhs_stm(
     ts: TimeScale,
     t: float,
     i: int,
-    table: CoeffTable | None = None,
 ) -> float:
     """Short-term-memory right-hand side for neuron ``i`` at time ``t``.
 
@@ -282,10 +289,9 @@ def rhs_stm(
     and the incremental stepper share one lookup semantic.  Distributed
     state terms integrate ``f(x)`` over the true window with the scale's
     quadrature; neutral terms integrate ``f`` of the panelwise-constant
-    slope trace exactly (see :func:`_slope_panel_integral`).  Pass ``table``
-    to reuse an already-evaluated coefficient table for ``t``.
+    slope trace exactly (see :func:`_slope_panel_integral`).
     """
-    tbl = table if table is not None and table.t == t else spec.coeffs_at(t)
+    tbl = spec.coeffs_at(t)
     total = -tbl.alpha[i] * accessor(i, t - tbl.eta[i])[0]
     for j in range(spec.n):
         f = spec.activations[j].fn
@@ -307,10 +313,9 @@ def rhs_ltm(
     ts: TimeScale,
     t: float,
     i: int,
-    table: CoeffTable | None = None,
 ) -> float:
     """Long-term-memory right-hand side for neuron ``i`` at time ``t``."""
-    tbl = table if table is not None and table.t == t else spec.coeffs_at(t)
+    tbl = spec.coeffs_at(t)
     f = spec.activations[i].fn
     return float(
         -tbl.c[i] * accessor(spec.n + i, t - tbl.varsigma[i])[0]

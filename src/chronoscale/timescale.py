@@ -538,26 +538,19 @@ class TimeScale:
         return math.exp(sign * float(np.sum(inc)))
 
     def nabla_exp_grid(
-        self, p: Callable[[float], float], a: float, b: float, t0: float | None = None
+        self, p: Callable[[float], float], a: float, b: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """nexp_p(g, t0) for every grid node g in [a, b] at once.
+        """nexp_p(g, a) for every grid node g in [a, b] at once.
 
-        Returns ``(grid, values)``.  ``t0`` defaults to ``a`` and must be a
-        grid node in the window.  Consistent with :meth:`nabla_exp` because
+        Returns ``(grid, values)``.  Consistent with :meth:`nabla_exp` because
         both accumulate the same anchored-panel log increments.
         """
-        if t0 is None:
-            t0 = a
         self._require_member(a, "window start")
         self._require_member(b, "window end")
         g, inc = self._log_increments(p, a, b)
         if g.size == 0:
             return g, g
-        logs = np.concatenate([[0.0], np.cumsum(inc)])
-        k0 = int(np.argmin(np.abs(g - t0)))
-        if abs(g[k0] - t0) > POINT_TOL:
-            raise TimeScaleError(f"anchor {t0!r} is not a grid node of the window")
-        return g, np.exp(logs - logs[k0])
+        return g, np.exp(np.concatenate([[0.0], np.cumsum(inc)]))
 
     # -- regressivity -------------------------------------------------------
 

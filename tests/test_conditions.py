@@ -66,7 +66,7 @@ def test_overrides_land_in_boundset(bench_bounds):
     assert b.c_inf == pytest.approx([0.28, 0.27], abs=0)
     assert b.B_sup == pytest.approx([B_SUP, B_SUP], rel=1e-12)
     assert np.all(b.D_sup == 0.05) and np.all(b.Dtau_sup == 0.05)
-    assert b.sigma_sup == pytest.approx(np.array([[0.08, 0.07], [0.04, 0.02]]), abs=0)
+    assert b.sigma_d_sup == pytest.approx(np.array([[0.08, 0.07], [0.04, 0.02]]), abs=0)
     assert b.zeta_sup == pytest.approx(np.array([[0.06, 0.05], [0.02, 0.03]]), abs=0)
     assert b.sources["alpha.1"] == "override"
     assert b.decay_cap() == pytest.approx(0.27, abs=0)
@@ -293,7 +293,7 @@ def feasible_bound_sets(draw):
         eta_sup=vec(0.1) / alpha_sup, varsigma_sup=vec(0.1) / c_sup,
         D_sup=mat(weight / n), Dtau_sup=mat(weight / n),
         Dbar_sup=mat(weight / n), Dtil_sup=mat(weight / n),
-        tau_sup=mat(2.0), sigma_sup=mat(2.0), zeta_sup=mat(2.0), nu_sup=nu_sup,
+        tau_sup=mat(2.0), sigma_d_sup=mat(2.0), zeta_sup=mat(2.0), nu_sup=nu_sup,
     )
     L_draw = rng.uniform(0.5, 1.5, n)
     assume(h_functions(b, L_draw, 0.0, feedback).min_value() > POSITIVITY_MARGIN)

@@ -9,7 +9,8 @@ import pytest
 
 from chronoscale.benchmark import history_pairs, two_neuron_spec
 from chronoscale.cli import _resolve_timescale, build_parser, main
-from chronoscale.coeffs import Affine, BoundPair, Const, Scale, TimeVar
+from chronoscale.coeffs import Affine, BoundPair, Const, Scale, TimeVar, bound_sup_inf
+from chronoscale.conditions import compute_bounds
 from chronoscale.config import (
     ConfigError,
     RunOptions,
@@ -57,14 +58,40 @@ def history2_file(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_serialize_parse_roundtrip_is_bit_identical():
-    spec = two_neuron_spec()
-    hist = history_pairs()["trig"][0]
+def distinct_constant_spec(n=3):
+    """A network whose every coefficient is a different constant, half negative."""
+    count = iter(range(1, 1000))
+
+    def const():
+        k = next(count)
+        return Const((-1) ** k * k / 64)
+
+    vectors = {name: tuple(const() for _ in range(n)) for name in NetworkSpec.VECTOR_FIELDS}
+    matrices = {name: tuple(tuple(const() for _ in range(n)) for _ in range(n))
+                for name in NetworkSpec.MATRIX_FIELDS}
+    return NetworkSpec(n=n, activations=(ACTIVATIONS["tanh"],) * n, **vectors, **matrices)
+
+
+@pytest.mark.parametrize("spec, hist", [
+    (two_neuron_spec(), history_pairs()["trig"][0]),
+    (distinct_constant_spec(), None),
+], ids=["two-neuron", "distinct-n3"])
+def test_serialize_parse_roundtrip_is_bit_identical(spec, hist):
     run = RunOptions(t_end=25.0, r=0.45, include_delayed_feedback=False)
     text = serialize_config(spec, hist, {"kind": "Z"}, run)
     cfg = parse_config(text)
     again = serialize_config(cfg.spec, cfg.history, cfg.timescale_desc, cfg.run)
     assert again == text
+
+    bounds = compute_bounds(cfg.spec)
+    for key, expr in spec.coefficient_items():
+        name, *pos = key.split(".")
+        pair = spec.bound_overrides.get(key) or bound_sup_inf(expr)
+        assert getattr(bounds, f"{name}_sup")[tuple(int(p) - 1 for p in pos)] == pair.sup_abs
+        if not spec.bound_overrides:
+            assert pair.sup_abs == abs(expr(0.0))
+    listed = [line.split(":")[0].strip() for line in bounds.summary_lines()[1:-1]]
+    assert listed == [key for key, _, _ in NetworkSpec.coefficient_keys(spec.n)]
 
 
 def test_parsed_objects_match_source(bench_cfg):
@@ -127,6 +154,8 @@ def test_union_interval_syntaxes_build_the_same_scale(tmp_path):
     line = base.count("\n") + 3
     with pytest.raises(ConfigError, match=f"line {line}: each interval needs two endpoints"):
         parse_config(f"{base}[timescale]\nkind = union\nintervals = 0,1,2\n")
+    with pytest.raises(ConfigError, match=f"line {line + 1}: unknown \\[timescale\\] key 'stpe'"):
+        parse_config(f"{base}[timescale]\nkind = union\nintervals = -3,2; 2.5,8\nstpe = 0.05\n")
 
 
 def test_parse_history_text_roundtrip():
@@ -197,9 +226,11 @@ def test_zero_decay_infimum_is_a_conditions_error(command, bench_cfg, capsys):
     assert "alpha.1 = 0.9 0.89\n" in text
     bench_cfg.write_text(text.replace("alpha.1 = 0.9 0.89\n", "alpha.1 = 0.9 0.0\n"))
     assert main([command, str(bench_cfg)]) == 2
-    err = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("conditions error: ")
-    assert "decay-rate infima must be positive" in err[0]
+    assert "decay-rate infima must be positive" in err[0] and "alpha.1" in err[0]
 
 
 @pytest.mark.parametrize("command", ["check", "certificate"])

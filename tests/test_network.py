@@ -208,18 +208,6 @@ def test_external_input_shifts_rhs_linearly():
     assert delta == pytest.approx(0.125, abs=1e-12)
 
 
-def test_precomputed_table_matches_fresh_evaluation():
-    spec = scalar_spec(alpha=(Scale(0.3, Sin(TimeVar())),))
-    ts = TimeScale.integer_lattice()
-    acc = constant_accessor()
-    t = 6.0
-    table = spec.coeffs_at(t)
-    direct = rhs_stm(spec, acc, ts, t, 0)
-    assert rhs_stm(spec, acc, ts, t, 0, table=table) == pytest.approx(direct, abs=0)
-    stale = spec.coeffs_at(t - 1.0)  # wrong instant: must be ignored
-    assert rhs_stm(spec, acc, ts, t, 0, table=stale) == pytest.approx(direct, abs=0)
-
-
 def test_two_neuron_cross_coupling():
     z = Const(0.0)
     zrow = ((z, z), (z, z))

@@ -289,7 +289,7 @@ class TestExponential:
 
     def test_grid_variant_matches_pointwise(self, union):
         p = lambda t: -0.4 + 0.02 * math.cos(0.2 * t)
-        g, vals = union.nabla_exp_grid(p, 0.0, 3.0, t0=0.0)
+        g, vals = union.nabla_exp_grid(p, 0.0, 3.0)
         for idx in (1, len(g) // 2, len(g) - 1):
             t = float(g[idx])
             assert vals[idx] == pytest.approx(union.nabla_exp(p, t, 0.0), rel=1e-12)
