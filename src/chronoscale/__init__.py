@@ -51,7 +51,6 @@ from .simulator import (
     Trajectory,
     history_norm,
     simulate,
-    trajectory_norm_distance,
 )
 from .timescale import (
     DensePiece,
@@ -100,7 +99,6 @@ __all__ = [
     "StepFailureError",
     "simulate",
     "history_norm",
-    "trajectory_norm_distance",
     "StabilityReport",
     "TranslationScan",
     "decay_fit",

@@ -39,7 +39,7 @@ __all__ = [
     "scan_translation_numbers",
 ]
 
-# distances below this are treated as "numerically identical"
+# distances at or below this are rounding noise: "numerically identical"
 _IDENTICAL_TOL = 1e-14
 
 
@@ -49,11 +49,11 @@ def decay_fit(times: Sequence[float], distances: Sequence[float],
 
     Drops every sample earlier than ``times[0] + burn_in`` (default burn-in:
     20% of the observed horizon), fits ``log d = a - rate * t`` by least
-    squares over the remaining strictly positive distances, and returns
-    ``(rate, r_squared)``.  If every retained distance is below ``1e-14``
-    the pair has converged to numerical identity and the sentinel
-    ``(inf, 1.0)`` is returned.  Requires at least 10 positive samples
-    after burn-in otherwise.
+    squares over the remaining distances above ``1e-14`` (those at or below
+    it are rounding noise), and returns ``(rate, r_squared)``.  If every
+    retained distance is below ``1e-14`` the pair has converged to numerical
+    identity and the sentinel ``(inf, 1.0)`` is returned.  Requires at least
+    10 distances above ``1e-14`` after burn-in otherwise.
     """
     t = np.asarray(times, dtype=float)
     d = np.asarray(distances, dtype=float)
@@ -67,10 +67,10 @@ def decay_fit(times: Sequence[float], distances: Sequence[float],
     t, d = t[keep], d[keep]
     if len(d) and np.max(d) < _IDENTICAL_TOL:
         return math.inf, 1.0
-    pos = d > 0.0
+    pos = d > _IDENTICAL_TOL
     if pos.sum() < 10:
-        raise ValueError(
-            f"need at least 10 positive distances after burn-in, have {int(pos.sum())}")
+        raise ValueError(f"need at least 10 distances above {_IDENTICAL_TOL:g} "
+                         f"after burn-in, have {int(pos.sum())}")
     t, logd = t[pos], np.log(d[pos])
     design = np.column_stack([np.ones(len(t)), t])
     coef, *_ = np.linalg.lstsq(design, logd, rcond=None)

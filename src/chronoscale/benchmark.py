@@ -58,7 +58,6 @@ __all__ = [
     "REFERENCE",
     "REFERENCE_TOL",
     "LIPSCHITZ",
-    "ACTIVATION_AT_ZERO",
 ]
 
 _T = TimeVar()
@@ -66,7 +65,6 @@ _PI = math.pi
 
 # declared activation data: f(u) = sin(u/2), declared Lipschitz bound 1
 LIPSCHITZ = (1.0, 1.0)
-ACTIVATION_AT_ZERO = (0.0, 0.0)
 
 
 def _osc(base: float, amp: float, freq: float, kind: str) -> Add:

@@ -153,15 +153,16 @@ def _resolve_timescale(args: argparse.Namespace, cfg: RunConfig,
     """Pick the time scale: the --timescale flag wins over the config section.
 
     The flag is translated into a ``[timescale]`` description and ``--h``
-    sets the step of a dense description; both then go through
-    :func:`build_timescale`.
+    sets its ``step``; both then go through :func:`build_timescale`, which
+    rejects ``--h`` on a kind that reads no step.
     """
     flag = getattr(args, "timescale", None)
     h = getattr(args, "h", None)
     kind = (flag or "").strip()
     if not flag:
-        if cfg.timescale is None and required:
-            raise ConfigError("no [timescale] section and no --timescale flag")
+        if cfg.timescale is None and (required or h is not None):
+            needs = "--h needs a time scale: " if h is not None else ""
+            raise ConfigError(f"{needs}no [timescale] section and no --timescale flag")
         if cfg.timescale is None or h is None:
             return cfg.timescale
         desc = dict(cfg.timescale_desc)
@@ -176,12 +177,14 @@ def _resolve_timescale(args: argparse.Namespace, cfg: RunConfig,
     else:
         raise ConfigError(
             f"unknown --timescale value {flag!r} (expected Z, R, or union:<...>)")
-    if h is not None and desc["kind"].strip().upper() in ("R", "UNION"):
+    source = f"--timescale {flag!r}" if flag else "[timescale]"
+    if h is not None:
         desc["step"] = repr(h)
+        source += f" with --h {h!r}"
     try:
         return build_timescale(desc)
-    except ConfigError as exc:  # only the flag's interval text can be malformed
-        raise ConfigError(f"--timescale {flag!r}: {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def _activation_zeros(spec: NetworkSpec) -> tuple[float, ...]:

@@ -479,23 +479,6 @@ class Certificate:
                 lines.append(f"{name}.{i + 1} = {v:.12g}")
         return "\n".join(lines) + "\n"
 
-    @staticmethod
-    def parse_lambda_m(text: str) -> tuple[float, float]:
-        """Read back (lam, big_m) from :meth:`to_text` output."""
-        lam = big_m = None
-        for line in text.splitlines():
-            if "=" not in line:
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key == "lambda":
-                lam = float(value)
-            elif key == "M":
-                big_m = float(value)
-        if lam is None or big_m is None:
-            raise ConditionsError("certificate text lacks lambda or M")
-        return lam, big_m
-
 
 POSITIVITY_MARGIN = 1e-9  # the certified rate keeps every margin above this
 

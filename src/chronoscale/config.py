@@ -31,9 +31,9 @@ headers.  ``#`` starts a comment; blank lines are ignored.  Sections:
     into a ``TimeScale``.
 
 ``[run]`` (optional)
-    ``t_end``, ``t0``, ``corrector_iters``, ``r``, ``r_grid`` (either
-    ``lo:hi:step`` or a space-separated list), ``include_delayed_feedback``
-    (``true``/``false``).
+    ``t_end``, ``t0``, ``corrector_iters``, ``r`` or ``r_grid`` (not both;
+    either ``lo:hi:step`` or a space-separated list),
+    ``include_delayed_feedback`` (``true``/``false``).
 """
 
 from __future__ import annotations
@@ -308,6 +308,9 @@ def _build_run(items: list[tuple[int, str, str]]) -> RunOptions:
             kwargs["corrector_iters"] = int(raw)
         except ValueError:
             raise ConfigError(f"line {ln}: corrector_iters must be an integer") from None
+    if "r" in table and "r_grid" in table:
+        later = max(table["r"][0], table["r_grid"][0])
+        raise ConfigError(f"line {later}: [run] sets both r and r_grid; give one")
     if "r" in table:
         ln, raw = table.pop("r")
         kwargs["r"] = _parse_float(raw, ln, "r")

@@ -67,7 +67,6 @@ __all__ = [
     "simulate",
     "history_norm",
     "distance_series",
-    "trajectory_norm_distance",
 ]
 
 # Largest coefficient table one compiled block may hold: 0.5 MiB.
@@ -209,10 +208,6 @@ class Trajectory:
         return self.x.shape[0]
 
     @property
-    def t0(self) -> float:
-        return float(self.times[self.start_index])
-
-    @property
     def live_times(self) -> np.ndarray:
         return self.times[self.start_index:]
 
@@ -300,11 +295,7 @@ class _Engine:
         self.spec, self.ts, self.corrector_iters = spec, ts, corrector_iters
         self.n = n = spec.n
 
-        lo = t0 - history.window
-        mn = ts.min_point()
-        if np.isfinite(mn):
-            lo = max(lo, mn)
-        times, nu = ts.grid_with_graininess(lo, t_end)
+        times, self.width, self.dense = ts.panels(t0 - history.window, t_end)
         if len(times) < 2:
             raise SimulationError("the time scale holds too few points in range")
         k0 = int(np.argmin(np.abs(times - t0)))
@@ -312,10 +303,7 @@ class _Engine:
             raise SimulationError(f"start time {t0!r} is not a point of the time scale")
         if k0 == len(times) - 1:
             raise SimulationError("no live points fall in (t0, t_end]")
-        self.times = times
-        self.k0 = k0
-        self.width = np.diff(times, prepend=times[0])
-        self.dense = np.concatenate(([False], nu[1:] <= 0.5 * self.width[1:]))
+        self.times, self.k0 = times, k0
 
         N = len(times)
         self.Y, self.dY, self.V, self.F = (np.zeros((2 * n, N)) for _ in range(4))
@@ -517,12 +505,7 @@ def history_norm(hist_a: HistorySpec, hist_b: HistorySpec, ts: TimeScale,
     """
     if hist_a.n != hist_b.n:
         raise ValueError("histories must have the same width")
-    window = max(hist_a.window, hist_b.window)
-    lo = t0 - window
-    mn = ts.min_point()
-    if np.isfinite(mn):
-        lo = max(lo, mn)
-    grid = ts.grid(lo, t0)
+    grid = ts.grid(t0 - max(hist_a.window, hist_b.window), t0)
     if len(grid) == 0:
         raise ValueError("no scale points fall in the history window")
     rel = grid - t0
@@ -556,17 +539,3 @@ def distance_series(traj_a: Trajectory, traj_b: Trajectory) -> tuple[np.ndarray,
         stacks.append(np.abs(arr_a[:, k0:] - arr_b[:, k0:]))
     dist = np.max(np.vstack(stacks), axis=0)
     return traj_a.times[k0:].copy(), dist
-
-
-def trajectory_norm_distance(traj_a: Trajectory, traj_b: Trajectory, t: float) -> float:
-    """Sup distance between two runs at one grid time ``t``.
-
-    The largest absolute gap at ``t`` over all ``4 n`` component series
-    (states and derivative traces).  ``t`` must be a grid point shared by
-    both runs.
-    """
-    times, dist = distance_series(traj_a, traj_b)
-    k = int(np.argmin(np.abs(times - t)))
-    if abs(times[k] - t) > POINT_TOL:
-        raise ValueError(f"t={t!r} is not a live grid point of these runs")
-    return float(dist[k])

@@ -278,10 +278,6 @@ class TimeScale:
         i = self._index_at_or_before(t)
         return i >= 0 and self.pieces[i].contains(t)
 
-    def min_point(self) -> float:
-        """The minimum of the scale (may be -inf for unbounded lattices)."""
-        return self.pieces[0].start
-
     def _require_member(self, t: float, what: str = "point") -> None:
         if not self.contains(t):
             raise TimeScaleError(f"{what} {t!r} is not a point of the time scale")
@@ -410,19 +406,17 @@ class TimeScale:
 
     # -- integral ---------------------------------------------------------
 
-    def _panel_walk(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def panels(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Grid over [a, b] plus per-panel width and a dense/scattered mask.
 
-        Panel k spans (g[k-1], g[k]]; ``dense[k]`` is True when that panel is
-        part of a dense stretch (trapezoid), False when g[k] is a
-        left-scattered point receiving the whole panel as jump mass.
+        All three have the grid's length; entry 0 has width 0 and is not
+        dense.  Panel k spans (g[k-1], g[k]]; ``dense[k]`` (``nu <= width/2``)
+        is True when it is part of a dense stretch (trapezoid), False when
+        g[k] is a left-scattered point receiving the whole panel as jump mass.
         """
         g, nu = self.grid_with_graininess(a, b)
-        if g.size < 2:
-            return g, np.empty(0), np.empty(0, dtype=bool)
-        widths = np.diff(g)
-        dense = nu[1:] <= 0.5 * widths
-        return g, widths, dense
+        widths = np.diff(g, prepend=g[:1])
+        return g, widths, (nu <= widths / 2) & (widths > 0)
 
     def _interpolated_value(self, piece: DensePiece, x: float, f: Callable) -> float:
         """Anchored piecewise-linear interpolant of ``f`` evaluated at ``x``."""
@@ -468,7 +462,8 @@ class TimeScale:
         self._require_member(b, "upper bound")
         if b - a <= POINT_TOL:
             return 0.0
-        g, widths, dense = self._panel_walk(a, b)
+        g, widths, dense = self.panels(a, b)
+        widths, dense = widths[1:], dense[1:]
         vals = self._sampled_values(f, g)
         trap = 0.5 * widths * (vals[:-1] + vals[1:])
         jump = widths * vals[1:]
@@ -491,9 +486,10 @@ class TimeScale:
         the atom's own value belongs to its jump factor alone -- the dense
         stretch right of it must integrate the dense-side values.
         """
-        g, widths, dense = self._panel_walk(a, b)
+        g, widths, dense = self.panels(a, b)
         if g.size < 2:
             return g, np.empty(0)
+        widths, dense = widths[1:], dense[1:]
         vals = self._sampled_values(p, g)
         one_minus = 1.0 - widths * vals[1:]
         bad = (~dense) & (one_minus <= 0.0)
@@ -558,9 +554,8 @@ class TimeScale:
         self, p: Callable[[float], float], a: float, b: float
     ) -> bool:
         """True iff 1 - nu(t) p(t) > 0 at every left-scattered t in (a, b]."""
-        g, widths, dense = self._panel_walk(a, b)
-        if g.size < 2:
-            return True
+        g, widths, dense = self.panels(a, b)
+        widths, dense = widths[1:], dense[1:]
         vals = _eval_on(p, g)
         one_minus = 1.0 - widths * vals[1:]
         return bool(np.all(one_minus[~dense] > 0.0))

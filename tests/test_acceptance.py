@@ -3,8 +3,8 @@
 Each test pins one externally meaningful guarantee: reproduction of the
 two-neuron reference tables, the exponential identity suite on three
 scales, agreement with an independently coded recurrence, the stepping
-order, the stability experiment with its decay certificate, and the
-translation-number diagnostic.
+order, the stability experiment with its decay certificate, the
+translation-number diagnostic, and the exported names.
 
 Four reference-table cells are inconsistent with the table's own stated
 inputs (see ``chronoscale.benchmark.INCONSISTENT_CELLS``); honest
@@ -14,12 +14,15 @@ that would mean the computation drifted away from its stated inputs.
 """
 
 import dataclasses
+import importlib
 import math
+import pkgutil
 import time
 
 import numpy as np
 import pytest
 
+import chronoscale
 import lattice_oracle
 from chronoscale.analyzer import scan_translation_numbers, verify_bound
 from chronoscale.benchmark import (
@@ -336,3 +339,12 @@ def test_translation_scan_finds_relatively_dense_shifts():
                                     window=(20.0, 50.0))
     assert len(scan.hits) >= 2
     assert scan.max_gap < 50.0
+
+
+def test_every_exported_name_resolves():
+    modules = [chronoscale] + [
+        importlib.import_module(f"chronoscale.{info.name}")
+        for info in pkgutil.iter_modules(chronoscale.__path__) if info.name != "__main__"]
+    for module in modules:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__

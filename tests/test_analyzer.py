@@ -88,6 +88,14 @@ def test_decay_fit_needs_ten_positive_samples():
         decay_fit(t, d)
 
 
+def test_decay_fit_ignores_rounding_noise():
+    # past t ~ 107 the series is below 1e-14, where a converged pair is rounding noise
+    t = np.arange(0.0, 201.0)
+    noise = np.random.default_rng(0).uniform(0.0, 1e-17, t.shape)
+    rate, _ = decay_fit(t, np.exp(-0.3 * t) + noise)
+    assert rate == pytest.approx(0.3, abs=1e-4)
+
+
 def test_decay_fit_burn_in_drops_transient():
     t = np.linspace(0.0, 20.0, 201)
     d = np.where(t < 5.0, 1.0, np.exp(-0.3 * t))

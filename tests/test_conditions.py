@@ -18,7 +18,6 @@ from chronoscale.conditions import (
     DEFAULT_R_GRID,
     POSITIVITY_MARGIN,
     BoundSet,
-    Certificate,
     ConditionsError,
     InfeasibleError,
     check_H3,
@@ -327,9 +326,6 @@ def test_infeasible_bounds_raise(bench_bounds):
 
 def test_certificate_text_round_trip(bench_bounds):
     cert = find_lambda(bench_bounds, L, include_delayed_feedback=False)
-    text = cert.to_text()
-    lam, big_m = Certificate.parse_lambda_m(text)
-    assert lam == pytest.approx(cert.lam, rel=1e-10)
-    assert big_m == pytest.approx(cert.big_m, rel=1e-10)
-    with pytest.raises(ConditionsError):
-        Certificate.parse_lambda_m("no useful keys here\n")
+    lines = cert.to_text().splitlines()
+    assert f"lambda = {cert.lam:.12g}" in lines
+    assert f"M = {cert.big_m:.12g}" in lines

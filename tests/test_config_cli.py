@@ -328,6 +328,16 @@ def test_simulate_h_sets_the_dense_step(desc, tmp_path, capsys):
     assert rows("0.01", "--h", "0.05") == rows("0.05") != rows("0.01")
 
 
+def test_run_section_rejects_both_r_and_r_grid(bench_cfg, capsys):
+    lines = bench_cfg.read_text().splitlines()
+    at = lines.index("r = 0.45") + 1
+    bench_cfg.write_text("\n".join(lines[:at] + ["r_grid = 0.4 0.5"] + lines[at:]) + "\n")
+    assert main(["certificate", str(bench_cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"config error: line {at + 1}: ") and "r_grid" in err[0]
+
+
 def test_stability_requires_second_history(bench_cfg, capsys):
     assert main(["stability", str(bench_cfg)]) == 2
 
@@ -359,9 +369,20 @@ def test_timescale_flag_overrides_config(bench_cfg, capsys):
     assert "graininess sup = 0" in out
 
 
-def test_bad_union_flag_is_config_error(bench_cfg, capsys):
-    assert main(["check", str(bench_cfg), "--timescale", "union:oops"]) == 2
-    assert "config error" in capsys.readouterr().err
+def test_bad_timescale_flags_are_config_errors(bench_cfg, tmp_path, capsys):
+    noscale = tmp_path / "noscale.cfg"
+    noscale.write_text(serialize_config(two_neuron_spec(), history_pairs()["trig"][0]))
+    # --h sets the step of a dense scale: a lattice has none, nor does no scale
+    for argv, named in (
+            (["check", str(bench_cfg), "--timescale", "union:oops"], "union:oops"),
+            (["certificate", str(bench_cfg), "--timescale", "Z", "--h", "0.05"], "--h"),
+            (["certificate", str(bench_cfg), "--h", "0.05"], "--h"),
+            (["check", str(noscale), "--h", "0.05"], "--h")):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 1, argv
+        assert err[0].startswith("config error: ") and named in err[0], argv
 
 
 def test_module_entry_point(bench_cfg, src_env):

@@ -20,9 +20,8 @@ from chronoscale.simulator import (
     distance_series,
     history_norm,
     simulate,
-    trajectory_norm_distance,
 )
-from chronoscale.timescale import TimeScale
+from chronoscale.timescale import LatticePiece, TimeScale
 
 
 def scalar_spec(**over):
@@ -416,6 +415,25 @@ def test_history_norm_accepts_scalar_only_callables():
         assert history_norm(plain, other, ts) == pytest.approx(0.7, abs=1e-12)
 
 
+def test_history_window_below_the_scale_minimum_is_clipped_by_the_scale():
+    # The scale starts at -1, so a window of 1.5 from t0 = 0 reaches below it
+    # and must give exactly what the window of 1.0 gives.
+    spec = two_neuron_spec()
+    ha, hb = history_pairs()["trig"]
+    for ts in (TimeScale([LatticePiece(-1.0, 10.0, 0.5)]),
+               TimeScale.real_interval(-1.0, 5.0, 0.05)):
+        runs = []
+        for window in (1.5, 1.0):
+            a, b = (dataclasses.replace(h, window=window) for h in (ha, hb))
+            runs.append((simulate(spec, a, ts, t_end=4.0), history_norm(a, b, ts)))
+        (wide, wide_norm), (exact, exact_norm) = runs
+        assert wide.times[0] == -1.0
+        assert wide_norm == exact_norm
+        for name in ("times", "x", "s", "dx", "ds"):
+            assert np.array_equal(getattr(wide, name), getattr(exact, name))
+        assert wide.start_index == exact.start_index
+
+
 def test_initial_distance_equals_largest_component_gap():
     spec = two_neuron_spec()
     ha, hb = history_pairs()["trig"]
@@ -424,10 +442,10 @@ def test_initial_distance_equals_largest_component_gap():
     tb = simulate(spec, hb, ts, t_end=10.0)
     # at the start time the states are still the declared history values;
     # the widest gap there is |0.25 cos 0 - (-0.1)| = 0.35
-    assert trajectory_norm_distance(ta, tb, 0.0) == pytest.approx(0.35, abs=1e-12)
     times, dist = distance_series(ta, tb)
-    assert np.all(dist >= 0.0)
     assert times[0] == 0.0
+    assert dist[0] == pytest.approx(0.35, abs=1e-12)
+    assert np.all(dist >= 0.0)
 
 
 def test_distance_requires_shared_grid():

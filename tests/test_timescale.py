@@ -124,6 +124,15 @@ class TestStructure:
         assert ts.backward_jump(2.0) == 1.0
         assert ts.snap_down(4.2) == 3.0
 
+    def test_panels(self):
+        # lattice nodes 1..3 are scattered; the gap to 5 is one scattered
+        # panel of width 2; the dense piece's panels follow
+        ts = TimeScale([LatticePiece(0.0, 3.0), DensePiece(5.0, 6.0, 0.5)])
+        g, widths, dense = ts.panels(1.0, 6.0)
+        assert np.array_equal(g, [1.0, 2.0, 3.0, 5.0, 5.5, 6.0])
+        assert np.array_equal(widths, [0.0, 1.0, 1.0, 2.0, 0.5, 0.5])
+        assert dense.tolist() == [False, False, False, False, True, True]
+
 
 # ---------------------------------------------------------------------------
 # nabla derivative
