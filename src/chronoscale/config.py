@@ -75,6 +75,10 @@ class RunOptions:
     r_grid: tuple[float, ...] | None = None
     include_delayed_feedback: bool = True
 
+    def __post_init__(self):
+        if self.r is not None and self.r_grid is not None:
+            raise ValueError("RunOptions sets both r and r_grid; give one")
+
 
 @dataclass(frozen=True)
 class RunConfig:

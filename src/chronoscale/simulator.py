@@ -39,13 +39,19 @@ Engine: coefficients are evaluated over blocks of consecutive grid points at
 once (:meth:`NetworkSpec.coeffs_on`), each block holding at most
 ``TABLE_BYTES`` (0.5 MiB) of coefficient table, so the working set stays
 flat in the grid length; a whole-grid table would hold 1.7 MiB for a
-two-neuron dense run of 5,000 steps.  At each grid point one
-``searchsorted`` locates every delayed query time and window start.  The
-state being solved for is written into its grid column before each
-right-hand-side evaluation, so queries landing in the live panel read it
-like committed values, and the right-hand side is one product of a
-coefficient pattern with the gathered values.  Nothing compiled outlives a
-:func:`simulate` call.
+two-neuron dense run of 5,000 steps.  Everything else the right-hand side
+needs that does not depend on the state is compiled from the table into a
+*plan*, in chunks of an eighth of a block: one vectorised ``searchsorted``
+locates every delayed query time and window start of the chunk's grid
+points, and each plan row also holds the window starts' partial-panel
+weights, the mask of windows of nonzero width and the coefficients in the
+order of the coupling pattern.  A step only picks its plan row and gathers
+the state.  The state being solved for is written into its grid column
+before each right-hand-side evaluation, so queries landing in the live panel
+read it like committed values, and the right-hand side is one product of the
+coupling pattern with the gathered values.  A history lookup that reaches
+below the grid raises when a step uses its row, not when the row is
+compiled.  Nothing compiled outlives a :func:`simulate` call.
 """
 
 from __future__ import annotations
@@ -97,24 +103,27 @@ class HistoryUnderflowError(SimulationError):
 class _Located:
     """Query times located on a committed grid, with the lookups built on them.
 
-    Each query ``u[q]`` reads flattened ``(rows, len(times))`` arrays at
-    offset ``offsets[q]``, its row times ``len(times)``.  ``ilo`` is the
-    flat index of the grid point at or below the query and ``ihi`` that of
-    the next grid point when the query lies strictly inside a panel (else
-    ``ilo``); ``d`` is the distance into the panel when the panel is dense
-    (else 0) and ``lam`` that distance as a fraction of the panel width.
-    Queries must not exceed ``times[-1]``.
+    ``u`` is one row of query times, or a 2-D array whose rows are located
+    at once.  Each query ``u[..., q]`` reads flattened ``(series,
+    len(times))`` arrays at offset ``offsets[q]``, its series times
+    ``len(times)``.  ``ilo`` is the flat index of the grid point at or below
+    the query and ``ihi`` that of the next grid point when the query lies
+    strictly inside a panel (else ``ilo``); ``d`` is the distance into the
+    panel when the panel is dense (else 0) and ``lam`` that distance as a
+    fraction of the panel width.  Queries must not exceed ``times[-1]``.
+
+    A row with a query below ``times[0]`` is located anyway (its indices are
+    meaningless but in range) and :meth:`check` raises for it, so rows
+    located ahead of their use fail only if they are used.
     """
 
-    __slots__ = ("lo", "ilo", "ihi", "d", "lam")
+    __slots__ = ("lo", "ilo", "ihi", "d", "lam", "reach", "start")
 
     def __init__(self, times: np.ndarray, dense: np.ndarray, u: np.ndarray, offsets):
         lo = times.searchsorted(u + POINT_TOL) - 1
-        if lo.min() < 0:
-            raise HistoryUnderflowError(
-                f"lookup at t={float(u.min())!r} reaches below the recorded range "
-                f"(starts at {float(times[0])!r}); supply a longer history window"
-            )
+        # the earliest query of each row that reaches below the grid, else inf
+        self.reach = np.where(lo.min(axis=-1) < 0, u.min(axis=-1), np.inf)
+        self.start = float(times[0])
         t_lo = times[lo]
         inside = u > t_lo + POINT_TOL
         hi = lo + inside
@@ -123,21 +132,26 @@ class _Located:
         self.lam = self.d / (times[hi] - t_lo + ~inside)
         self.lo, self.ilo, self.ihi = lo, offsets + lo, offsets + hi
 
-    def part(self, sel: slice) -> "_Located":
-        """The queries ``sel`` alone."""
-        out = object.__new__(_Located)
-        for name in self.__slots__:
-            setattr(out, name, getattr(self, name)[sel])
-        return out
+    def check(self, row=()) -> None:
+        """Raise :class:`HistoryUnderflowError` if a query of ``row`` (by
+        default, any query) lies below the grid."""
+        reach = self.reach[row]
+        if reach < np.inf:
+            raise HistoryUnderflowError(
+                f"lookup at t={float(reach)!r} reaches below the recorded range "
+                f"(starts at {self.start!r}); supply a longer history window"
+            )
 
-    def value(self, flat: np.ndarray) -> np.ndarray:
-        """Values at the queries: linear interpolation between grid values
-        on dense panels, snap-down on scattered ones."""
-        base = flat[self.ilo]
-        return base + self.lam * (flat[self.ihi] - base)
+    def value(self, flat: np.ndarray, sel=()) -> np.ndarray:
+        """Values at the queries ``sel`` (by default, all): linear
+        interpolation between grid values on dense panels, snap-down on
+        scattered ones."""
+        base = flat[self.ilo[sel]]
+        return base + self.lam[sel] * (flat[self.ihi[sel]] - base)
 
-    def partial_weights(self, trapezoid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Weights ``(a, b)`` of the partial-panel integral ``a * s[lo] + b * s[hi]``.
+    def partial_weights(self, trapezoid: np.ndarray, sel=()) -> tuple[np.ndarray, np.ndarray]:
+        """Weights ``(a, b)`` of the partial-panel integral ``a * s[lo] + b * s[hi]``
+        at the queries ``sel`` (by default, all).
 
         That is the integral of samples ``s`` from the grid point at or below
         each query up to the query, so the prefix integral to the query is
@@ -146,8 +160,9 @@ class _Located:
         the panel's right-end sample held constant.  Scattered panels carry
         their mass at the right end, which a query inside them never reaches.
         """
-        a = trapezoid * (self.d - 0.5 * self.d * self.lam)
-        return a, self.d - a
+        d = self.d[sel]
+        a = trapezoid * (d - 0.5 * d * self.lam[sel])
+        return a, d - a
 
 
 ScalarFn = Callable[[float], float]
@@ -217,7 +232,9 @@ class Trajectory:
         """``u`` located on the grid, for lookups in one row."""
         if u > self.times[-1] + POINT_TOL:
             raise ValueError(f"lookup at t={u!r} is beyond the trajectory end")
-        return _Located(self.times, self._panel_dense, np.array([u], dtype=float), 0)
+        at = _Located(self.times, self._panel_dense, np.array([u], dtype=float), 0)
+        at.check()
+        return at
 
     def value(self, index: int, u: float) -> float:
         """State ``index`` (0..n-1 short-term, n..2n-1 long-term) at ``u``."""
@@ -275,7 +292,8 @@ def _activation(spec: NetworkSpec, owner: np.ndarray) -> Callable[[np.ndarray], 
 
 
 class _Engine:
-    """One simulation run: the grid, its columns, and one coefficient block.
+    """One simulation run: the grid, its columns, one coefficient block and
+    one chunk of the plan compiled from it.
 
     Grid columns stack both layers, short-term rows ``0..n-1`` above
     long-term rows ``n..2n-1``: ``Y`` holds the states and ``dY`` the
@@ -342,7 +360,12 @@ class _Engine:
         self.coupling_slots = rows * self.z_len + cols
         row_bytes = 8 * (len(spec.VECTOR_FIELDS) * n + len(spec.MATRIX_FIELDS) * nn)
         self.block_len = max(2, TABLE_BYTES // row_bytes)
+        # A plan row takes about three times the bytes of a table row (2.8x
+        # for n = 2, 3.2x for n = 16), so a chunk of an eighth of a block
+        # keeps the plan below half the table's size.
+        self.chunk_len = max(1, self.block_len // 8)
         self.tbl, self.block_start, self.block_end = None, 0, 0
+        self.chunk, self.chunk_start, self.chunk_end = None, 0, 0
 
         # fill the history segment from the declared callables
         rel = times[:k0 + 1] - times[k0]
@@ -373,45 +396,73 @@ class _Engine:
 
     def _compile(self, start: int) -> None:
         """Evaluate the coefficients over the block of grid points from ``start``."""
-        self.tbl = None  # release the previous block before building the next
+        self.tbl = self.chunk = None  # release the previous block before building the next
         stop = min(start + self.block_len, len(self.times))
         self.tbl = self.spec.coeffs_on(self.times[start:stop])
         self.block_start, self.block_end = start, stop
+        self.chunk_start = self.chunk_end = start
+
+    def _compile_chunk(self, start: int) -> None:
+        """Compile the plan of up to ``chunk_len`` grid points from ``start``,
+        all within the coefficient block.
+
+        A plan row is everything the right-hand side at its grid point needs
+        besides the columns, none of which depends on the state: the located
+        queries, the window starts' partial-panel weights, a mask that is 0
+        on windows of zero width, and the coefficients in ``coupling_slots``
+        order.  One ``_Located`` covers the ``(rows, queries)`` array of the
+        chunk: the delayed states (``looks``) and the window starts
+        (``windows``).  Queries are clamped to their row's ``t`` and read
+        columns up to its grid point, so those that land in the live panel
+        read the live column.
+        """
+        self.chunk = None
+        tbl, stop = self.tbl, min(start + self.chunk_len, self.block_end)
+        b = slice(start - self.block_start, stop - self.block_start)
+        rows = stop - start
+
+        def flat(*fields):
+            return np.concatenate([f[b].reshape(rows, -1) for f in fields], axis=1)
+
+        t = self.times[start:stop, None]
+        delays = flat(tbl.eta, tbl.varsigma, tbl.tau, tbl.sigma_d, tbl.zeta)
+        at = _Located(self.times, self.dense, np.minimum(t - delays, t), self.query_offsets)
+        windows = (slice(None), self.windows)
+        entries = np.concatenate((-flat(tbl.alpha, tbl.c), flat(
+            tbl.Dtau, tbl.Dbar, tbl.Dtil, tbl.D, tbl.E, tbl.B, tbl.I, tbl.J)), axis=1)
+        self.chunk = (at, at.ilo[windows], at.ihi[windows],
+                      *at.partial_weights(self.trapezoid, windows),
+                      at.lo[windows] < np.arange(start, stop)[:, None], entries)
+        self.chunk_start, self.chunk_end = start, stop
 
     # -- right-hand side ---------------------------------------------------
 
     def _plan(self, k: int) -> tuple:
-        """What the right-hand side at grid point ``k`` needs besides the columns.
+        """Row ``k`` of the compiled plan, with its ``coupling`` matrix.
 
-        One ``searchsorted`` locates every query: the delayed states
-        (``looks``) and the window starts (``windows``, with their
-        partial-panel weights and a mask that is 0 on windows of zero width).
-        Queries are clamped to ``t`` and read columns up to ``k``, so those
-        that land in the live panel read the live column.  The coefficient
-        row is laid into the ``coupling`` pattern.
+        Compiles the chunk from ``k`` when ``k`` lies outside the current
+        one, and raises :class:`HistoryUnderflowError` when a query of row
+        ``k`` lies below the grid.
         """
-        n, tbl, b, t = self.n, self.tbl, k - self.block_start, self.times[k]
-        delays = np.concatenate((tbl.eta[b], tbl.varsigma[b], tbl.tau[b].ravel(),
-                                 tbl.sigma_d[b].ravel(), tbl.zeta[b].ravel()))
-        at = _Located(self.times, self.dense, np.minimum(t - delays, t), self.query_offsets)
-        windows = at.part(self.windows)
-        coupling = np.zeros((2 * n, self.z_len))
-        coupling.flat[self.coupling_slots] = np.concatenate((
-            -tbl.alpha[b], -tbl.c[b], tbl.Dtau[b].ravel(), tbl.Dbar[b].ravel(),
-            tbl.Dtil[b].ravel(), tbl.D[b].ravel(), tbl.E[b], tbl.B[b], tbl.I[b], tbl.J[b]))
-        return (at.part(self.looks), windows, *windows.partial_weights(self.trapezoid),
-                windows.lo < k, coupling)
+        if not self.chunk_start <= k < self.chunk_end:
+            self._compile_chunk(k)
+        r = k - self.chunk_start
+        at, ilo, ihi, wa, wb, is_open, entries = self.chunk
+        at.check(r)
+        coupling = np.zeros((2 * self.n, self.z_len))
+        coupling.flat[self.coupling_slots] = entries[r]
+        return at, (r, self.looks), ilo[r], ihi[r], wa[r], wb[r], is_open[r], coupling
 
     def _rhs(self, k: int, plan: tuple) -> np.ndarray:
         """Both layers' right-hand sides at grid point ``k``, the last column set."""
         n = self.n
-        looks, windows, wa, wb, is_open, coupling = plan
-        looked = looks.value(self.Yf)
+        at, looks, ilo, ihi, wa, wb, is_open, coupling = plan
+        looked = at.value(self.Yf, looks)
         # integral over (u, t]: committed panels, live panel, minus the part below u
         integrals = is_open * (
-            (self.Ff[self.window_offsets + (k - 1)] - self.Ff[windows.ilo])
+            (self.Ff[self.window_offsets + (k - 1)] - self.Ff[ilo])
             + self.mass[self.window_rows]
-            - (wa * self.Vf[windows.ilo] + wb * self.Vf[windows.ihi]))
+            - (wa * self.Vf[ilo] + wb * self.Vf[ihi]))
         z = np.concatenate((looked[:2 * n], self.f_lag(looked[2 * n:]), integrals,
                             self.V[:n, k], self.Y[n:, k], self.z_tail))
         return coupling @ z

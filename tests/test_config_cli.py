@@ -132,6 +132,12 @@ def test_run_section_r_grid_forms():
     assert np.allclose(cfg.run.r_grid, [0.2, 0.4, 0.8])
 
 
+def test_run_options_reject_both_r_and_r_grid():
+    # Such options would serialize to text that parse_config rejects.
+    with pytest.raises(ValueError, match="both r and r_grid"):
+        RunOptions(r=0.45, r_grid=(0.4, 0.5))
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ConfigError, match="must contain a \\[network\\]"):
         parse_config("[run]\nt_end = 5\n")

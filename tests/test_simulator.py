@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import lattice_oracle
+import test_golden
+from chronoscale import simulator
 from chronoscale.benchmark import history_pairs, two_neuron_spec
-from chronoscale.coeffs import Const
+from chronoscale.coeffs import Affine, Const, Exp, Scale, TimeVar
 from chronoscale.network import ACTIVATIONS, NetworkSpec, rhs_ltm, rhs_stm
 from chronoscale.simulator import (
     HistorySpec,
@@ -298,10 +300,50 @@ def test_single_corrector_pass_skips_divergence_check():
 
 
 def test_delay_reaching_past_history_raises():
+    # The first stepped row, t = 1, looks up x at 1 - 5 = -4; the history
+    # reaches back to -1.
     spec = scalar_spec(tau=((Const(5.0),),))
-    with pytest.raises(HistoryUnderflowError):
+    with pytest.raises(HistoryUnderflowError, match=r"lookup at t=-4\.0 reaches below"):
         simulate(spec, flat_history(window=1.5), TimeScale.integer_lattice(),
                  t_end=3.0)
+
+
+def test_rows_that_are_never_stepped_do_not_raise_underflow():
+    # On the lattice the first step is scattered, so the start row's plan is
+    # never used: tau = 5 exp(-10 t) reaches t - tau = -5 there, below the
+    # history's -1, but only 2.3e-4 back from t = 1.
+    tau = Scale(5.0, Exp(Affine(-10.0, 0.0, TimeVar())))
+    spec = scalar_spec(tau=((tau,),), E=(Const(0.3),))
+    traj = simulate(spec, flat_history(x0=0.5, window=1.5), TimeScale.integer_lattice(),
+                    t_end=3.0)
+    assert np.all(np.isfinite(traj.x))
+    # On a dense grid the first step compiles the plan of the rows after it.
+    # tau = 5 exp(10 t - 0.15) reaches below the history's -5 from t = 0.02
+    # on, but an infinite input makes the step to t = 0.01 fail first.
+    tau = Scale(5.0, Exp(Affine(10.0, -0.15, TimeVar())))
+    spec = scalar_spec(tau=((tau,),), I=(Const(math.inf),))
+    with pytest.raises(StepFailureError, match="predictor became non-finite"):
+        simulate(spec, flat_history(x0=0.5, window=5.0),
+                 TimeScale.real_interval(-5.0, 1.0, 0.01), t_end=1.0)
+
+
+@pytest.mark.parametrize("table_bytes", [1, 10_000])
+@pytest.mark.parametrize("scale", ["Z", "R", "hybrid"])
+def test_blocking_never_changes_results(monkeypatch, scale, table_bytes):
+    # For two neurons a table row is 352 bytes: these budgets give blocks of
+    # 2 and 28 grid points and plan chunks of 1 and 3, against 1,489 and 186
+    # by default, so blocks and chunks break every few steps.
+    ts, t_end = {
+        "Z": (TimeScale.integer_lattice(), 50.0),
+        "R": (TimeScale.real_interval(-2.0, 20.0, 0.01), 20.0),
+        "hybrid": (test_golden.HYBRID, 120.0),
+    }[scale]
+    hist, _ = history_pairs()["trig"]
+    default = simulate(two_neuron_spec(), hist, ts, t_end)
+    monkeypatch.setattr(simulator, "TABLE_BYTES", table_bytes)
+    blocked = simulate(two_neuron_spec(), hist, ts, t_end)
+    for name in ("times", "x", "s", "dx", "ds"):
+        assert np.array_equal(getattr(blocked, name), getattr(default, name)), name
 
 
 # ---------------------------------------------------------------------------
