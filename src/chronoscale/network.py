@@ -41,11 +41,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .coeffs import BoundPair, CoeffExpr
+from .coeffs import BoundPair, CoeffExpr, ExprStack
 from .timescale import TimeScale
 
 __all__ = [
@@ -199,24 +200,29 @@ class NetworkSpec:
                for name in self.MATRIX_FIELDS}
         return CoeffTable(t=t, **vec, **mat)
 
+    @cached_property
+    def _coefficient_stack(self) -> ExprStack:
+        """Every coefficient in ``coefficient_keys`` order, grouped by tree
+        shape; built on first use, once per spec."""
+        return ExprStack([expr for _, expr in self.coefficient_items()])
+
     def coeffs_on(self, times: np.ndarray) -> "CoeffTable":
         """Evaluate every coefficient at each of ``times`` at once.
 
         Every field of the returned table gains a leading axis of
         ``len(times)``: vectors are ``(B, n)`` and matrices ``(B, n, n)``.
+        The fields are views of one ``(B, K)`` table in ``coefficient_keys``
+        order, evaluated one expression shape at a time.
         """
         times = np.asarray(times, dtype=float)
-        n, fields = self.n, {}
-        for name in self.VECTOR_FIELDS:
-            out = fields[name] = np.empty((len(times), n))
-            for i, expr in enumerate(getattr(self, name)):
-                out[:, i] = expr(times)
-        for name in self.MATRIX_FIELDS:
-            out = fields[name] = np.empty((len(times), n, n))
-            for i, row in enumerate(getattr(self, name)):
-                for j, expr in enumerate(row):
-                    out[:, i, j] = expr(times)
-        return CoeffTable(t=times, **fields)
+        table = self._coefficient_stack(times)
+        b, n, split = len(times), self.n, len(self.VECTOR_FIELDS) * self.n
+        vectors = table[:, :split].reshape(b, len(self.VECTOR_FIELDS), n)
+        matrices = table[:, split:].reshape(b, len(self.MATRIX_FIELDS), n, n)
+        return CoeffTable(
+            t=times,
+            **{name: vectors[:, m] for m, name in enumerate(self.VECTOR_FIELDS)},
+            **{name: matrices[:, m] for m, name in enumerate(self.MATRIX_FIELDS)})
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""Tests for the coefficient expression language: evaluation, lossless
-text round-trips, interval enclosures and the sup/inf bounds built on them."""
+"""Tests for the coefficient expression language: evaluation, stacked
+evaluation, lossless text round-trips, interval enclosures and the sup/inf
+bounds built on them."""
 
 from __future__ import annotations
 
@@ -16,12 +17,15 @@ from chronoscale.coeffs import (
     Affine,
     BoundPair,
     Const,
+    CoeffExpr,
     Cos,
     Exp,
     ExprParseError,
+    ExprStack,
     Mul,
     Neg,
     Scale,
+    SLAB_BYTES,
     Sin,
     TimeVar,
     bound_sup_inf,
@@ -169,3 +173,70 @@ class TestEnclosure:
         v = v[~np.isnan(v)]
         tol = 1e-12 * np.maximum(1.0, np.abs(np.where(np.isfinite(v), v, 0.0)))
         assert np.all(v >= lo - tol) and np.all(v <= hi + tol)
+
+
+def _bounded_exprs(depth: int):
+    """Like ``_exprs``, but ``Exp`` only of a sine or cosine, so that no value
+    overflows on |t| <= 10."""
+    num = st.floats(-3.0, 3.0, allow_nan=False)
+    leaves = st.just(T) | st.builds(Const, num)
+    if depth == 0:
+        return leaves
+    sub = _bounded_exprs(depth - 1)
+    return st.one_of(
+        leaves,
+        *(st.builds(node, sub) for node in (Sin, Cos, Abs, Neg)),
+        *(st.builds(lambda e, wave=wave: Exp(wave(e)), sub) for wave in (Sin, Cos)),
+        st.builds(Scale, num, sub),
+        st.builds(Affine, num, num, sub),
+        st.builds(Add, sub, sub),
+        st.builds(Mul, sub, sub),
+    )
+
+
+def _renumbered(data, e: CoeffExpr) -> CoeffExpr:
+    """A tree of the shape of ``e`` with freshly drawn numbers."""
+    return type(e)(*(_renumbered(data, v) if isinstance(v, CoeffExpr)
+                     else data.draw(st.floats(-3.0, 3.0, allow_nan=False))
+                     for v in (getattr(e, name) for name in e.__match_args__)))
+
+
+# Long enough that even a one-column group takes several slabs.
+LONG_BLOCK = 2 * SLAB_BYTES // 8 + 3
+
+
+class TestStack:
+    @given(data=st.data(),
+           shapes=st.lists(st.sampled_from([T, Sin(T), Const(1.0)]) | _bounded_exprs(3),
+                           min_size=1, max_size=5),
+           length=st.sampled_from([1, 2, 34, LONG_BLOCK]))
+    @settings(max_examples=150, deadline=None)
+    def test_every_column_equals_its_expression(self, data, shapes, length):
+        exprs = [_renumbered(data, e) for e in shapes
+                 for _ in range(data.draw(st.integers(1, 4)))]
+        exprs = data.draw(st.permutations(exprs))
+        lo = data.draw(st.floats(-10.0, 10.0))
+        times = np.linspace(lo, lo + data.draw(st.floats(0.0, 10.0)), length)
+        table = ExprStack(exprs)(times)
+        assert table.shape == (length, len(exprs))
+        for k, e in enumerate(exprs):
+            assert np.array_equal(table[:, k], e(times)), to_text(e)
+
+    @pytest.mark.parametrize("length", [1, 2, 34, LONG_BLOCK])
+    def test_parameterless_groups(self, length):
+        exprs = [T, Sin(T), Const(2.0), T, Const(-0.5), Sin(T), Cos(Scale(0.5, T))]
+        stack = ExprStack(exprs)
+        assert len(stack.groups) == 4
+        times = np.linspace(-3.0, 7.0, length)
+        table = stack(times)
+        for k, e in enumerate(exprs):
+            assert np.array_equal(table[:, k], e(times))
+
+    def test_groups_by_shape_not_numbers(self):
+        exprs = [Add(Const(a), Scale(b, Sin(Affine(w, 0.1, T))))
+                 for a, b, w in ((0.0, 1.0, 2.0), (0.5, -0.2, 0.7), (1.0, 0.0, 3.0))]
+        stack = ExprStack(exprs + [Mul(Const(2.0), T)])
+        assert len(stack.groups) == 2
+        cols, tree = stack.groups[0]
+        assert cols.tolist() == [0, 1, 2]
+        assert tree.left.value.ravel().tolist() == [0.0, 0.5, 1.0]

@@ -5,10 +5,14 @@ compiles the state-independent part of each step (located delayed lookups,
 window weights, coupling entries) in chunks of an eighth of a block, so the
 memory one ``simulate`` call needs beyond the trajectory it returns stays
 flat in the grid length.  numpy reports its buffers to tracemalloc, so the
-measured peak repeats exactly from run to run: 1.10 MiB for the reference
-dense run and 1.06 MiB for the 16-neuron run (0.89 and 0.91 MiB before the
-plan was compiled).  A whole-grid coefficient table (1.7 MiB for the
-reference dense run, 3.3 MiB for the 16-neuron run) would fail this guard.
+measured peak repeats exactly from run to run: 1.11 MiB for the reference
+dense run and 1.13 MiB for the 16-neuron run, which includes building the
+spec's stacked coefficients on first use (1.10 and 1.06 MiB before
+coefficients were evaluated one expression shape at a time, 0.89 and
+0.91 MiB before the plan was compiled).  A whole-grid coefficient table
+(1.7 MiB for the reference dense run, 3.3 MiB for the 16-neuron run) would
+fail this guard, and so would evaluating a block's stacked coefficients in
+one piece instead of in slabs (2.27 MiB for the 16-neuron run).
 """
 
 import math

@@ -1,13 +1,17 @@
 """Model container and right-hand-side evaluation."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import test_memory
+from chronoscale import network
 from chronoscale.benchmark import two_neuron_spec
 from chronoscale.coeffs import Const, Scale, Sin, TimeVar
 from chronoscale.network import ACTIVATIONS, NetworkSpec, rhs_ltm, rhs_stm
+from chronoscale.simulator import HistorySpec, simulate
 from chronoscale.timescale import TimeScale
 
 
@@ -133,6 +137,37 @@ def test_coeffs_on_rows_match_coeffs_at():
         for name in spec.VECTOR_FIELDS + spec.MATRIX_FIELDS:
             assert np.allclose(getattr(block, name)[b], getattr(point, name),
                                rtol=0.0, atol=1e-15), name
+
+
+def test_coeffs_on_equals_each_expression_bit_for_bit():
+    spec = test_memory.wide_tanh_spec(16, 0)
+    times = np.linspace(-1.0, 4.0, 34)
+    block, exprs = spec.coeffs_on(times), dict(spec.coefficient_items())
+    for key, name, idx in spec.coefficient_keys(spec.n):
+        assert np.array_equal(getattr(block, name)[(slice(None), *idx)], exprs[key](times)), key
+
+
+def test_coefficient_stack_is_built_once_per_spec(monkeypatch):
+    built = []
+
+    def counted(exprs):
+        built.append(len(exprs))
+        return stack(exprs)
+
+    stack = network.ExprStack
+    monkeypatch.setattr(network, "ExprStack", counted)
+    n = 3
+    spec = test_memory.wide_tanh_spec(n, 0)
+    hist = HistorySpec(stm=(Const(0.1),) * n, stm_slope=(Const(0.0),) * n,
+                       ltm=(Const(-0.1),) * n, ltm_slope=(Const(0.0),) * n, window=0.5)
+    ts = TimeScale.real_interval(-1.0, 1.0, 0.02)
+    for _ in range(2):
+        simulate(spec, hist, ts, 1.0)
+    assert built == [8 * n + 7 * n * n]
+    copy = dataclasses.replace(spec)
+    for _ in range(2):
+        simulate(copy, hist, ts, 1.0)
+    assert len(built) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 import lattice_oracle
 import test_golden
+import test_memory
 from chronoscale import simulator
 from chronoscale.benchmark import history_pairs, two_neuron_spec
 from chronoscale.coeffs import Affine, Const, Exp, Scale, TimeVar
@@ -234,15 +235,16 @@ def test_lattice_commits_solve_implicit_equation():
     assert worst < 1e-12
 
 
-def _worst_dense_trace_gap(spec):
-    hist, _ = history_pairs()["trig"]
+def _worst_dense_trace_gap(spec, hist=None):
+    if hist is None:
+        hist, _ = history_pairs()["trig"]
     ts = TimeScale.real_interval(-2.0, 3.0, 0.01)
     traj = simulate(spec, hist, ts, t_end=3.0)
     acc = traj.accessor()
     worst = 0.0
     for k in range(traj.start_index + 1, len(traj.times), 7):
         t = float(traj.times[k])
-        for i in range(2):
+        for i in range(spec.n):
             worst = max(worst,
                         abs(traj.dx[i, k] - rhs_stm(spec, acc, ts, t, i)),
                         abs(traj.ds[i, k] - rhs_ltm(spec, acc, ts, t, i)))
@@ -257,6 +259,31 @@ def test_per_neuron_activations_match_standalone_evaluator():
     spec = dataclasses.replace(
         two_neuron_spec(), activations=(ACTIVATIONS["identity"], ACTIVATIONS["sin_half"]))
     assert _worst_dense_trace_gap(spec) < 1e-12
+
+
+def _three_activation_spec():
+    return dataclasses.replace(test_memory.wide_tanh_spec(3, 0), activations=tuple(
+        ACTIVATIONS[name] for name in ("tanh", "sin_half", "identity")))
+
+
+def test_mixed_activations_apply_each_function_to_its_entries():
+    spec = _three_activation_spec()
+    owner = np.tile(np.arange(3), 4)
+    z = np.linspace(-2.5, 2.5, len(owner))
+    got = simulator._activation(spec, owner)(z)
+    # each entry alone, as a Python float; numpy's tanh may differ from the
+    # math module's by one unit in the last place
+    expected = np.array([spec.activations[j].fn(float(v)) for j, v in zip(owner, z)])
+    assert np.all(np.abs(got - expected) <= np.spacing(np.abs(expected)))
+
+
+def test_three_activations_match_standalone_evaluator():
+    n = 3
+    hist = HistorySpec(stm=tuple(Affine(0.1, 0.1 * i, Exp(TimeVar())) for i in range(n)),
+                       stm_slope=tuple(Scale(0.1, Exp(TimeVar())) for _ in range(n)),
+                       ltm=tuple(Const(-0.1 * i) for i in range(n)),
+                       ltm_slope=(Const(0.0),) * n, window=0.5)
+    assert _worst_dense_trace_gap(_three_activation_spec(), hist) < 1e-12
 
 
 def test_rerun_is_bit_identical():
