@@ -9,7 +9,7 @@ The package provides, bottom-up:
   coefficients (serialisable, vectorised, with enclosed sup/inf bounds).
 * :mod:`chronoscale.network` -- the model container for a two-layer
   competitive network with leakage, discrete, distributed, and
-  derivative-coupled (neutral) delays.
+  derivative-coupled (neutral) delays, and its reference right-hand side.
 * :mod:`chronoscale.conditions` -- contraction-based solvability checks and
   the exponential-decay certificate search.
 * :mod:`chronoscale.simulator` -- a nabla-consistent time stepper producing
@@ -43,7 +43,7 @@ from .conditions import (
     search_r,
 )
 from .config import ConfigError, RunConfig, RunOptions, parse_config, serialize_config
-from .network import ACTIVATIONS, Activation, NetworkSpec, rhs_ltm, rhs_stm
+from .network import ACTIVATIONS, Activation, NetworkSpec, rhs
 from .simulator import (
     HistorySpec,
     SimulationError,
@@ -83,8 +83,7 @@ __all__ = [
     "Activation",
     "ACTIVATIONS",
     "NetworkSpec",
-    "rhs_stm",
-    "rhs_ltm",
+    "rhs",
     "BoundSet",
     "H3Report",
     "Certificate",

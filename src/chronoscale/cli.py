@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -187,6 +188,16 @@ def _resolve_timescale(args: argparse.Namespace, cfg: RunConfig,
         raise ConfigError(f"{source}: {exc}") from None
 
 
+def _t_end(args: argparse.Namespace, run: RunOptions) -> float:
+    """The run's end time: ``--t-end`` when given, else ``[run] t_end``."""
+    if args.t_end is None:
+        return run.t_end
+    if not (math.isfinite(args.t_end) and args.t_end > run.t0):
+        raise ConfigError(
+            f"--t-end must be a finite time after t0 = {run.t0!r}, got {args.t_end!r}")
+    return args.t_end
+
+
 def _activation_zeros(spec: NetworkSpec) -> tuple[float, ...]:
     return tuple(a.at_zero for a in spec.activations)
 
@@ -257,7 +268,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     if cfg.history is None:
         raise ConfigError("simulate needs a [history] section")
-    t_end = args.t_end if args.t_end is not None else cfg.run.t_end
+    t_end = _t_end(args, cfg.run)
     ts = _resolve_timescale(args, cfg, t_end)
     traj = simulate(cfg.spec, cfg.history, ts, t_end, t0=cfg.run.t0,
                     corrector_iters=cfg.run.corrector_iters)
@@ -276,7 +287,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
     if not args.history2:
         raise ConfigError("stability needs --history2 with a second history file")
     hist2 = parse_history_text(_read_text(args.history2), cfg.spec.n)
-    t_end = args.t_end if args.t_end is not None else cfg.run.t_end
+    t_end = _t_end(args, cfg.run)
     ts = _resolve_timescale(args, cfg, t_end)
     _, cert = _certify(cfg.spec, ts, _radius_grid(args, cfg.run),
                        cfg.run.include_delayed_feedback)

@@ -38,6 +38,7 @@ headers.  ``#`` starts a comment; blank lines are ignored.  Sections:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -198,7 +199,7 @@ def _build_network(items: list[tuple[int, str, str]],
     overrides: dict[str, BoundPair] = {}
     if bound_items:
         valid_keys = {key for key, _, _ in NetworkSpec.coefficient_keys(n)}
-        for line_no, key, value in bound_items:
+        for key, (line_no, value) in _as_map(bound_items, "bounds").items():
             if key not in valid_keys:
                 raise ConfigError(f"line {line_no}: unknown [bounds] key {key!r}")
             parts = value.split()
@@ -207,6 +208,9 @@ def _build_network(items: list[tuple[int, str, str]],
                     f"line {line_no}: bounds need 'sup' or 'sup inf', got {value!r}")
             sup = _parse_float(parts[0], line_no, key)
             inf = _parse_float(parts[1], line_no, key) if len(parts) == 2 else 0.0
+            if not (0.0 <= inf <= sup < math.inf):
+                raise ConfigError(
+                    f"line {line_no}: bounds of {key} need finite 0 <= inf <= sup, got {value!r}")
             overrides[key] = BoundPair(sup, inf, "override")
 
     return NetworkSpec(
@@ -224,6 +228,8 @@ def _build_history(items: list[tuple[int, str, str]], n: int) -> HistorySpec:
         raise ConfigError("[history] section must set window")
     line_no, raw = table.pop("window")
     window = _parse_float(raw, line_no, "window")
+    if not 0.0 <= window < math.inf:
+        raise ConfigError(f"line {line_no}: window must be finite and nonnegative, got {raw!r}")
 
     def need(prefix: str) -> tuple[CoeffExpr, ...]:
         out = []
@@ -300,18 +306,25 @@ def build_timescale(desc: Mapping[str, str],
 def _build_run(items: list[tuple[int, str, str]]) -> RunOptions:
     table = _as_map(items, "run")
     kwargs = {}
-    if "t_end" in table:
-        ln, raw = table.pop("t_end")
-        kwargs["t_end"] = _parse_float(raw, ln, "t_end")
-    if "t0" in table:
-        ln, raw = table.pop("t0")
-        kwargs["t0"] = _parse_float(raw, ln, "t0")
+    lines = {}
+    for key in ("t_end", "t0"):
+        if key in table:
+            lines[key], raw = table.pop(key)
+            kwargs[key] = _parse_float(raw, lines[key], key)
+            if not math.isfinite(kwargs[key]):
+                raise ConfigError(f"line {lines[key]}: {key} must be finite, got {raw!r}")
+    t_end, t0 = kwargs.get("t_end", RunOptions.t_end), kwargs.get("t0", RunOptions.t0)
+    if not t_end > t0:
+        ln = lines.get("t_end", lines.get("t0"))
+        raise ConfigError(f"line {ln}: t_end = {t_end!r} must exceed t0 = {t0!r}")
     if "corrector_iters" in table:
         ln, raw = table.pop("corrector_iters")
         try:
             kwargs["corrector_iters"] = int(raw)
         except ValueError:
             raise ConfigError(f"line {ln}: corrector_iters must be an integer") from None
+        if kwargs["corrector_iters"] < 1:
+            raise ConfigError(f"line {ln}: corrector_iters must be at least 1, got {raw!r}")
     if "r" in table and "r_grid" in table:
         later = max(table["r"][0], table["r_grid"][0])
         raise ConfigError(f"line {later}: [run] sets both r and r_grid; give one")

@@ -26,15 +26,16 @@ and the long-term equation is
 The "neutral" integral acts on the *derivative* of the state, which is why
 trajectories must carry derivative traces.
 
-Every coefficient is a :class:`~chronoscale.coeffs.CoeffExpr`.  The
-right-hand sides are evaluated against a *state accessor*: a callable
-``accessor(index, time) -> (value, slope)`` where indices ``0..n-1`` address
-the short-term states and ``n..2n-1`` the long-term states.  ``value`` is the
-state at that time and ``slope`` its nabla derivative.  The accessor owns the
+Every coefficient is a :class:`~chronoscale.coeffs.CoeffExpr`.
+:func:`rhs` evaluates both right-hand sides against a committed state, such
+as a :class:`~chronoscale.simulator.Trajectory`: ``state.value(index, u)``
+and ``state.slope(index, u)`` give the state and its nabla derivative at a
+time or an array of times ``u``, where indices ``0..n-1`` address the
+short-term states and ``n..2n-1`` the long-term states.  The state owns the
 lookup semantics (interpolation on dense stretches, snap-down on scattered
 ones); the distributed integrals are taken with the time scale's own nabla
-integral, so these functions double as a slow reference evaluator for
-checking simulator output.
+integral, so :func:`rhs` is a slow reference evaluator, independent of the
+stepper, for checking simulator output.
 """
 
 from __future__ import annotations
@@ -42,21 +43,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
 from .coeffs import BoundPair, CoeffExpr, ExprStack
 from .timescale import TimeScale
 
+if TYPE_CHECKING:
+    from .simulator import Trajectory
+
 __all__ = [
     "Activation",
     "ACTIVATIONS",
     "NetworkSpec",
     "CoeffTable",
-    "StateAccessor",
-    "rhs_stm",
-    "rhs_ltm",
+    "rhs",
 ]
 
 
@@ -252,79 +254,42 @@ class CoeffTable:
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides
+# the reference right-hand side
 # ---------------------------------------------------------------------------
 
 
-# accessor(index, time) -> (value, nabla-slope); 0..n-1 = STM, n..2n-1 = LTM
-StateAccessor = Callable[[int, float], tuple[float, float]]
+def rhs(spec: NetworkSpec, state: "Trajectory", ts: TimeScale, t: float) -> np.ndarray:
+    """Both layers' right-hand sides at time ``t``, short-term entries
+    ``0..n-1`` above long-term entries ``n..2n-1``.
 
-
-def _slope_panel_integral(
-    ts: TimeScale, slope_of: Callable[[float], float],
-    f: Callable[[float], float], lo: float, t: float,
-) -> float:
-    """Integral of ``f(nabla-slope)`` over ``(lo, t]``.
-
-    The slope trace of a committed trajectory is constant on each backward
-    panel, so the exact nabla integral is the panel sum
-    ``sum w_k * f(slope(g_k))``, with the lowest panel truncated at ``lo``.
-    (A trapezoid quadrature would smear values across panel boundaries.)
-    """
-    if lo >= t:
-        return 0.0
-    g = ts.grid(lo, t)
-    total = 0.0
-    for k in range(1, len(g)):
-        total += (g[k] - g[k - 1]) * float(f(slope_of(float(g[k]))))
-    return total
-
-
-def rhs_stm(
-    spec: NetworkSpec,
-    accessor: StateAccessor,
-    ts: TimeScale,
-    t: float,
-    i: int,
-) -> float:
-    """Short-term-memory right-hand side for neuron ``i`` at time ``t``.
-
-    Delayed arguments are passed to the accessor at their true times; how a
+    Delayed arguments are passed to ``state`` at their true times; how a
     time between scale points resolves (snap down on scattered stretches,
-    interpolate on dense ones) is the accessor's policy, so this evaluator
-    and the incremental stepper share one lookup semantic.  Distributed
-    state terms integrate ``f(x)`` over the true window with the scale's
-    quadrature; neutral terms integrate ``f`` of the panelwise-constant
-    slope trace exactly (see :func:`_slope_panel_integral`).
+    interpolate on dense ones) is the state's policy, so this evaluator and
+    the incremental stepper share one lookup semantic.  Window starts
+    ``t - sigma_d`` and ``t - zeta`` snap down to the scale, as every
+    delayed lookup does.  Distributed state terms integrate ``f(x)`` over
+    the window with the scale's quadrature.  Neutral terms integrate ``f``
+    of the slope trace, which is constant on each backward panel, exactly:
+    as the panel sum ``sum w_k * f(slope(g_k))`` (a trapezoid quadrature
+    would smear values across panel boundaries).
     """
-    tbl = spec.coeffs_at(t)
-    total = -tbl.alpha[i] * accessor(i, t - tbl.eta[i])[0]
-    for j in range(spec.n):
-        f = spec.activations[j].fn
-        total += tbl.D[i, j] * f(accessor(j, t)[0])
-        total += tbl.Dtau[i, j] * f(accessor(j, t - tbl.tau[i, j])[0])
-        total += tbl.Dbar[i, j] * ts.nabla_integral(
-            lambda s, j=j, f=f: f(accessor(j, s)[0]), t - tbl.sigma_d[i, j], t
-        )
-        total += tbl.Dtil[i, j] * _slope_panel_integral(
-            ts, lambda s, j=j: accessor(j, s)[1], f, t - tbl.zeta[i, j], t
-        )
-    total += tbl.B[i] * accessor(spec.n + i, t)[0] + tbl.I[i]
-    return float(total)
-
-
-def rhs_ltm(
-    spec: NetworkSpec,
-    accessor: StateAccessor,
-    ts: TimeScale,
-    t: float,
-    i: int,
-) -> float:
-    """Long-term-memory right-hand side for neuron ``i`` at time ``t``."""
-    tbl = spec.coeffs_at(t)
-    f = spec.activations[i].fn
-    return float(
-        -tbl.c[i] * accessor(spec.n + i, t - tbl.varsigma[i])[0]
-        + tbl.E[i] * f(accessor(i, t)[0])
-        + tbl.J[i]
-    )
+    n, tbl = spec.n, spec.coeffs_at(t)
+    fns = [a.fn for a in spec.activations]
+    fx = np.array([fns[j](state.value(j, t)) for j in range(n)])
+    s = np.array([state.value(n + i, t) for i in range(n)])
+    x_leak = np.array([state.value(i, t - tbl.eta[i]) for i in range(n)])
+    s_leak = np.array([state.value(n + i, t - tbl.varsigma[i]) for i in range(n)])
+    f_lag = np.column_stack([fns[j](state.value(j, t - tbl.tau[:, j])) for j in range(n)])
+    spread, neutral = np.empty((n, n)), np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            f = fns[j]
+            spread[i, j] = ts.nabla_integral(
+                lambda u: f(state.value(j, u)), ts.snap_down(t - tbl.sigma_d[i, j]), t)
+            g = ts.grid(ts.snap_down(t - tbl.zeta[i, j]), t)
+            neutral[i, j] = np.sum(np.diff(g) * f(state.slope(j, g[1:]))) if len(g) > 1 else 0.0
+    stm = (-tbl.alpha * x_leak + tbl.D @ fx + (tbl.Dtau * f_lag).sum(axis=1)
+           + (tbl.Dbar * spread).sum(axis=1) + (tbl.Dtil * neutral).sum(axis=1)
+           + tbl.B * s + tbl.I)
+    ltm = -tbl.c * s_leak + tbl.E * fx + tbl.J
+    return np.concatenate((stm, ltm))

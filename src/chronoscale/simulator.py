@@ -32,8 +32,10 @@ the trapezoid of their grid samples on dense panels (matching the time
 scale's own quadrature convention), while activation-of-derivative
 integrands use the piecewise-constant panel-slope convention natural to
 nabla calculus.  One vectorised helper, :class:`_Located`, implements these
-lookups, including the partial-panel term of the prefix integrals, for
-:meth:`Trajectory.value` / :meth:`Trajectory.slope` and for the engine.
+lookups, including the partial-panel term of the prefix integrals, for the
+engine and for :meth:`Trajectory.value` / :meth:`Trajectory.slope`, which
+locate a time or a whole array of times at once; those two methods are the
+state the reference evaluator :func:`~chronoscale.network.rhs` reads.
 
 Engine: coefficients are evaluated over blocks of consecutive grid points at
 once (:meth:`NetworkSpec.coeffs_on`), each block holding at most
@@ -63,12 +65,13 @@ alone and stay with it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, IO
 
 import numpy as np
 
-from .network import NetworkSpec, StateAccessor
+from .network import NetworkSpec
 from .timescale import POINT_TOL, TimeScale, _eval_on
 
 __all__ = [
@@ -196,8 +199,8 @@ class HistorySpec:
         for name in ("stm_slope", "ltm", "ltm_slope"):
             if len(getattr(self, name)) != n:
                 raise ValueError("history component tuples must share one length")
-        if not self.window >= 0.0:
-            raise ValueError("history window must be nonnegative")
+        if not 0.0 <= self.window < math.inf:
+            raise ValueError("history window must be finite and nonnegative")
 
     @property
     def n(self) -> int:
@@ -235,21 +238,26 @@ class Trajectory:
 
     # -- committed-state lookups ----------------------------------------
 
-    def _locate(self, u: float) -> _Located:
-        """``u`` located on the grid, for lookups in one row."""
-        if u > self.times[-1] + POINT_TOL:
-            raise ValueError(f"lookup at t={u!r} is beyond the trajectory end")
-        at = _Located(self.times, self._panel_dense, np.array([u], dtype=float), 0)
+    def _locate(self, u: float | np.ndarray) -> _Located:
+        """The times ``u`` located on the grid as one row, with a check
+        that all of them lie within the recorded range."""
+        q = np.asarray(u, dtype=float).ravel()
+        if q.max() > self.times[-1] + POINT_TOL:
+            raise ValueError(f"lookup at t={float(q.max())!r} is beyond the trajectory end")
+        at = _Located(self.times, self._panel_dense, q, 0)
         at.check()
         return at
 
-    def value(self, index: int, u: float) -> float:
-        """State ``index`` (0..n-1 short-term, n..2n-1 long-term) at ``u``."""
+    def value(self, index: int, u: float | np.ndarray) -> float | np.ndarray:
+        """State ``index`` (0..n-1 short-term, n..2n-1 long-term) at the time
+        or array of times ``u``; an array in gives an array of its shape out."""
         arr = self.x if index < self.n else self.s
-        return float(self._locate(u).value(arr[index % self.n])[0])
+        out = self._locate(u).value(arr[index % self.n]).reshape(np.shape(u))
+        return out if out.ndim else float(out)
 
-    def slope(self, index: int, u: float) -> float:
-        """Backward panel slope of state ``index`` at ``u``.
+    def slope(self, index: int, u: float | np.ndarray) -> float | np.ndarray:
+        """Backward panel slope of state ``index`` at the time or array of
+        times ``u``.
 
         This is the nabla-natural derivative of the committed polyline: at a
         grid point, the quotient over the panel ending there (the declared
@@ -258,14 +266,12 @@ class Trajectory:
         """
         states, declared = (self.x, self.dx) if index < self.n else (self.s, self.ds)
         row, times = index % self.n, self.times
-        k = int(self._locate(u).ihi[0])
-        if k == 0:
-            return float(declared[row, 0])
-        return float((states[row, k] - states[row, k - 1]) / (times[k] - times[k - 1]))
-
-    def accessor(self) -> StateAccessor:
-        """Adapter for the reference right-hand-side evaluator."""
-        return lambda index, u: (self.value(index, u), self.slope(index, u))
+        k = self._locate(u).ihi
+        first = k == 0
+        prev = k - 1 + first  # the first point has no panel; 1 keeps its width nonzero
+        quotient = (states[row, k] - states[row, prev]) / (times[k] - times[prev] + first)
+        out = np.where(first, declared[row, 0], quotient).reshape(np.shape(u))
+        return out if out.ndim else float(out)
 
     # -- export ----------------------------------------------------------
 

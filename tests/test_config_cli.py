@@ -344,6 +344,68 @@ def test_run_section_rejects_both_r_and_r_grid(bench_cfg, capsys):
     assert err[0].startswith(f"config error: line {at + 1}: ") and "r_grid" in err[0]
 
 
+def _one_config_error(capsys) -> str:
+    """The single stderr line of a run that exited 2 before any output."""
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1, captured
+    assert err[0].startswith("config error: ")
+    return err[0]
+
+
+@pytest.mark.parametrize("command", ["check", "certificate"])
+@pytest.mark.parametrize("line", [
+    "D.1.1 = -5", "alpha.1 = 0.5 0.9", "eta.1 = nan", "I.1 = inf", "c.1 = 0.5 -0.1"])
+def test_malformed_bound_overrides_are_config_errors(command, line, bench_cfg, capsys):
+    key = line.split()[0]
+    lines = bench_cfg.read_text().splitlines()
+    at = lines.index("[bounds]") + 1
+    rest = [ln for ln in lines[at:] if not ln.startswith(key + " ")]
+    bench_cfg.write_text("\n".join(lines[:at] + [line] + rest) + "\n")
+    assert main([command, str(bench_cfg), "--r", "0.45"]) == 2
+    err = _one_config_error(capsys)
+    assert err.startswith(f"config error: line {at + 1}: ") and key in err
+
+
+def test_duplicate_bound_override_is_a_config_error(bench_cfg, capsys):
+    lines = bench_cfg.read_text().splitlines()
+    at = lines.index("[bounds]") + 1
+    bench_cfg.write_text("\n".join(lines[:at + 1] + [lines[at]] + lines[at + 1:]) + "\n")
+    assert main(["check", str(bench_cfg)]) == 2
+    assert _one_config_error(capsys).startswith(f"config error: line {at + 2}: duplicate key")
+
+
+@pytest.mark.parametrize("old, new, flags", [
+    ("window = 1.5", "window = -1", ()),
+    ("window = 1.5", "window = inf", ()),
+    ("t_end = 30.0", "t_end = -3", ()),
+    ("t_end = 30.0", "t_end = nan", ()),
+    ("corrector_iters = 4", "corrector_iters = 0", ()),
+    (None, None, ("--t-end", "-5")),
+    (None, None, ("--t-end", "nan")),
+    (None, None, ("--t-end", "inf")),
+])
+def test_malformed_run_inputs_are_config_errors(old, new, flags, bench_cfg, capsys):
+    if old is not None:
+        lines = bench_cfg.read_text().splitlines()
+        at = lines.index(old)
+        lines[at] = new
+        bench_cfg.write_text("\n".join(lines) + "\n")
+    assert main(["simulate", str(bench_cfg), *flags]) == 2
+    err = _one_config_error(capsys)
+    if old is not None:
+        assert err.startswith(f"config error: line {at + 1}: {new.split()[0]}")
+    else:
+        assert err.startswith("config error: --t-end ")
+
+
+def test_history_window_must_be_finite():
+    zero = Const(0.0)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        HistorySpec(stm=(zero,), stm_slope=(zero,), ltm=(zero,), ltm_slope=(zero,),
+                    window=float("inf"))
+
+
 def test_stability_requires_second_history(bench_cfg, capsys):
     assert main(["stability", str(bench_cfg)]) == 2
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import test_memory
 from chronoscale import network
 from chronoscale.benchmark import two_neuron_spec
 from chronoscale.coeffs import Const, Scale, Sin, TimeVar
-from chronoscale.network import ACTIVATIONS, NetworkSpec, rhs_ltm, rhs_stm
+from chronoscale.network import ACTIVATIONS, NetworkSpec, rhs
 from chronoscale.simulator import HistorySpec, simulate
 from chronoscale.timescale import TimeScale
 
@@ -40,10 +41,17 @@ def scalar_spec(**over):
     return NetworkSpec(**fields)
 
 
-def constant_accessor(x=2.0, s=3.0, slope=0.0):
-    def accessor(index, t):
-        return (x if index == 0 else s), slope
-    return accessor
+def formula_state(value_of, slope_of):
+    """A state whose value and slope at times ``u`` (a float or an array)
+    are ``value_of(index, u)`` and ``slope_of(index, u)`` on arrays."""
+    return types.SimpleNamespace(
+        value=lambda index, u: value_of(index, np.asarray(u, dtype=float)),
+        slope=lambda index, u: slope_of(index, np.asarray(u, dtype=float)))
+
+
+def constant_state(x=2.0, s=3.0, slope=0.0):
+    return formula_state(lambda index, u: np.full(u.shape, x if index == 0 else s),
+                         lambda index, u: np.full(u.shape, slope))
 
 
 # ---------------------------------------------------------------------------
@@ -178,68 +186,66 @@ def test_coefficient_stack_is_built_once_per_spec(monkeypatch):
 def test_rhs_constant_state_on_lattice_hand_value():
     spec = scalar_spec()
     ts = TimeScale.integer_lattice()
-    acc = constant_accessor(x=2.0, s=3.0, slope=0.0)
+    state = constant_state(x=2.0, s=3.0, slope=0.0)
     # leak -0.5*2; instant 0.2*2; delayed 0.1*2; distributed 0.05 * (mass 1 * 2);
     # neutral 0.03 * 0; coupling 0.01*3; input 0.3
     want = -1.0 + 0.4 + 0.2 + 0.1 + 0.0 + 0.03 + 0.3
-    assert rhs_stm(spec, acc, ts, 5.0, 0) == pytest.approx(want, abs=1e-12)
+    stm, ltm = rhs(spec, state, ts, 5.0)
+    assert stm == pytest.approx(want, abs=1e-12)
     # ltm: -0.4*3 + 0.02*2 + 0.1
-    assert rhs_ltm(spec, acc, ts, 5.0, 0) == pytest.approx(-1.06, abs=1e-12)
+    assert ltm == pytest.approx(-1.06, abs=1e-12)
 
 
 def test_rhs_constant_state_on_dense_grid_hand_value():
     spec = scalar_spec()
     ts = TimeScale.real_interval(0.0, 10.0, 0.01)
-    acc = constant_accessor(x=2.0, s=3.0, slope=0.0)
+    state = constant_state(x=2.0, s=3.0, slope=0.0)
     want = -1.0 + 0.4 + 0.2 + 0.1 + 0.0 + 0.03 + 0.3
-    assert rhs_stm(spec, acc, ts, 5.0, 0) == pytest.approx(want, abs=1e-10)
+    assert rhs(spec, state, ts, 5.0)[0] == pytest.approx(want, abs=1e-10)
 
 
 def test_rhs_time_varying_state_on_lattice_hand_value():
     spec = scalar_spec()
     ts = TimeScale.integer_lattice()
-
-    def acc(index, t):
-        return (t, 1.0) if index == 0 else (0.5 * t, 0.5)
-
+    state = formula_state(lambda index, u: u if index == 0 else 0.5 * u,
+                          lambda index, u: np.full(u.shape, 1.0 if index == 0 else 0.5))
     t = 5.0
     # leak -0.5*x(4) = -2; instant 0.2*5 = 1; delayed 0.1*x(3) = 0.3;
     # distributed over (4,5]: jump mass x(5)*1 = 5 -> 0.05*5 = 0.25;
     # neutral integral of slope 1 over (4,5] = 1 -> 0.03;
     # coupling 0.01*S(5)=0.01*2.5; input 0.3
     want = -2.0 + 1.0 + 0.3 + 0.25 + 0.03 + 0.025 + 0.3
-    assert rhs_stm(spec, acc, ts, t, 0) == pytest.approx(want, abs=1e-12)
+    stm, ltm = rhs(spec, state, ts, t)
+    assert stm == pytest.approx(want, abs=1e-12)
     # ltm leak -0.4*S(4) = -0.8; disposition 0.02*x(5)=0.1; input 0.1
-    assert rhs_ltm(spec, acc, ts, t, 0) == pytest.approx(-0.8 + 0.1 + 0.1, abs=1e-12)
+    assert ltm == pytest.approx(-0.8 + 0.1 + 0.1, abs=1e-12)
 
 
 def test_zero_leakage_delay_uses_current_state():
     ts = TimeScale.integer_lattice()
-
-    def acc(index, t):
-        return (t, 1.0) if index == 0 else (0.0, 0.0)
-
+    state = formula_state(lambda index, u: u if index == 0 else np.zeros(u.shape),
+                          lambda index, u: np.full(u.shape, 1.0 if index == 0 else 0.0))
     base = scalar_spec(eta=(Const(0.0),), D=((Const(0.0),),), Dtau=((Const(0.0),),),
                        Dbar=((Const(0.0),),), Dtil=((Const(0.0),),),
                        B=(Const(0.0),), I=(Const(0.0),))
     # pure leak with zero delay: -alpha * x(t)
-    assert rhs_stm(base, acc, ts, 7.0, 0) == pytest.approx(-0.5 * 7.0, abs=1e-12)
+    assert rhs(base, state, ts, 7.0)[0] == pytest.approx(-0.5 * 7.0, abs=1e-12)
 
 
 def test_stm_decouples_from_ltm_when_coupling_vanishes():
     spec = scalar_spec(B=(Const(0.0),))
     ts = TimeScale.integer_lattice()
-    a = rhs_stm(spec, constant_accessor(x=2.0, s=3.0), ts, 5.0, 0)
-    b = rhs_stm(spec, constant_accessor(x=2.0, s=-50.0), ts, 5.0, 0)
+    a = rhs(spec, constant_state(x=2.0, s=3.0), ts, 5.0)[0]
+    b = rhs(spec, constant_state(x=2.0, s=-50.0), ts, 5.0)[0]
     assert a == pytest.approx(b, abs=1e-15)
 
 
 def test_external_input_shifts_rhs_linearly():
     ts = TimeScale.integer_lattice()
-    acc = constant_accessor()
+    state = constant_state()
     base = scalar_spec()
     shifted = scalar_spec(I=(Const(0.3 + 0.125),))
-    delta = rhs_stm(shifted, acc, ts, 5.0, 0) - rhs_stm(base, acc, ts, 5.0, 0)
+    delta = rhs(shifted, state, ts, 5.0)[0] - rhs(base, state, ts, 5.0)[0]
     assert delta == pytest.approx(0.125, abs=1e-12)
 
 
@@ -259,10 +265,9 @@ def test_two_neuron_cross_coupling():
         activations=(ACTIVATIONS["identity"], ACTIVATIONS["identity"]),
     )
     ts = TimeScale.integer_lattice()
-
-    def acc(index, t):
-        return {0: 1.0, 1: 4.0, 2: 0.0, 3: 0.0}[index], 0.0
-
+    state = formula_state(lambda index, u: np.full(u.shape, (1.0, 4.0, 0.0, 0.0)[index]),
+                          lambda index, u: np.zeros(u.shape))
     # neuron 1 sees neuron 2 through D[0][1] only
-    assert rhs_stm(spec, acc, ts, 3.0, 0) == pytest.approx(-1.0 + 0.7 * 4.0, abs=1e-12)
-    assert rhs_stm(spec, acc, ts, 3.0, 1) == pytest.approx(-4.0, abs=1e-12)
+    got = rhs(spec, state, ts, 3.0)
+    assert got[0] == pytest.approx(-1.0 + 0.7 * 4.0, abs=1e-12)
+    assert got[1] == pytest.approx(-4.0, abs=1e-12)

@@ -13,7 +13,7 @@ import test_memory
 from chronoscale import simulator
 from chronoscale.benchmark import history_pairs, two_neuron_spec
 from chronoscale.coeffs import Affine, Const, Exp, Scale, TimeVar
-from chronoscale.network import ACTIVATIONS, NetworkSpec, rhs_ltm, rhs_stm
+from chronoscale.network import ACTIVATIONS, NetworkSpec, rhs
 from chronoscale.simulator import (
     HistorySpec,
     HistoryUnderflowError,
@@ -224,15 +224,15 @@ def test_lattice_commits_solve_implicit_equation():
     hist, _ = history_pairs()["trig"]
     ts = TimeScale.integer_lattice()
     traj = simulate(spec, hist, ts, t_end=30.0, corrector_iters=16)
-    acc = traj.accessor()
-    worst = 0.0
-    for k in range(traj.start_index + 1, len(traj.times)):
-        t = float(traj.times[k])
-        for i in range(2):
-            worst = max(worst,
-                        abs(traj.dx[i, k] - rhs_stm(spec, acc, ts, t, i)),
-                        abs(traj.ds[i, k] - rhs_ltm(spec, acc, ts, t, i)))
-    assert worst < 1e-12
+    assert _worst_trace_gap(spec, traj, ts, range(traj.start_index + 1, len(traj.times))) < 1e-12
+
+
+def _worst_trace_gap(spec, traj, ts, ks):
+    """Largest gap between the committed derivative traces at grid points
+    ``ks`` and the reference right-hand side of the committed state."""
+    traces = np.vstack((traj.dx, traj.ds))
+    return max(float(np.abs(traces[:, k] - rhs(spec, traj, ts, float(traj.times[k]))).max())
+               for k in ks)
 
 
 def _worst_dense_trace_gap(spec, hist=None):
@@ -240,15 +240,7 @@ def _worst_dense_trace_gap(spec, hist=None):
         hist, _ = history_pairs()["trig"]
     ts = TimeScale.real_interval(-2.0, 3.0, 0.01)
     traj = simulate(spec, hist, ts, t_end=3.0)
-    acc = traj.accessor()
-    worst = 0.0
-    for k in range(traj.start_index + 1, len(traj.times), 7):
-        t = float(traj.times[k])
-        for i in range(spec.n):
-            worst = max(worst,
-                        abs(traj.dx[i, k] - rhs_stm(spec, acc, ts, t, i)),
-                        abs(traj.ds[i, k] - rhs_ltm(spec, acc, ts, t, i)))
-    return worst
+    return _worst_trace_gap(spec, traj, ts, range(traj.start_index + 1, len(traj.times), 7))
 
 
 def test_dense_derivative_trace_matches_standalone_evaluator():
@@ -284,6 +276,39 @@ def test_three_activations_match_standalone_evaluator():
                        ltm=tuple(Const(-0.1 * i) for i in range(n)),
                        ltm_slope=(Const(0.0),) * n, window=0.5)
     assert _worst_dense_trace_gap(_three_activation_spec(), hist) < 1e-12
+
+
+def _off_grid_window_spec(tau, sigma, zeta):
+    """One tanh neuron with every coupling switched on; ``tau``, ``sigma``
+    and ``zeta`` set the lagged lookup and the two window lengths."""
+    return scalar_spec(
+        D=((Const(0.2),),), Dtau=((Const(0.1),),), Dbar=((Const(0.1),),),
+        Dtil=((Const(0.1),),), B=(Const(0.05),), E=(Const(0.1),), I=(Const(0.3),),
+        J=(Const(0.1),), eta=(Const(1.0),), tau=((Const(tau),),),
+        sigma_d=((Const(sigma),),), zeta=((Const(zeta),),),
+        activations=(ACTIVATIONS["tanh"],))
+
+
+def test_windows_starting_between_lattice_points_snap_down():
+    # Every delayed lookup and window start falls halfway between two points
+    # of Z and snaps down to the one below, in the stepper as in rhs.
+    spec = _off_grid_window_spec(0.5, 0.5, 0.5)
+    ts = TimeScale.integer_lattice()
+    traj = simulate(spec, flat_history(0.2, -0.1), ts, t_end=20.0, corrector_iters=40)
+    ks = range(traj.start_index + 1, len(traj.times))
+    assert _worst_trace_gap(spec, traj, ts, ks) < 1e-12
+
+
+def test_windows_reaching_into_a_gap_snap_down():
+    # On (6, 7.5] the windows start in [4.5, 6): on the first piece's last
+    # stretch, then inside the gap (5, 6), which snaps down to 5.
+    spec = _off_grid_window_spec(1.2, 1.5, 1.5)
+    ts = TimeScale.union_of_intervals([(-3.0, 5.0), (6.0, 10.0)], step=0.05)
+    traj = simulate(spec, flat_history(0.2, -0.1, window=2.0), ts, t_end=10.0)
+    ks = np.flatnonzero(traj._panel_dense)
+    ks = ks[ks > traj.start_index]
+    assert np.any((traj.times[ks] - 1.5 > 5.0) & (traj.times[ks] - 1.5 < 6.0))
+    assert _worst_trace_gap(spec, traj, ts, ks) < 1e-12
 
 
 def test_rerun_is_bit_identical():
@@ -427,6 +452,27 @@ def test_value_snaps_down_between_lattice_points():
                     t_end=5.0)
     k = live_index(traj, 2.0)
     assert traj.value(0, 2.75) == traj.x[0, k]
+
+
+def test_array_lookups_equal_scalar_lookups_on_hybrid_scale():
+    hist, _ = history_pairs()["trig"]
+    traj = simulate(two_neuron_spec(), hist, test_golden.HYBRID, t_end=40.0)
+    first = float(traj.times[0])
+    # the first history point (declared slope), a dense interior point, a
+    # point inside a scattered panel, two points in gaps, a lattice point
+    u = np.array([first, 25.003, 10.02, 20.3, 30.5, 12.0])
+    for index in range(2 * traj.n):
+        for lookup in (traj.value, traj.slope):
+            got = lookup(index, u)
+            scalars = [lookup(index, float(q)) for q in u]
+            assert all(type(v) is float for v in scalars)
+            assert np.array_equal(got, scalars)
+            assert np.array_equal(lookup(index, u.reshape(2, 3)), got.reshape(2, 3))
+    assert traj.slope(0, first) == traj.dx[0, 0]
+    with pytest.raises(ValueError, match="beyond the trajectory end"):
+        traj.value(0, np.array([1.0, 40.5]))
+    with pytest.raises(HistoryUnderflowError):
+        traj.slope(0, np.array([1.0, first - 0.5]))
 
 
 def test_csv_export_layout():
