@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -188,28 +187,27 @@ def _resolve_timescale(args: argparse.Namespace, cfg: RunConfig,
         raise ConfigError(f"{source}: {exc}") from None
 
 
-def _t_end(args: argparse.Namespace, run: RunOptions) -> float:
-    """The run's end time: ``--t-end`` when given, else ``[run] t_end``."""
-    if args.t_end is None:
-        return run.t_end
-    if not (math.isfinite(args.t_end) and args.t_end > run.t0):
-        raise ConfigError(
-            f"--t-end must be a finite time after t0 = {run.t0!r}, got {args.t_end!r}")
-    return args.t_end
+def _run_options(args: argparse.Namespace, run: RunOptions) -> RunOptions:
+    """``run`` with the command's ``--t-end`` and ``--r`` flags applied."""
+    t_end, r = getattr(args, "t_end", None), getattr(args, "r", None)
+    try:
+        run = run if t_end is None else dataclasses.replace(run, t_end=t_end)
+    except ValueError:
+        raise ConfigError(f"--t-end must be a finite time after t0 = {run.t0!r}, "
+                          f"got {t_end!r}") from None
+    try:
+        return run if r is None else dataclasses.replace(run, r=r, r_grid=None)
+    except ValueError:
+        raise ConfigError(f"--r must be a finite positive radius, got {r!r}") from None
 
 
 def _activation_zeros(spec: NetworkSpec) -> tuple[float, ...]:
     return tuple(a.at_zero for a in spec.activations)
 
 
-def _radius_grid(args: argparse.Namespace, run: RunOptions) -> Sequence[float]:
-    if getattr(args, "r", None) is not None:
-        return (float(args.r),)
-    if run.r is not None:
-        return (run.r,)
-    if run.r_grid is not None:
-        return run.r_grid
-    return tuple(float(v) for v in DEFAULT_R_GRID)
+def _radius_grid(run: RunOptions) -> Sequence[float]:
+    """``r``, else ``r_grid``, else the default grid."""
+    return (run.r,) if run.r is not None else run.r_grid or tuple(map(float, DEFAULT_R_GRID))
 
 
 def _certify(spec: NetworkSpec, ts: TimeScale, r_grid: Sequence[float],
@@ -238,15 +236,15 @@ def _certify(spec: NetworkSpec, ts: TimeScale, r_grid: Sequence[float],
 
 def cmd_check(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    ts = _resolve_timescale(args, cfg, cfg.run.t_end, required=False)
+    run = _run_options(args, cfg.run)
+    ts = _resolve_timescale(args, cfg, run.t_end, required=False)
     bounds = compute_bounds(cfg.spec, ts)
     for line in bounds.summary_lines():
         print(line)
-    grid = _radius_grid(args, cfg.run)
     feasible = False
-    for r in grid:
+    for r in _radius_grid(run):
         report = check_H3(bounds, cfg.spec.lipschitz, _activation_zeros(cfg.spec),
-                          float(r), cfg.run.include_delayed_feedback)
+                          float(r), run.include_delayed_feedback)
         print()
         for line in report.summary_lines():
             print(line)
@@ -256,9 +254,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_certificate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    ts = _resolve_timescale(args, cfg, cfg.run.t_end)
-    gate, cert = _certify(cfg.spec, ts, _radius_grid(args, cfg.run),
-                          cfg.run.include_delayed_feedback)
+    run = _run_options(args, cfg.run)
+    ts = _resolve_timescale(args, cfg, run.t_end)
+    gate, cert = _certify(cfg.spec, ts, _radius_grid(run), run.include_delayed_feedback)
     print(f"feasible radius r = {gate.r:g} (kappa = {gate.kappa:.6f})")
     print(cert.to_text(), end="")
     return EXIT_OK
@@ -268,10 +266,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     if cfg.history is None:
         raise ConfigError("simulate needs a [history] section")
-    t_end = _t_end(args, cfg.run)
-    ts = _resolve_timescale(args, cfg, t_end)
-    traj = simulate(cfg.spec, cfg.history, ts, t_end, t0=cfg.run.t0,
-                    corrector_iters=cfg.run.corrector_iters)
+    run = _run_options(args, cfg.run)
+    ts = _resolve_timescale(args, cfg, run.t_end)
+    traj = simulate(cfg.spec, cfg.history, ts, run.t_end, t0=run.t0,
+                    corrector_iters=run.corrector_iters)
     if args.out:
         traj.to_csv(args.out)
         print(f"wrote {args.out} ({len(traj.times)} rows)")
@@ -287,19 +285,17 @@ def cmd_stability(args: argparse.Namespace) -> int:
     if not args.history2:
         raise ConfigError("stability needs --history2 with a second history file")
     hist2 = parse_history_text(_read_text(args.history2), cfg.spec.n)
-    t_end = _t_end(args, cfg.run)
-    ts = _resolve_timescale(args, cfg, t_end)
-    _, cert = _certify(cfg.spec, ts, _radius_grid(args, cfg.run),
-                       cfg.run.include_delayed_feedback)
+    run = _run_options(args, cfg.run)
+    ts = _resolve_timescale(args, cfg, run.t_end)
+    _, cert = _certify(cfg.spec, ts, _radius_grid(run), run.include_delayed_feedback)
     if args.lambda_override is not None:
         cert = dataclasses.replace(
             cert, lam=float(args.lambda_override),
             witness=f"decay rate manually overridden to {args.lambda_override:g} "
                     f"(testing only)")
-    traj_a = simulate(cfg.spec, cfg.history, ts, t_end, t0=cfg.run.t0,
-                      corrector_iters=cfg.run.corrector_iters)
-    traj_b = simulate(cfg.spec, hist2, ts, t_end, t0=cfg.run.t0,
-                      corrector_iters=cfg.run.corrector_iters)
+    traj_a, traj_b = (simulate(cfg.spec, hist, ts, run.t_end, t0=run.t0,
+                               corrector_iters=run.corrector_iters)
+                      for hist in (cfg.history, hist2))
     report = verify_bound(traj_a, traj_b, cfg.history, hist2, cert, ts)
     print(report.to_text(), end="")
     if args.out:

@@ -226,8 +226,8 @@ _BINARY = {"add": Add, "mul": Mul}
 # ---------------------------------------------------------------------------
 
 # Largest array one step of a stacked evaluation builds: 64 KiB, an eighth of
-# the simulator's 0.5 MiB coefficient block, so a group's temporaries stay
-# small beside the table they fill.
+# the simulator's 0.5 MiB compiled chunk, so a group's temporaries stay small
+# beside the chunk's table and plan.
 SLAB_BYTES = 1 << 16
 
 

@@ -7,7 +7,8 @@ headers.  ``#`` starts a comment; blank lines are ignored.  Sections:
 
 ``[network]``
     ``n`` (size), per-neuron ``f.i`` (activation name) and ``L.i``
-    (declared Lipschitz bound), and one prefix expression per coefficient:
+    (declared Lipschitz bound, at least the activation's own), and one
+    prefix expression per coefficient:
     vectors ``alpha.i, c.i, B.i, E.i, I.i, J.i, eta.i, varsigma.i`` and
     matrices ``D.i.j, Dtau.i.j, Dbar.i.j, Dtil.i.j, tau.i.j, sigma_d.i.j,
     zeta.i.j`` (1-based indices).  Expression syntax is the one documented
@@ -33,7 +34,8 @@ headers.  ``#`` starts a comment; blank lines are ignored.  Sections:
 ``[run]`` (optional)
     ``t_end``, ``t0``, ``corrector_iters``, ``r`` or ``r_grid`` (not both;
     either ``lo:hi:step`` or a space-separated list),
-    ``include_delayed_feedback`` (``true``/``false``).
+    ``include_delayed_feedback`` (``true``/``false``), checked by
+    :class:`RunOptions`.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import Mapping
 import numpy as np
 
 from .coeffs import BoundPair, CoeffExpr, ExprParseError, parse_expr, to_text
-from .network import ACTIVATIONS, NetworkSpec
+from .network import ACTIVATIONS, FieldError, NetworkSpec
 from .simulator import HistorySpec
 from .timescale import TimeScale
 
@@ -77,8 +79,23 @@ class RunOptions:
     include_delayed_feedback: bool = True
 
     def __post_init__(self):
+        """Refuse (:class:`FieldError`) what :func:`parse_config` would."""
+        for key in ("t_end", "t0"):
+            if not math.isfinite(getattr(self, key)):
+                raise FieldError((key,), f"{key} must be finite, got {getattr(self, key)!r}")
+        if not self.t_end > self.t0:
+            raise FieldError(("t_end", "t0"),
+                             f"t_end = {self.t_end!r} must exceed t0 = {self.t0!r}")
+        if self.corrector_iters < 1:
+            raise FieldError(("corrector_iters",), f"corrector_iters must be at least 1, "
+                                                   f"got {self.corrector_iters!r}")
         if self.r is not None and self.r_grid is not None:
-            raise ValueError("RunOptions sets both r and r_grid; give one")
+            raise FieldError(("r_grid", "r"), "both r and r_grid are set; give one")
+        radii = (self.r,) if self.r is not None else self.r_grid
+        if radii is not None and not (radii and all(0.0 < r < math.inf for r in radii)):
+            key = "r" if self.r is not None else "r_grid"
+            raise FieldError((key,), f"{key} must give finite positive radii, "
+                                     f"got {getattr(self, key)!r}")
 
 
 @dataclass(frozen=True)
@@ -137,6 +154,12 @@ def _reject_stray(table: Mapping[str, tuple[int | None, str]], section: str) -> 
     for key, (line_no, _) in table.items():
         where = f"line {line_no}: " if line_no is not None else ""
         raise ConfigError(f"{where}unknown [{section}] key {key!r}")
+
+
+def _at_line(exc: FieldError, table: Mapping[str, tuple[int, str]]) -> ConfigError:
+    """``exc`` at the line of the first key it names that ``table`` holds."""
+    line_no = next(table[key][0] for key in exc.keys if key in table)
+    return ConfigError(f"line {line_no}: {exc}")
 
 
 def _parse_float(value: str, line_no: int, key: str) -> float:
@@ -213,13 +236,16 @@ def _build_network(items: list[tuple[int, str, str]],
                     f"line {line_no}: bounds of {key} need finite 0 <= inf <= sup, got {value!r}")
             overrides[key] = BoundPair(sup, inf, "override")
 
-    return NetworkSpec(
-        n=n,
-        activations=tuple(activations),
-        lipschitz=tuple(lipschitz),
-        bound_overrides=overrides,
-        **coeffs,
-    )
+    try:
+        return NetworkSpec(
+            n=n,
+            activations=tuple(activations),
+            lipschitz=tuple(lipschitz),
+            bound_overrides=overrides,
+            **coeffs,
+        )
+    except FieldError as exc:
+        raise _at_line(exc, _as_map(items, "network")) from None
 
 
 def _build_history(items: list[tuple[int, str, str]], n: int) -> HistorySpec:
@@ -228,8 +254,6 @@ def _build_history(items: list[tuple[int, str, str]], n: int) -> HistorySpec:
         raise ConfigError("[history] section must set window")
     line_no, raw = table.pop("window")
     window = _parse_float(raw, line_no, "window")
-    if not 0.0 <= window < math.inf:
-        raise ConfigError(f"line {line_no}: window must be finite and nonnegative, got {raw!r}")
 
     def need(prefix: str) -> tuple[CoeffExpr, ...]:
         out = []
@@ -241,13 +265,13 @@ def _build_history(items: list[tuple[int, str, str]], n: int) -> HistorySpec:
             out.append(_parse_expr_value(value, line_no, key))
         return tuple(out)
 
-    stm = need("phi")
-    stm_slope = need("phi_nabla")
-    ltm = need("psi")
-    ltm_slope = need("psi_nabla")
+    stm, stm_slope, ltm, ltm_slope = (need(p) for p in ("phi", "phi_nabla", "psi", "psi_nabla"))
     _reject_stray(table, "history")
-    return HistorySpec(stm=stm, stm_slope=stm_slope, ltm=ltm,
-                       ltm_slope=ltm_slope, window=window)
+    try:
+        return HistorySpec(stm=stm, stm_slope=stm_slope, ltm=ltm, ltm_slope=ltm_slope,
+                           window=window)
+    except FieldError as exc:
+        raise _at_line(exc, _as_map(items, "history")) from None
 
 
 def build_timescale(desc: Mapping[str, str],
@@ -303,61 +327,47 @@ def build_timescale(desc: Mapping[str, str],
     return TimeScale.union_of_intervals(intervals, step=number("step", 0.01))
 
 
+def _radii(raw: str) -> tuple[float, ...]:
+    """An ``r_grid`` value: ``lo:hi:step`` or a space-separated list."""
+    if ":" not in raw:
+        return tuple(float(part) for part in raw.split())
+    lo, hi, step = (float(part) for part in raw.split(":"))
+    if not (0.0 < step < math.inf and -math.inf < lo <= hi < math.inf):
+        raise ValueError(raw)
+    vals, v = [], lo
+    while v <= hi + 1e-12:
+        vals.append(round(v, 12))
+        v += step
+    return tuple(vals)
+
+
+def _boolean(raw: str) -> bool:
+    return {"true": True, "false": False}[raw.lower()]
+
+
+# how each [run] key reads its text, and what the text must be
+_RUN_READERS = {
+    "t_end": (float, "a number"), "t0": (float, "a number"), "r": (float, "a number"),
+    "corrector_iters": (int, "an integer"),
+    "include_delayed_feedback": (_boolean, "true or false"),
+    "r_grid": (_radii, "lo:hi:step with finite lo <= hi and a positive step, or a list"),
+}
+
+
 def _build_run(items: list[tuple[int, str, str]]) -> RunOptions:
     table = _as_map(items, "run")
+    _reject_stray({key: entry for key, entry in table.items() if key not in _RUN_READERS}, "run")
     kwargs = {}
-    lines = {}
-    for key in ("t_end", "t0"):
-        if key in table:
-            lines[key], raw = table.pop(key)
-            kwargs[key] = _parse_float(raw, lines[key], key)
-            if not math.isfinite(kwargs[key]):
-                raise ConfigError(f"line {lines[key]}: {key} must be finite, got {raw!r}")
-    t_end, t0 = kwargs.get("t_end", RunOptions.t_end), kwargs.get("t0", RunOptions.t0)
-    if not t_end > t0:
-        ln = lines.get("t_end", lines.get("t0"))
-        raise ConfigError(f"line {ln}: t_end = {t_end!r} must exceed t0 = {t0!r}")
-    if "corrector_iters" in table:
-        ln, raw = table.pop("corrector_iters")
+    for key, (line_no, raw) in table.items():
+        read, form = _RUN_READERS[key]
         try:
-            kwargs["corrector_iters"] = int(raw)
-        except ValueError:
-            raise ConfigError(f"line {ln}: corrector_iters must be an integer") from None
-        if kwargs["corrector_iters"] < 1:
-            raise ConfigError(f"line {ln}: corrector_iters must be at least 1, got {raw!r}")
-    if "r" in table and "r_grid" in table:
-        later = max(table["r"][0], table["r_grid"][0])
-        raise ConfigError(f"line {later}: [run] sets both r and r_grid; give one")
-    if "r" in table:
-        ln, raw = table.pop("r")
-        kwargs["r"] = _parse_float(raw, ln, "r")
-    if "r_grid" in table:
-        ln, raw = table.pop("r_grid")
-        if ":" in raw:
-            parts = raw.split(":")
-            if len(parts) != 3:
-                raise ConfigError(f"line {ln}: r_grid range must be lo:hi:step")
-            lo = _parse_float(parts[0], ln, "r_grid")
-            hi = _parse_float(parts[1], ln, "r_grid")
-            st = _parse_float(parts[2], ln, "r_grid")
-            if st <= 0 or hi < lo:
-                raise ConfigError(f"line {ln}: bad r_grid range")
-            vals = []
-            v = lo
-            while v <= hi + 1e-12:
-                vals.append(round(v, 12))
-                v += st
-            kwargs["r_grid"] = tuple(vals)
-        else:
-            kwargs["r_grid"] = tuple(_parse_float(p, ln, "r_grid") for p in raw.split())
-    if "include_delayed_feedback" in table:
-        ln, raw = table.pop("include_delayed_feedback")
-        low = raw.strip().lower()
-        if low not in ("true", "false"):
-            raise ConfigError(f"line {ln}: include_delayed_feedback must be true or false")
-        kwargs["include_delayed_feedback"] = low == "true"
-    _reject_stray(table, "run")
-    return RunOptions(**kwargs)
+            kwargs[key] = read(raw)
+        except (KeyError, ValueError):
+            raise ConfigError(f"line {line_no}: {key} must be {form}, got {raw!r}") from None
+    try:
+        return RunOptions(**kwargs)
+    except FieldError as exc:
+        raise _at_line(exc, table) from None
 
 
 def parse_config(text: str) -> RunConfig:

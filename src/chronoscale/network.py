@@ -54,12 +54,21 @@ if TYPE_CHECKING:
     from .simulator import Trajectory
 
 __all__ = [
+    "FieldError",
     "Activation",
     "ACTIVATIONS",
     "NetworkSpec",
     "CoeffTable",
     "rhs",
 ]
+
+
+class FieldError(ValueError):
+    """An argument out of its domain; ``keys`` names the config keys involved, culprit first."""
+
+    def __init__(self, keys: tuple[str, ...], message: str):
+        super().__init__(message)
+        self.keys = keys
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +129,8 @@ class NetworkSpec:
     Vectors are indexed by neuron; matrices by (target i, source j).  All
     entries are time-varying expressions.  The ``lipschitz`` field holds a
     per-neuron Lipschitz bound, which the solvability checks use in place of
-    the activation's built-in one (it defaults to the latter).
+    the activation's built-in one (it defaults to the latter); one below that,
+    or not finite, would be unsound and raises :class:`FieldError`.
 
     ``bound_overrides`` maps coefficient keys (``"alpha.1"``, ``"D.2.1"``,
     ... -- 1-based) to :class:`BoundPair` values that replace enclosed bounds.
@@ -161,6 +171,11 @@ class NetworkSpec:
             )
         elif len(self.lipschitz) != n:
             raise ValueError(f"need {n} Lipschitz constants")
+        for i, (act, bound) in enumerate(zip(self.activations, self.lipschitz)):
+            if not act.lipschitz <= bound < math.inf:
+                key = f"L.{i + 1}"
+                raise FieldError((key,), f"{key} = {bound!r} must be finite and at least the "
+                                         f"{act.name} activation's constant {act.lipschitz!r}")
 
     # -- the coefficient layout (shared by bounds & config I/O) ----------
 

@@ -37,30 +37,23 @@ engine and for :meth:`Trajectory.value` / :meth:`Trajectory.slope`, which
 locate a time or a whole array of times at once; those two methods are the
 state the reference evaluator :func:`~chronoscale.network.rhs` reads.
 
-Engine: coefficients are evaluated over blocks of consecutive grid points at
-once (:meth:`NetworkSpec.coeffs_on`), each block holding at most
-``TABLE_BYTES`` (0.5 MiB) of coefficient table, so the working set stays
-flat in the grid length; a whole-grid table would hold 1.7 MiB for a
-two-neuron dense run of 5,000 steps.  A block costs numpy operations per
-node of each distinct expression shape, not per coefficient: the spec groups
-its coefficients by tree shape once, on first use, and evaluates each group
-as one tree over arrays of its numbers, in slabs of at most 64 KiB
-(:class:`~chronoscale.coeffs.ExprStack`).  The 1,920 coefficients of a
-16-neuron network drawn from one shape take about 60 operations per block of
-34 grid points.  Everything else the right-hand side needs that does not
-depend on the state is compiled from the table into a *plan*, in chunks of
-an eighth of a block: one vectorised ``searchsorted`` locates every delayed
-query time and window start of the chunk's grid points, and each plan row
-also holds the window starts' partial-panel weights, the mask of windows of
-nonzero width and the coefficients in the order of the coupling pattern.  A
-step only picks its plan row and gathers the state.  The state being solved
-for is written into its grid column before each right-hand-side evaluation,
-so queries landing in the live panel read it like committed values, and the
-right-hand side is one product of the coupling pattern with the gathered
-values.  A history lookup that reaches below the grid raises when a step
-uses its row, not when the row is compiled.  Nothing compiled outlives a
-:func:`simulate` call but the stacked coefficients, which depend on the spec
-alone and stay with it.
+Engine: the engine compiles the grid in chunks, each on first use, and keeps
+only the chunk in use.  A chunk's *plan* holds everything the right-hand
+side needs that does not depend on the state: the coefficients, evaluated
+over the chunk's times at once (:meth:`NetworkSpec.coeffs_on`) and ordered
+by the coupling pattern, and the delayed query times and window starts,
+located with one vectorised ``searchsorted``, with the window starts'
+partial-panel weights and the mask of windows of nonzero width.  Table and
+plan of a chunk stay within ``CHUNK_BYTES`` (0.5 MiB), so the working set is
+flat in the grid length; a whole-grid table alone would hold 1.7 MiB for a
+two-neuron dense run of 5,000 steps.  The spec evaluates its coefficients
+one expression shape at a time (:class:`~chronoscale.coeffs.ExprStack`,
+built once per spec), not one coefficient at a time.  A step picks its plan
+row, writes the state being solved for into its grid column, so that queries
+landing in the live panel read it like committed values, and multiplies the
+coupling pattern by the gathered values.  A history lookup that reaches
+below the grid raises when a step uses its row, not when the row is
+compiled.
 """
 
 from __future__ import annotations
@@ -71,7 +64,7 @@ from typing import Callable, IO
 
 import numpy as np
 
-from .network import NetworkSpec
+from .network import FieldError, NetworkSpec
 from .timescale import POINT_TOL, TimeScale, _eval_on
 
 __all__ = [
@@ -85,8 +78,8 @@ __all__ = [
     "distance_series",
 ]
 
-# Largest coefficient table one compiled block may hold: 0.5 MiB.
-TABLE_BYTES = 1 << 19
+# Largest compiled chunk, its coefficient table and its plan together: 0.5 MiB.
+CHUNK_BYTES = 1 << 19
 
 
 class SimulationError(RuntimeError):
@@ -200,7 +193,8 @@ class HistorySpec:
             if len(getattr(self, name)) != n:
                 raise ValueError("history component tuples must share one length")
         if not 0.0 <= self.window < math.inf:
-            raise ValueError("history window must be finite and nonnegative")
+            raise FieldError(("window",),
+                             f"window must be finite and nonnegative, got {self.window!r}")
 
     @property
     def n(self) -> int:
@@ -315,8 +309,8 @@ def _activation(spec: NetworkSpec, owner: np.ndarray) -> Callable[[np.ndarray], 
 
 
 class _Engine:
-    """One simulation run: the grid, its columns, one coefficient block and
-    one chunk of the plan compiled from it.
+    """One simulation run: the grid, its columns and one compiled chunk of
+    the plan.
 
     Grid columns stack both layers, short-term rows ``0..n-1`` above
     long-term rows ``n..2n-1``: ``Y`` holds the states and ``dY`` the
@@ -381,13 +375,9 @@ class _Engine:
         cols = np.concatenate((neurons, n + neurons, 2 * n + np.arange(3 * nn), base + pairs_j,
                                base + neurons, base + n + neurons, np.full(2 * n, self.z_len - 1)))
         self.coupling_slots = rows * self.z_len + cols
+        # a plan row takes about three table rows (2.8 for n = 2, 3.2 for n = 16)
         row_bytes = 8 * (len(spec.VECTOR_FIELDS) * n + len(spec.MATRIX_FIELDS) * nn)
-        self.block_len = max(2, TABLE_BYTES // row_bytes)
-        # A plan row takes about three times the bytes of a table row (2.8x
-        # for n = 2, 3.2x for n = 16), so a chunk of an eighth of a block
-        # keeps the plan below half the table's size.
-        self.chunk_len = max(1, self.block_len // 8)
-        self.tbl, self.block_start, self.block_end = None, 0, 0
+        self.chunk_len = max(2, CHUNK_BYTES // (4 * row_bytes))
         self.chunk, self.chunk_start, self.chunk_end = None, 0, 0
 
         # fill the history segment from the declared callables
@@ -418,34 +408,24 @@ class _Engine:
         return slopes
 
     def _compile(self, start: int) -> None:
-        """Evaluate the coefficients over the block of grid points from ``start``."""
-        self.tbl = self.chunk = None  # release the previous block before building the next
-        stop = min(start + self.block_len, len(self.times))
-        self.tbl = self.spec.coeffs_on(self.times[start:stop])
-        self.block_start, self.block_end = start, stop
-        self.chunk_start = self.chunk_end = start
-
-    def _compile_chunk(self, start: int) -> None:
-        """Compile the plan of up to ``chunk_len`` grid points from ``start``,
-        all within the coefficient block.
+        """Compile the plan of up to ``chunk_len`` grid points from ``start``.
 
         A plan row is everything the right-hand side at its grid point needs
         besides the columns, none of which depends on the state: the located
         queries, the window starts' partial-panel weights, a mask that is 0
         on windows of zero width, and the coefficients in ``coupling_slots``
-        order.  One ``_Located`` covers the ``(rows, queries)`` array of the
-        chunk: the delayed states (``looks``) and the window starts
-        (``windows``).  Queries are clamped to their row's ``t`` and read
-        columns up to its grid point, so those that land in the live panel
-        read the live column.
+        order, taken from a table of the chunk's times that is then dropped.
+        One ``_Located`` covers the ``(rows, queries)`` array of the chunk:
+        the delayed states (``looks``) and the window starts (``windows``).
+        Queries are clamped to their row's ``t`` and read columns up to its
+        grid point, so those that land in the live panel read the live column.
         """
-        self.chunk = None
-        tbl, stop = self.tbl, min(start + self.chunk_len, self.block_end)
-        b = slice(start - self.block_start, stop - self.block_start)
-        rows = stop - start
+        self.chunk = None  # release the previous chunk before building the next
+        stop = min(start + self.chunk_len, len(self.times))
+        tbl, rows = self.spec.coeffs_on(self.times[start:stop]), stop - start
 
         def flat(*fields):
-            return np.concatenate([f[b].reshape(rows, -1) for f in fields], axis=1)
+            return np.concatenate([f.reshape(rows, -1) for f in fields], axis=1)
 
         t = self.times[start:stop, None]
         delays = flat(tbl.eta, tbl.varsigma, tbl.tau, tbl.sigma_d, tbl.zeta)
@@ -468,7 +448,7 @@ class _Engine:
         ``k`` lies below the grid.
         """
         if not self.chunk_start <= k < self.chunk_end:
-            self._compile_chunk(k)
+            self._compile(k)
         r = k - self.chunk_start
         at, ilo, ihi, wa, wb, is_open, entries = self.chunk
         at.check(r)
@@ -538,8 +518,6 @@ class _Engine:
 
     def run(self) -> Trajectory:
         for k in range(self.k0 + 1, len(self.times)):
-            if k >= self.block_end:
-                self._compile(k - 1)  # a dense step may also need the row of k - 1
             if self.dense[k]:
                 self._step_dense(k)
             else:

@@ -1,6 +1,7 @@
 """Configuration parsing/serialization and the command-line contract."""
 
 import dataclasses
+import math
 import subprocess
 import sys
 
@@ -384,19 +385,41 @@ def test_duplicate_bound_override_is_a_config_error(bench_cfg, capsys):
     (None, None, ("--t-end", "-5")),
     (None, None, ("--t-end", "nan")),
     (None, None, ("--t-end", "inf")),
+    ("r = 0.45", "r = nan", ()),
+    ("r = 0.45", "r = -1", ()),
+    ("r = 0.45", "r_grid =", ()),
+    ("r = 0.45", "r_grid = 0.1:inf:0.1", ()),
+    ("L.1 = 1.0", "L.1 = -5", ()),
+    ("L.1 = 1.0", "L.1 = nan", ()),
+    (None, None, ("--r", "nan")),
 ])
 def test_malformed_run_inputs_are_config_errors(old, new, flags, bench_cfg, capsys):
+    # --r belongs to check and certificate; every other case runs simulate
+    command = "certificate" if flags[:1] == ("--r",) else "simulate"
     if old is not None:
         lines = bench_cfg.read_text().splitlines()
         at = lines.index(old)
         lines[at] = new
         bench_cfg.write_text("\n".join(lines) + "\n")
-    assert main(["simulate", str(bench_cfg), *flags]) == 2
+    assert main([command, str(bench_cfg), *flags]) == 2
     err = _one_config_error(capsys)
     if old is not None:
         assert err.startswith(f"config error: line {at + 1}: {new.split()[0]}")
     else:
-        assert err.startswith("config error: --t-end ")
+        assert err.startswith(f"config error: {flags[0]} ")
+
+
+def test_run_options_refuse_what_parse_config_refuses():
+    # Each would serialize to a [run] section that parse_config rejects.
+    for kwargs, message in [
+            ({"t_end": -3.0}, "t_end = -3.0 must exceed t0 = 0.0"),
+            ({"t0": math.nan}, "t0 must be finite"),
+            ({"corrector_iters": 0}, "corrector_iters must be at least 1"),
+            ({"r": -1.0}, "r must give finite positive radii"),
+            ({"r_grid": (0.4, math.inf)}, "r_grid must give finite positive radii"),
+            ({"r_grid": ()}, "r_grid must give finite positive radii")]:
+        with pytest.raises(ValueError, match=message):
+            RunOptions(**kwargs)
 
 
 def test_history_window_must_be_finite():

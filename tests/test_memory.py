@@ -1,18 +1,18 @@
 """Working-set guard for the simulator.
 
-The engine evaluates coefficients over bounded blocks of grid points and
-compiles the state-independent part of each step (located delayed lookups,
-window weights, coupling entries) in chunks of an eighth of a block, so the
-memory one ``simulate`` call needs beyond the trajectory it returns stays
-flat in the grid length.  numpy reports its buffers to tracemalloc, so the
-measured peak repeats exactly from run to run: 1.11 MiB for the reference
-dense run and 1.13 MiB for the 16-neuron run, which includes building the
-spec's stacked coefficients on first use (1.10 and 1.06 MiB before
-coefficients were evaluated one expression shape at a time, 0.89 and
+The engine compiles the coefficients and the state-independent part of each
+step (located delayed lookups, window weights, coupling entries) in chunks
+of grid points whose table and plan together stay within a fixed budget, so
+the memory one ``simulate`` call needs beyond the trajectory it returns
+stays flat in the grid length.  numpy reports its buffers to tracemalloc, so
+the measured peak repeats exactly from run to run: 0.97 MiB for the
+reference dense run and 0.84 MiB for the 16-neuron run, which includes
+building the spec's stacked coefficients on first use (1.11 and 1.13 MiB
+with a coefficient block holding several plan chunks, 1.10 and 1.06 MiB
+before coefficients were evaluated one expression shape at a time, 0.89 and
 0.91 MiB before the plan was compiled).  A whole-grid coefficient table
 (1.7 MiB for the reference dense run, 3.3 MiB for the 16-neuron run) would
-fail this guard, and so would evaluating a block's stacked coefficients in
-one piece instead of in slabs (2.27 MiB for the 16-neuron run).
+fail this guard, and a whole-grid chunk peaks at 7.9 and 14.4 MiB.
 """
 
 import math

@@ -118,6 +118,14 @@ def test_lipschitz_defaults_to_activation_constant():
     assert spec2.lipschitz == (0.9,)
 
 
+def test_unsound_lipschitz_bound_rejected():
+    # A bound below the activation's own constant, or not finite, would make
+    # every certificate built on it unsound.
+    for bound in (0.4, -5.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="L.1 = .* must be finite and at least"):
+            scalar_spec(activations=(ACTIVATIONS["sin_half"],), lipschitz=(bound,))
+
+
 def test_coefficient_items_keys_and_count():
     spec = scalar_spec()
     items = dict(spec.coefficient_items())

@@ -379,12 +379,12 @@ def test_rows_that_are_never_stepped_do_not_raise_underflow():
                  TimeScale.real_interval(-5.0, 1.0, 0.01), t_end=1.0)
 
 
-@pytest.mark.parametrize("table_bytes", [1, 10_000])
+@pytest.mark.parametrize("chunk_bytes", [1, 10_000])
 @pytest.mark.parametrize("scale", ["Z", "R", "hybrid"])
-def test_blocking_never_changes_results(monkeypatch, scale, table_bytes):
-    # For two neurons a table row is 352 bytes: these budgets give blocks of
-    # 2 and 28 grid points and plan chunks of 1 and 3, against 1,489 and 186
-    # by default, so blocks and chunks break every few steps.
+def test_chunking_never_changes_results(monkeypatch, scale, chunk_bytes):
+    # For two neurons a table row is 352 bytes and a chunk budgets four per
+    # grid point: these budgets give chunks of 2 and 7 grid points, against
+    # 372 by default, so chunks break every few steps.
     ts, t_end = {
         "Z": (TimeScale.integer_lattice(), 50.0),
         "R": (TimeScale.real_interval(-2.0, 20.0, 0.01), 20.0),
@@ -392,10 +392,10 @@ def test_blocking_never_changes_results(monkeypatch, scale, table_bytes):
     }[scale]
     hist, _ = history_pairs()["trig"]
     default = simulate(two_neuron_spec(), hist, ts, t_end)
-    monkeypatch.setattr(simulator, "TABLE_BYTES", table_bytes)
-    blocked = simulate(two_neuron_spec(), hist, ts, t_end)
+    monkeypatch.setattr(simulator, "CHUNK_BYTES", chunk_bytes)
+    chunked = simulate(two_neuron_spec(), hist, ts, t_end)
     for name in ("times", "x", "s", "dx", "ds"):
-        assert np.array_equal(getattr(blocked, name), getattr(default, name)), name
+        assert np.array_equal(getattr(chunked, name), getattr(default, name)), name
 
 
 # ---------------------------------------------------------------------------
