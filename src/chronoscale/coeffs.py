@@ -125,6 +125,19 @@ def _exp(v: float) -> float:
         return math.inf
 
 
+# numpy's exp and libm's are each within one ulp of the true value, so they
+# may differ by two, and by three where an ulp doubles between them
+EXP_ULPS = 4
+
+
+def _exp_enclosure(lo: float, hi: float) -> Interval:
+    """``exp`` of the ends, each moved ``EXP_ULPS`` ulps outward (not below 0)."""
+    a, b = _exp(lo), _exp(hi)
+    for _ in range(EXP_ULPS):
+        a, b = math.nextafter(a, 0.0), math.nextafter(b, math.inf)
+    return a, b
+
+
 def _periodic(fn, peak: float):
     """Enclosure rule of ``fn``, a sine shifted to peak at ``peak`` mod 2 pi."""
 
@@ -161,7 +174,7 @@ def _unary(name: str, scalar_fn, array_fn, enclose_fn):
 Sin = _unary("Sin", math.sin, np.sin, _periodic(math.sin, math.pi / 2))
 Cos = _unary("Cos", math.cos, np.cos, _periodic(math.cos, 0.0))
 Abs = _unary("Abs", abs, np.abs, lambda lo, hi: (max(lo, -hi, 0.0), max(-lo, hi)))
-Exp = _unary("Exp", math.exp, np.exp, lambda lo, hi: (_exp(lo), _exp(hi)))
+Exp = _unary("Exp", math.exp, np.exp, _exp_enclosure)
 Neg = _unary("Neg", lambda v: -v, np.negative, lambda lo, hi: (-hi, -lo))
 
 

@@ -33,7 +33,8 @@ headers.  ``#`` starts a comment; blank lines are ignored.  Sections:
 
 ``[run]`` (optional)
     ``t_end``, ``t0``, ``corrector_iters``, ``r`` or ``r_grid`` (not both;
-    either ``lo:hi:step`` or a space-separated list),
+    either ``lo:hi:step``, of at most ``MAX_RADII`` radii, or a
+    space-separated list),
     ``include_delayed_feedback`` (``true``/``false``), checked by
     :class:`RunOptions`.
 """
@@ -327,12 +328,18 @@ def build_timescale(desc: Mapping[str, str],
     return TimeScale.union_of_intervals(intervals, step=number("step", 0.01))
 
 
+# most radii an r_grid range may hold; each is a solvability check to report
+MAX_RADII = 10_000
+
+
 def _radii(raw: str) -> tuple[float, ...]:
     """An ``r_grid`` value: ``lo:hi:step`` or a space-separated list."""
     if ":" not in raw:
         return tuple(float(part) for part in raw.split())
     lo, hi, step = (float(part) for part in raw.split(":"))
     if not (0.0 < step < math.inf and -math.inf < lo <= hi < math.inf):
+        raise ValueError(raw)
+    if (hi + 1e-12 - lo) / step >= MAX_RADII:  # the loop below would build more
         raise ValueError(raw)
     vals, v = [], lo
     while v <= hi + 1e-12:
@@ -350,7 +357,8 @@ _RUN_READERS = {
     "t_end": (float, "a number"), "t0": (float, "a number"), "r": (float, "a number"),
     "corrector_iters": (int, "an integer"),
     "include_delayed_feedback": (_boolean, "true or false"),
-    "r_grid": (_radii, "lo:hi:step with finite lo <= hi and a positive step, or a list"),
+    "r_grid": (_radii, f"lo:hi:step with finite lo <= hi and a positive step, at most "
+                       f"{MAX_RADII} radii, or a list"),
 }
 
 

@@ -31,29 +31,34 @@ committed panels plus a live-panel term: activation-of-state integrands use
 the trapezoid of their grid samples on dense panels (matching the time
 scale's own quadrature convention), while activation-of-derivative
 integrands use the piecewise-constant panel-slope convention natural to
-nabla calculus.  One vectorised helper, :class:`_Located`, implements these
-lookups, including the partial-panel term of the prefix integrals, for the
+nabla calculus.  One vectorised helper, :class:`_Located`, locates the
+queries, with their interpolation weights and the distances into dense
+panels that the partial-panel term of the prefix integrals needs, for the
 engine and for :meth:`Trajectory.value` / :meth:`Trajectory.slope`, which
 locate a time or a whole array of times at once; those two methods are the
 state the reference evaluator :func:`~chronoscale.network.rhs` reads.
 
-Engine: the engine compiles the grid in chunks, each on first use, and keeps
-only the chunk in use.  A chunk's *plan* holds everything the right-hand
-side needs that does not depend on the state: the coefficients, evaluated
-over the chunk's times at once (:meth:`NetworkSpec.coeffs_on`) and ordered
-by the coupling pattern, and the delayed query times and window starts,
-located with one vectorised ``searchsorted``, with the window starts'
-partial-panel weights and the mask of windows of nonzero width.  Table and
-plan of a chunk stay within ``CHUNK_BYTES`` (0.5 MiB), so the working set is
-flat in the grid length; a whole-grid table alone would hold 1.7 MiB for a
-two-neuron dense run of 5,000 steps.  The spec evaluates its coefficients
-one expression shape at a time (:class:`~chronoscale.coeffs.ExprStack`,
-built once per spec), not one coefficient at a time.  A step picks its plan
-row, writes the state being solved for into its grid column, so that queries
-landing in the live panel read it like committed values, and multiplies the
-coupling pattern by the gathered values.  A history lookup that reaches
-below the grid raises when a step uses its row, not when the row is
-compiled.
+Engine: the engine keeps the grid's columns in one buffer and compiles the
+grid in chunks, each on first use, keeping only the chunk in use.  A
+chunk's *plan* holds everything the right-hand side needs that does not
+depend on the state.  Its coefficients are evaluated over the chunk's times
+at once (:meth:`NetworkSpec.coeffs_on`), one expression shape at a time
+(:class:`~chronoscale.coeffs.ExprStack`, built once per spec), and its
+delayed query times and window starts are located with one vectorised
+``searchsorted``.  Everything in the right-hand side but the lagged
+activations is linear in the columns, so a plan row is a sparse linear map:
+flat indices into the buffer, a weight per index that folds in the
+coefficient, the interpolation or partial-panel weight and the sign of a
+prefix difference, and the output entry of each term, plus the lagged
+lookups' indices, weights and coefficients.  A step picks its plan row,
+writes the state being solved for into its grid column, so that queries
+landing in the live panel read it like committed values, and evaluates the
+right-hand side as one gather and ``bincount`` for the linear terms and one
+for the lagged activations.  Table, located queries and plan of a chunk
+stay within ``CHUNK_BYTES`` (0.5 MiB), so the working set is flat in the
+grid length; a whole-grid table alone would hold 1.7 MiB for a two-neuron
+dense run of 5,000 steps.  A history lookup that reaches below the grid
+raises when a step uses its row, not when the row is compiled.
 """
 
 from __future__ import annotations
@@ -78,7 +83,7 @@ __all__ = [
     "distance_series",
 ]
 
-# Largest compiled chunk, its coefficient table and its plan together: 0.5 MiB.
+# Budget of one compiled chunk: its coefficient table, located queries and plan, 0.5 MiB.
 CHUNK_BYTES = 1 << 19
 
 
@@ -107,65 +112,46 @@ class _Located:
     """Query times located on a committed grid, with the lookups built on them.
 
     ``u`` is one row of query times, or a 2-D array whose rows are located
-    at once.  Each query ``u[..., q]`` reads flattened ``(series,
-    len(times))`` arrays at offset ``offsets[q]``, its series times
-    ``len(times)``.  ``ilo`` is the flat index of the grid point at or below
-    the query and ``ihi`` that of the next grid point when the query lies
-    strictly inside a panel (else ``ilo``); ``d`` is the distance into the
-    panel when the panel is dense (else 0) and ``lam`` that distance as a
-    fraction of the panel width.  Queries must not exceed ``times[-1]``.
+    at once.  ``lo`` is the index of the grid point at or below each query
+    and ``hi`` that of the next grid point when the query lies strictly
+    inside a panel (else ``lo``); ``d`` is the distance into the panel when
+    the panel is dense (else 0) and ``lam`` that distance as a fraction of
+    the panel width.  Queries must not exceed ``times[-1]``.
 
     A row with a query below ``times[0]`` is located anyway (its indices are
-    meaningless but in range) and :meth:`check` raises for it, so rows
-    located ahead of their use fail only if they are used.
+    meaningless but in range); ``reach`` holds that row's earliest query
+    (else inf) for :func:`_check_reach`, so rows located ahead of their use
+    fail only if they are used.
     """
 
-    __slots__ = ("lo", "ilo", "ihi", "d", "lam", "reach", "start")
+    __slots__ = ("lo", "hi", "d", "lam", "reach")
 
-    def __init__(self, times: np.ndarray, dense: np.ndarray, u: np.ndarray, offsets):
+    def __init__(self, times: np.ndarray, dense: np.ndarray, u: np.ndarray):
         lo = times.searchsorted(u + POINT_TOL) - 1
-        # the earliest query of each row that reaches below the grid, else inf
         self.reach = np.where(lo.min(axis=-1) < 0, u.min(axis=-1), np.inf)
-        self.start = float(times[0])
         t_lo = times[lo]
         inside = u > t_lo + POINT_TOL
         hi = lo + inside
         self.d = (u - t_lo) * (inside & dense[hi])
         # off-panel queries have d = 0; adding 1 to their zero width keeps lam = 0
         self.lam = self.d / (times[hi] - t_lo + ~inside)
-        self.lo, self.ilo, self.ihi = lo, offsets + lo, offsets + hi
+        self.lo, self.hi = lo, hi
 
-    def check(self, row=()) -> None:
-        """Raise :class:`HistoryUnderflowError` if a query of ``row`` (by
-        default, any query) lies below the grid."""
-        reach = self.reach[row]
-        if reach < np.inf:
-            raise HistoryUnderflowError(
-                f"lookup at t={float(reach)!r} reaches below the recorded range "
-                f"(starts at {self.start!r}); supply a longer history window"
-            )
+    def value(self, series: np.ndarray) -> np.ndarray:
+        """Values of ``series`` at the queries: linear interpolation between
+        grid values on dense panels, snap-down on scattered ones."""
+        base = series[self.lo]
+        return base + self.lam * (series[self.hi] - base)
 
-    def value(self, flat: np.ndarray, sel=()) -> np.ndarray:
-        """Values at the queries ``sel`` (by default, all): linear
-        interpolation between grid values on dense panels, snap-down on
-        scattered ones."""
-        base = flat[self.ilo[sel]]
-        return base + self.lam[sel] * (flat[self.ihi[sel]] - base)
 
-    def partial_weights(self, trapezoid: np.ndarray, sel=()) -> tuple[np.ndarray, np.ndarray]:
-        """Weights ``(a, b)`` of the partial-panel integral ``a * s[lo] + b * s[hi]``
-        at the queries ``sel`` (by default, all).
-
-        That is the integral of samples ``s`` from the grid point at or below
-        each query up to the query, so the prefix integral to the query is
-        the prefix at that grid point plus this term.  Where ``trapezoid`` is
-        1 it integrates the linear interpolant of the samples; where it is 0,
-        the panel's right-end sample held constant.  Scattered panels carry
-        their mass at the right end, which a query inside them never reaches.
-        """
-        d = self.d[sel]
-        a = trapezoid * (d - 0.5 * d * self.lam[sel])
-        return a, d - a
+def _check_reach(reach: float, start: float) -> None:
+    """Raise :class:`HistoryUnderflowError` if a lookup reached ``reach``,
+    below the grid that starts at ``start`` (``reach`` is inf if none did)."""
+    if reach < np.inf:
+        raise HistoryUnderflowError(
+            f"lookup at t={float(reach)!r} reaches below the recorded range "
+            f"(starts at {float(start)!r}); supply a longer history window"
+        )
 
 
 ScalarFn = Callable[[float], float]
@@ -238,8 +224,8 @@ class Trajectory:
         q = np.asarray(u, dtype=float).ravel()
         if q.max() > self.times[-1] + POINT_TOL:
             raise ValueError(f"lookup at t={float(q.max())!r} is beyond the trajectory end")
-        at = _Located(self.times, self._panel_dense, q, 0)
-        at.check()
+        at = _Located(self.times, self._panel_dense, q)
+        _check_reach(at.reach, self.times[0])
         return at
 
     def value(self, index: int, u: float | np.ndarray) -> float | np.ndarray:
@@ -260,7 +246,7 @@ class Trajectory:
         """
         states, declared = (self.x, self.dx) if index < self.n else (self.s, self.ds)
         row, times = index % self.n, self.times
-        k = self._locate(u).ihi
+        k = self._locate(u).hi
         first = k == 0
         prev = k - 1 + first  # the first point has no panel; 1 keeps its width nonzero
         quotient = (states[row, k] - states[row, prev]) / (times[k] - times[prev] + first)
@@ -312,11 +298,14 @@ class _Engine:
     """One simulation run: the grid, its columns and one compiled chunk of
     the plan.
 
-    Grid columns stack both layers, short-term rows ``0..n-1`` above
-    long-term rows ``n..2n-1``: ``Y`` holds the states and ``dY`` the
-    derivative traces.  ``V`` holds the integrands ``f_j(x_j)`` (rows ``j``)
-    and ``f_j`` of the panel slope of ``x_j`` (rows ``n + j``), and ``F``
-    their prefix integrals from the grid start.
+    Grid columns live in one buffer ``G`` of ``6n + 1`` rows, whose flat
+    view ``Gf`` the plan indexes.  Rows ``0..2n-1`` are the states ``Y``,
+    short-term rows ``0..n-1`` above long-term rows ``n..2n-1``.  Rows
+    ``2n..4n-1`` are the integrands ``V``: ``f_j(x_j)`` in row ``2n + j``
+    and ``f_j`` of the panel slope of ``x_j`` in row ``3n + j``.  Rows
+    ``4n..6n-1`` are ``F``, the prefix integrals of ``V``'s rows from the
+    grid start, and row ``6n`` holds ones.  ``Y``, ``V`` and ``F`` are views
+    of ``G``; the derivative traces ``dY`` are an array of their own.
     """
 
     def __init__(self, spec: NetworkSpec, history: HistorySpec, ts: TimeScale,
@@ -341,8 +330,11 @@ class _Engine:
         self.times, self.k0 = times, k0
 
         N = len(times)
-        self.Y, self.dY, self.V, self.F = (np.zeros((2 * n, N)) for _ in range(4))
-        self.Yf, self.Vf, self.Ff = self.Y.ravel(), self.V.ravel(), self.F.ravel()
+        self.G = np.zeros((6 * n + 1, N))
+        self.G[6 * n] = 1.0
+        self.Gf = self.G.ravel()
+        self.Y, self.V, self.F = self.G[:2 * n], self.G[2 * n:4 * n], self.G[4 * n:6 * n]
+        self.dY = np.zeros((2 * n, N))
         # The mass of panel k in V's rows is w * (left * V[k-1] + right * V[k]):
         # the trapezoid of f(x) on dense panels, the right-end atom of f(x)
         # on scattered ones, and f(slope) constant over every panel.
@@ -352,32 +344,31 @@ class _Engine:
         self.f = _activation(spec, np.tile(neurons, 2))
         self.f_lag = _activation(spec, np.tile(neurons, n))
 
-        # Queries of one grid point, in order: eta_i, varsigma_i and tau_ij
-        # look up x_i, S_i and x_j; sigma_ij and zeta_ij open the windows of
-        # the integrals of V's rows j and n + j.
+        # Queries of one grid point, in order: eta_i and varsigma_i look up
+        # x_i and S_i, sigma_ij and zeta_ij open the windows of the integrals
+        # of V's rows 2n + j and 3n + j, and tau_ij looks up x_j.
         nn = n * n
-        pairs_i, pairs_j = np.repeat(neurons, n), np.tile(neurons, n)
-        query_rows = np.concatenate((neurons, n + neurons, pairs_j, pairs_j, n + pairs_j))
-        self.query_offsets = query_rows * N
-        self.looks = slice(0, 2 * n + nn)
-        self.windows = slice(2 * n + nn, None)
-        self.window_rows = query_rows[self.windows]
-        self.window_offsets = self.query_offsets[self.windows]
-        self.trapezoid = np.repeat([1.0, 0.0], nn)
-        # The right-hand side is coupling @ z with z = [x(t - eta),
-        # S(t - varsigma), f(x(t - tau)), spread windows, neutral windows,
-        # f(x(t)), S(t), 1]; coupling_slots is the pattern of its entries.
-        self.z_tail = np.ones(1)
-        self.z_len = 4 * n + 3 * nn + 1
-        base = 2 * n + 3 * nn
-        rows = np.concatenate((neurons, n + neurons, pairs_i, pairs_i, pairs_i, pairs_i,
-                               n + neurons, neurons, neurons, n + neurons))
-        cols = np.concatenate((neurons, n + neurons, 2 * n + np.arange(3 * nn), base + pairs_j,
-                               base + neurons, base + n + neurons, np.full(2 * n, self.z_len - 1)))
-        self.coupling_slots = rows * self.z_len + cols
-        # a plan row takes about three table rows (2.8 for n = 2, 3.2 for n = 16)
-        row_bytes = 8 * (len(spec.VECTOR_FIELDS) * n + len(spec.MATRIX_FIELDS) * nn)
-        self.chunk_len = max(2, CHUNK_BYTES // (4 * row_bytes))
+        self.pairs_i, pairs_j = np.repeat(neurons, n), np.tile(neurons, n)
+        self.lag_rows = pairs_j * N
+        leaks, windows = np.arange(2 * n), np.concatenate((pairs_j, n + pairs_j))
+        pairs2 = np.tile(self.pairs_i, 2)
+        # The linear terms of a plan row, in order: Y and F at the leaks' and
+        # windows' lo; Y and V at their hi; V at the spread windows' lo; then
+        # at column k, S_i (B), f(x_i) (E), the ones (I, J), f(x_j) (D) and
+        # F at the windows' end.  Each reads G's row g and adds to entry out.
+        g = np.concatenate((leaks, 4 * n + windows, leaks, 2 * n + windows, 2 * n + pairs_j,
+                            n + neurons, 2 * n + neurons, np.full(2 * n, 6 * n),
+                            2 * n + pairs_j, 4 * n + windows))
+        self.out = np.concatenate((leaks, pairs2, leaks, pairs2, self.pairs_i,
+                                   neurons, n + neurons, neurons, n + neurons,
+                                   self.pairs_i, pairs2))
+        self.row_offsets = g * N
+        # A compile holds the chunk's table, the four arrays of its located
+        # queries and its plan: idx and w, five arrays of the lags, the reach.
+        table_row = 8 * (len(spec.VECTOR_FIELDS) * n + len(spec.MATRIX_FIELDS) * nn)
+        located_row = 32 * (2 * n + 3 * nn)
+        plan_row = 16 * len(g) + 40 * nn + 8
+        self.chunk_len = max(2, CHUNK_BYTES // (table_row + located_row + plan_row))
         self.chunk, self.chunk_start, self.chunk_end = None, 0, 0
 
         # fill the history segment from the declared callables
@@ -396,52 +387,86 @@ class _Engine:
 
     def _set_column(self, k: int, y: np.ndarray) -> np.ndarray:
         """Make ``y`` the state at grid point ``k``, with its integrand
-        samples and prefix integrals, and return its backward panel slopes.
-        ``mass`` keeps the panel masses, for the right-hand side at ``k``."""
-        n, w = self.n, self.width[k]
+        samples and prefix integrals, and return its backward panel slopes."""
+        n, w, V = self.n, self.width[k], self.V
         self.Y[:, k] = y
         slopes = (y - self.Y[:, k - 1]) / w
-        self.V[:, k] = self.f(np.concatenate((y[:n], slopes[:n])))
+        V[:, k] = self.f(np.concatenate((y[:n], slopes[:n])))
         left, right = self.mass_dense if self.dense[k] else self.mass_scattered
-        self.mass = w * (left * self.V[:, k - 1] + right * self.V[:, k])
-        self.F[:, k] = self.F[:, k - 1] + self.mass
+        self.F[:, k] = self.F[:, k - 1] + w * (left * V[:, k - 1] + right * V[:, k])
         return slopes
 
     def _compile(self, start: int) -> None:
         """Compile the plan of up to ``chunk_len`` grid points from ``start``.
 
-        A plan row is everything the right-hand side at its grid point needs
-        besides the columns, none of which depends on the state: the located
-        queries, the window starts' partial-panel weights, a mask that is 0
-        on windows of zero width, and the coefficients in ``coupling_slots``
-        order, taken from a table of the chunk's times that is then dropped.
-        One ``_Located`` covers the ``(rows, queries)`` array of the chunk:
-        the delayed states (``looks``) and the window starts (``windows``).
-        Queries are clamped to their row's ``t`` and read columns up to its
-        grid point, so those that land in the live panel read the live column.
+        A plan row is the right-hand side at its grid point ``k`` as a
+        sparse map over ``Gf``, compiled from a table of the chunk's
+        coefficients that is then dropped.  Everything but the lagged
+        activations is linear in the columns: term ``e`` adds
+        ``w[e] * Gf[idx[e]]`` to entry ``out[e]``.  The weights fold in the
+        coefficient, the interpolation weights, a window's open mask (0 on
+        windows of zero width), its start's partial-panel weights and the
+        sign of the prefix difference: the integral over ``(u, t]`` is
+        ``F[k] - F[lo] - a * V[lo] - b * V[hi]``.  The lagged lookups keep
+        their own indices ``tlo``/``thi`` and weights ``1 - lam``/``lam``,
+        and their coefficients ``Dtau``.  One ``_Located`` covers the
+        ``(rows, queries)`` array of the chunk.  Queries are clamped to
+        their row's ``t`` and read columns up to its grid point, so those
+        that land in the live panel read the live column.
+
+        The terms whose index falls in column ``k`` are exactly those that
+        read the live column, the map an implicit (Newton) scattered step
+        needs for its Jacobian.
         """
         self.chunk = None  # release the previous chunk before building the next
-        stop = min(start + self.chunk_len, len(self.times))
+        n, nn, N = self.n, self.n * self.n, len(self.times)
+        stop = min(start + self.chunk_len, N)
         tbl, rows = self.spec.coeffs_on(self.times[start:stop]), stop - start
 
-        def flat(*fields):
-            return np.concatenate([f.reshape(rows, -1) for f in fields], axis=1)
+        def put(out, *fields):
+            return np.concatenate([f.reshape(rows, -1) for f in fields], axis=1, out=out)
 
-        t = self.times[start:stop, None]
-        delays = flat(tbl.eta, tbl.varsigma, tbl.tau, tbl.sigma_d, tbl.zeta)
-        at = _Located(self.times, self.dense, np.minimum(t - delays, t), self.query_offsets)
-        windows = (slice(None), self.windows)
-        entries = np.concatenate((-flat(tbl.alpha, tbl.c), flat(
-            tbl.Dtau, tbl.Dbar, tbl.Dtil, tbl.D, tbl.E, tbl.B, tbl.I, tbl.J)), axis=1)
-        self.chunk = (at, at.ilo[windows], at.ihi[windows],
-                      *at.partial_weights(self.trapezoid, windows),
-                      at.lo[windows] < np.arange(start, stop)[:, None], entries)
+        # query columns: leaks up to L, spread windows up to S, neutral
+        # windows up to E, lags after
+        L, S, E = 2 * n, 2 * n + nn, 2 * n + 2 * nn
+        k = np.arange(start, stop)[:, None]
+        t = self.times[k]
+        u = put(np.empty((rows, E + nn)), tbl.eta, tbl.varsigma, tbl.sigma_d, tbl.zeta, tbl.tau)
+        at = _Located(self.times, self.dense, np.minimum(np.subtract(t, u, out=u), t, out=u))
+        del u  # the query times, not needed once located
+
+        idx = np.empty((rows, len(self.out)), dtype=np.intp)
+        idx[:, :E] = at.lo[:, :E]
+        idx[:, E:2 * E] = at.hi[:, :E]
+        idx[:, 2 * E:2 * E + nn] = at.lo[:, L:S]
+        idx[:, 2 * E + nn:] = k
+        idx += self.row_offsets
+
+        w = np.empty(idx.shape)
+        leak, lam = put(w[:, :L], tbl.alpha, tbl.c), at.lam[:, :L]
+        w[:, E:E + L] = -leak * lam
+        leak *= lam - 1.0
+        cw = put(w[:, -2 * nn:], tbl.Dbar, tbl.Dtil)
+        cw *= at.lo[:, L:E] < k  # windows of zero width are closed
+        w[:, L:E] = -cw
+        # the window starts' partial-panel weights: a * V[lo] + b * V[hi]
+        # integrates from lo to the start, a trapezoid on spread windows
+        d = at.d[:, L:E]
+        a = d[:, :nn] - 0.5 * d[:, :nn] * at.lam[:, L:S]
+        b = d.copy()
+        b[:, :nn] -= a
+        w[:, E + L:2 * E] = -cw * b
+        w[:, 2 * E:2 * E + nn] = -cw[:, :nn] * a
+        put(w[:, 2 * E + nn:-2 * nn], tbl.B, tbl.E, tbl.I, tbl.J, tbl.D)
+        self.chunk = (at.reach, idx, w, at.lo[:, E:] + self.lag_rows,
+                      at.hi[:, E:] + self.lag_rows, 1.0 - at.lam[:, E:],
+                      at.lam[:, E:].copy(), tbl.Dtau.reshape(rows, nn).copy())
         self.chunk_start, self.chunk_end = start, stop
 
     # -- right-hand side ---------------------------------------------------
 
     def _plan(self, k: int) -> tuple:
-        """Row ``k`` of the compiled plan, with its ``coupling`` matrix.
+        """Row ``k`` of the compiled plan.
 
         Compiles the chunk from ``k`` when ``k`` lies outside the current
         one, and raises :class:`HistoryUnderflowError` when a query of row
@@ -450,25 +475,17 @@ class _Engine:
         if not self.chunk_start <= k < self.chunk_end:
             self._compile(k)
         r = k - self.chunk_start
-        at, ilo, ihi, wa, wb, is_open, entries = self.chunk
-        at.check(r)
-        coupling = np.zeros((2 * self.n, self.z_len))
-        coupling.flat[self.coupling_slots] = entries[r]
-        return at, (r, self.looks), ilo[r], ihi[r], wa[r], wb[r], is_open[r], coupling
+        reach, idx, w, tlo, thi, wl, wh, dtau = self.chunk
+        _check_reach(reach[r], self.times[0])
+        return idx[r], w[r], tlo[r], thi[r], wl[r], wh[r], dtau[r]
 
-    def _rhs(self, k: int, plan: tuple) -> np.ndarray:
-        """Both layers' right-hand sides at grid point ``k``, the last column set."""
-        n = self.n
-        at, looks, ilo, ihi, wa, wb, is_open, coupling = plan
-        looked = at.value(self.Yf, looks)
-        # integral over (u, t]: committed panels, live panel, minus the part below u
-        integrals = is_open * (
-            (self.Ff[self.window_offsets + (k - 1)] - self.Ff[ilo])
-            + self.mass[self.window_rows]
-            - (wa * self.Vf[ilo] + wb * self.Vf[ihi]))
-        z = np.concatenate((looked[:2 * n], self.f_lag(looked[2 * n:]), integrals,
-                            self.V[:n, k], self.Y[n:, k], self.z_tail))
-        return coupling @ z
+    def _rhs(self, plan: tuple) -> np.ndarray:
+        """Both layers' right-hand sides at the grid point of ``plan``, whose
+        column must be set: the linear terms plus the lagged activations."""
+        idx, w, tlo, thi, wl, wh, dtau = plan
+        Gf, m = self.Gf, 2 * self.n
+        lagged = dtau * self.f_lag(wl * Gf[tlo] + wh * Gf[thi])
+        return np.bincount(self.out, w * Gf[idx], m) + np.bincount(self.pairs_i, lagged, m)
 
     # -- stepping ----------------------------------------------------------
 
@@ -477,18 +494,18 @@ class _Engine:
         if self.prev_rhs is None:
             if k - 1 == 0:
                 raise SimulationError("cannot evaluate the dynamics at the grid start")
-            self.prev_rhs = self._rhs(k - 1, self._plan(k - 1))
+            self.prev_rhs = self._rhs(self._plan(k - 1))
         plan = self._plan(k)
         y_prev = self.Y[:, k - 1]
         y_pred = y_prev + w * self.prev_rhs
         if not np.isfinite(y_pred).all():
             raise StepFailureError(float(self.times[k]), "predictor became non-finite")
         self._set_column(k, y_pred)
-        y_new = y_prev + 0.5 * w * (self.prev_rhs + self._rhs(k, plan))
+        y_new = y_prev + 0.5 * w * (self.prev_rhs + self._rhs(plan))
         if not np.isfinite(y_new).all():
             raise StepFailureError(float(self.times[k]), "state became non-finite")
         self._set_column(k, y_new)
-        self.prev_rhs = self.dY[:, k] = self._rhs(k, plan)
+        self.prev_rhs = self.dY[:, k] = self._rhs(plan)
 
     def _step_scattered(self, k: int) -> None:
         t = float(self.times[k])
@@ -498,7 +515,7 @@ class _Engine:
         first_gap = last_gap = 0.0
         for m in range(self.corrector_iters):
             self._set_column(k, y_live)
-            y_next = y_prev + w * self._rhs(k, plan)
+            y_next = y_prev + w * self._rhs(plan)
             if not np.isfinite(y_next).all():
                 raise StepFailureError(t, "fixed-point iteration became non-finite")
             gap = float(abs(y_next - y_live).max())
@@ -523,9 +540,10 @@ class _Engine:
             else:
                 self._step_scattered(k)
         n = self.n
+        # copies, so that the trajectory does not keep G's other rows alive
         return Trajectory(
             ts=self.ts, times=self.times, start_index=self.k0,
-            x=self.Y[:n], s=self.Y[n:], dx=self.dY[:n], ds=self.dY[n:],
+            x=self.Y[:n].copy(), s=self.Y[n:].copy(), dx=self.dY[:n], ds=self.dY[n:],
             _panel_dense=self.dense,
         )
 

@@ -392,6 +392,7 @@ def test_duplicate_bound_override_is_a_config_error(bench_cfg, capsys):
     ("L.1 = 1.0", "L.1 = -5", ()),
     ("L.1 = 1.0", "L.1 = nan", ()),
     (None, None, ("--r", "nan")),
+    ("r = 0.45", "r_grid = 0.1:1:1e-9", ()),
 ])
 def test_malformed_run_inputs_are_config_errors(old, new, flags, bench_cfg, capsys):
     # --r belongs to check and certificate; every other case runs simulate

@@ -269,13 +269,31 @@ def test_mixed_activations_apply_each_function_to_its_entries():
     assert np.all(np.abs(got - expected) <= np.spacing(np.abs(expected)))
 
 
-def test_three_activations_match_standalone_evaluator():
+def _three_neuron_history():
     n = 3
-    hist = HistorySpec(stm=tuple(Affine(0.1, 0.1 * i, Exp(TimeVar())) for i in range(n)),
+    return HistorySpec(stm=tuple(Affine(0.1, 0.1 * i, Exp(TimeVar())) for i in range(n)),
                        stm_slope=tuple(Scale(0.1, Exp(TimeVar())) for _ in range(n)),
                        ltm=tuple(Const(-0.1 * i) for i in range(n)),
                        ltm_slope=(Const(0.0),) * n, window=0.5)
-    assert _worst_dense_trace_gap(_three_activation_spec(), hist) < 1e-12
+
+
+def test_three_activations_match_standalone_evaluator():
+    assert _worst_dense_trace_gap(_three_activation_spec(), _three_neuron_history()) < 1e-12
+
+
+@pytest.mark.parametrize("t0, t_end", [(19.0, 21.5), (29.0, 32.0)])
+def test_hybrid_scale_matches_standalone_evaluator(t0, t_end):
+    # Across the golden hybrid scale's lattice-to-dense gap at 20.5 and its
+    # dense-to-lattice gap at 31, lookups and windows start on one kind of
+    # piece and end on the other.  Every live point is checked: the dense
+    # ones, and the scattered ones, whose traces are the fixed point's
+    # backward quotients; 16 corrector passes converge it to rounding.
+    spec, ts = _three_activation_spec(), test_golden.HYBRID
+    traj = simulate(spec, _three_neuron_history(), ts, t_end=t_end, t0=t0,
+                    corrector_iters=16)
+    ks = range(traj.start_index + 1, len(traj.times))
+    assert traj._panel_dense[ks].any() and not traj._panel_dense[ks].all()
+    assert _worst_trace_gap(spec, traj, ts, ks) < 1e-12
 
 
 def _off_grid_window_spec(tau, sigma, zeta):
@@ -382,9 +400,9 @@ def test_rows_that_are_never_stepped_do_not_raise_underflow():
 @pytest.mark.parametrize("chunk_bytes", [1, 10_000])
 @pytest.mark.parametrize("scale", ["Z", "R", "hybrid"])
 def test_chunking_never_changes_results(monkeypatch, scale, chunk_bytes):
-    # For two neurons a table row is 352 bytes and a chunk budgets four per
-    # grid point: these budgets give chunks of 2 and 7 grid points, against
-    # 372 by default, so chunks break every few steps.
+    # For two neurons a chunk budgets 1,800 bytes per grid point (table 352,
+    # located queries 512, plan 936): these budgets give chunks of 2 and 5
+    # grid points, against 291 by default, so chunks break every few steps.
     ts, t_end = {
         "Z": (TimeScale.integer_lattice(), 50.0),
         "R": (TimeScale.real_interval(-2.0, 20.0, 0.01), 20.0),
