@@ -228,11 +228,18 @@ class Trajectory:
         _check_reach(at.reach, self.times[0])
         return at
 
+    def _series(self, index: int) -> tuple[np.ndarray, np.ndarray]:
+        """States and derivative trace of state ``index`` (0..n-1 short-term,
+        n..2n-1 long-term)."""
+        if not 0 <= index < 2 * self.n:
+            raise IndexError(f"state index {index} is outside 0..{2 * self.n - 1}")
+        row = index % self.n
+        return (self.x[row], self.dx[row]) if index < self.n else (self.s[row], self.ds[row])
+
     def value(self, index: int, u: float | np.ndarray) -> float | np.ndarray:
         """State ``index`` (0..n-1 short-term, n..2n-1 long-term) at the time
         or array of times ``u``; an array in gives an array of its shape out."""
-        arr = self.x if index < self.n else self.s
-        out = self._locate(u).value(arr[index % self.n]).reshape(np.shape(u))
+        out = self._locate(u).value(self._series(index)[0]).reshape(np.shape(u))
         return out if out.ndim else float(out)
 
     def slope(self, index: int, u: float | np.ndarray) -> float | np.ndarray:
@@ -244,13 +251,13 @@ class Trajectory:
         history slope at the very first point); between grid points, the
         quotient of the panel containing the query.
         """
-        states, declared = (self.x, self.dx) if index < self.n else (self.s, self.ds)
-        row, times = index % self.n, self.times
+        states, declared = self._series(index)
+        times = self.times
         k = self._locate(u).hi
         first = k == 0
         prev = k - 1 + first  # the first point has no panel; 1 keeps its width nonzero
-        quotient = (states[row, k] - states[row, prev]) / (times[k] - times[prev] + first)
-        out = np.where(first, declared[row, 0], quotient).reshape(np.shape(u))
+        quotient = (states[k] - states[prev]) / (times[k] - times[prev] + first)
+        out = np.where(first, declared[0], quotient).reshape(np.shape(u))
         return out if out.ndim else float(out)
 
     # -- export ----------------------------------------------------------

@@ -36,6 +36,10 @@ group identities exact to rounding on purely discrete scales.
 
 Numerical conventions
 ---------------------
+* One tolerance, ``POINT_TOL``, in time units (not lattice steps), decides
+  every membership, lattice-index and snap question.  Graininess is read off
+  the grid walk that builds every grid (:meth:`TimeScale.grid_with_graininess`),
+  so scalar queries and grids agree.
 * Dense quadrature is the trapezoid rule on panels **anchored at the start of
   each dense piece**.  An integration bound falling strictly inside a panel
   is handled by integrating the anchored piecewise-linear interpolant of the
@@ -69,8 +73,9 @@ __all__ = [
     "circle_minus",
 ]
 
-# Tolerance for deciding whether a floating-point time coincides with a grid
-# node / piece boundary.  All membership and snapping questions use it.
+# Tolerance, in time units, for deciding whether a floating-point time
+# coincides with a grid node / piece boundary.  All membership, index and
+# snapping questions use it.
 POINT_TOL = 1e-9
 
 # Half-width of the central difference at left-dense points.
@@ -120,39 +125,34 @@ class LatticePiece:
             raise TimeScaleError(f"lattice spacing must be positive, got {self.spacing}")
         if self.start > self.stop:
             raise TimeScaleError("piece start must not exceed stop")
-        snapped_start = self.start
-        snapped_stop = self.stop
-        if math.isfinite(self.start):
-            k = math.ceil((self.start - self.anchor) / self.spacing - POINT_TOL)
-            snapped_start = self.anchor + k * self.spacing
-        if math.isfinite(self.stop):
-            k = math.floor((self.stop - self.anchor) / self.spacing + POINT_TOL)
-            snapped_stop = self.anchor + k * self.spacing
-        if snapped_start > snapped_stop + POINT_TOL:
+        start, stop = self.start, self.stop
+        if math.isfinite(start):
+            start = self.anchor + self._index(start, math.ceil) * self.spacing
+        if math.isfinite(stop):
+            stop = self.anchor + self._index(stop, math.floor) * self.spacing
+        if start > stop:
             raise TimeScaleError("lattice piece contains no node")
-        object.__setattr__(self, "start", snapped_start)
-        object.__setattr__(self, "stop", snapped_stop)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "stop", stop)
+
+    def _index(self, t: float, rounding: Callable[[float], int]) -> int:
+        """Index of the node at or below t (``math.floor``) or at or above it
+        (``math.ceil``); a node within ``POINT_TOL`` of t counts as either."""
+        shift = POINT_TOL if rounding is math.floor else -POINT_TOL
+        return rounding((t + shift - self.anchor) / self.spacing)
 
     def contains(self, t: float) -> bool:
-        if t < self.start - POINT_TOL or t > self.stop + POINT_TOL:
-            return False
-        k = (t - self.anchor) / self.spacing
-        return abs(k - round(k)) * self.spacing <= POINT_TOL
+        node = self.anchor + self._index(t, math.floor) * self.spacing
+        return self.start <= node <= self.stop and t - node <= POINT_TOL
 
     def snap_down(self, t: float) -> float:
         """Largest node <= t (assumes start - tol <= t)."""
-        t = min(t, self.stop)
-        k = math.floor((t - self.anchor) / self.spacing + POINT_TOL)
-        return self.anchor + k * self.spacing
+        return self.anchor + self._index(min(t, self.stop), math.floor) * self.spacing
 
     def nodes(self, lo: float, hi: float) -> np.ndarray:
         """All nodes in [lo, hi] (clipped to the piece)."""
-        lo = max(lo, self.start)
-        hi = min(hi, self.stop)
-        if lo > hi + POINT_TOL:
-            return np.empty(0)
-        k_lo = math.ceil((lo - self.anchor) / self.spacing - POINT_TOL)
-        k_hi = math.floor((hi - self.anchor) / self.spacing + POINT_TOL)
+        k_lo = self._index(max(lo, self.start), math.ceil)
+        k_hi = self._index(min(hi, self.stop), math.floor)
         if k_hi < k_lo:
             return np.empty(0)
         return self.anchor + self.spacing * np.arange(k_lo, k_hi + 1, dtype=float)
@@ -284,26 +284,13 @@ class TimeScale:
 
     def backward_jump(self, t: float) -> float:
         """rho(t): the closest scale point strictly below t (rho(min) = min)."""
-        self._require_member(t)
-        i = self._index_at_or_before(t)
-        piece = self.pieces[i]
-        if isinstance(piece, DensePiece):
-            if t > piece.start + POINT_TOL:
-                return t
-        else:
-            node = piece.snap_down(t)
-            if node - piece.spacing >= piece.start - POINT_TOL:
-                return node - piece.spacing
-        # t sits at the start of its piece: jump across the gap (or stay put
-        # at the global minimum).
-        if i > 0:
-            return self.pieces[i - 1].stop
-        return piece.start
+        return self.snap_down(t - self.graininess(t))
 
     def graininess(self, t: float) -> float:
-        """nu(t) = t - rho(t); zero exactly at left-dense points."""
-        nu = t - self.backward_jump(t)
-        return 0.0 if nu <= POINT_TOL else nu
+        """nu(t) = t - rho(t), read off the grid walk; zero exactly at
+        left-dense points."""
+        self._require_member(t)
+        return float(self.grid_with_graininess(t, t)[1][0])
 
     def snap_down(self, t: float) -> float:
         """The largest scale point <= t (tolerance ``POINT_TOL``).
@@ -381,22 +368,18 @@ class TimeScale:
         Exact backward difference quotient at left-scattered points; central
         difference of half-width ``DERIVATIVE_STEP`` at left-dense points
         (backward difference at a piece's right endpoint).  Undefined at the
-        scale minimum when that minimum is left-dense.
+        scale minimum, dense or lattice, where rho(min) = min.
         """
-        self._require_member(t)
-        rho = self.backward_jump(t)
-        nu = t - rho
-        if nu > POINT_TOL:
-            return (float(f(t)) - float(f(rho))) / nu
-        i = self._index_at_or_before(t)
-        piece = self.pieces[i]
-        if not isinstance(piece, DensePiece):  # pragma: no cover - defensive
-            raise DerivativeUndefinedError(f"point {t!r} is isolated")
-        room_left = t - piece.start
-        if room_left <= POINT_TOL:
+        nu = self.graininess(t)
+        if nu > 0.0:
+            return (float(f(t)) - float(f(self.snap_down(t - nu)))) / nu
+        if t - self.pieces[0].start <= POINT_TOL:
             raise DerivativeUndefinedError(
-                f"nabla derivative undefined at the left-dense minimum {t!r}"
+                f"nabla derivative undefined at the scale minimum {t!r}"
             )
+        # a left-dense point that is not the minimum lies inside a dense piece
+        piece = self.pieces[self._index_at_or_before(t)]
+        room_left = t - piece.start
         room_right = piece.stop - t
         h = min(DERIVATIVE_STEP, room_left)
         if room_right > h - POINT_TOL and room_right > POINT_TOL:
@@ -418,36 +401,31 @@ class TimeScale:
         widths = np.diff(g, prepend=g[:1])
         return g, widths, (nu <= widths / 2) & (widths > 0)
 
-    def _interpolated_value(self, piece: DensePiece, x: float, f: Callable) -> float:
-        """Anchored piecewise-linear interpolant of ``f`` evaluated at ``x``."""
-        k = math.floor((x - piece.start) / piece.step + POINT_TOL)
-        e0 = piece.start + k * piece.step
-        if abs(x - e0) <= POINT_TOL:
-            return float(f(e0))
-        e1 = min(e0 + piece.step, piece.stop)
-        f0, f1 = float(f(e0)), float(f(e1))
-        return f0 + (f1 - f0) * (x - e0) / (e1 - e0)
-
-    def _sampled_values(self, f: Callable, g: np.ndarray) -> np.ndarray:
-        """f on the grid, with off-edge window endpoints interpolated.
+    def _sampled(
+        self, f: Callable, a: float, b: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The grid over [a, b], its panel widths and dense mask (entry 0
+        dropped), and ``f`` on the grid.
 
         Interior grid nodes are always anchored panel edges or lattice nodes;
-        only the first/last node of a requested window can fall strictly
-        inside a dense panel.  Those get the interpolant's value so that
-        integrals are exactly additive (module docstring).
+        only the first/last node of a window can fall strictly inside a dense
+        panel.  Those get the value of the anchored piecewise-linear
+        interpolant of ``f``, so that integrals are exactly additive (module
+        docstring).
         """
+        g, widths, dense = self.panels(a, b)
         vals = _eval_on(f, g)
-        if g.size == 0:
-            return vals
-        for idx in {0, g.size - 1}:
+        for idx in {0, g.size - 1} if g.size else ():
             x = float(g[idx])
-            i = self._index_at_or_before(x)
-            piece = self.pieces[i]
+            piece = self.pieces[self._index_at_or_before(x)]
             if isinstance(piece, DensePiece):
                 k = (x - piece.start) / piece.step
                 if abs(k - round(k)) * piece.step > POINT_TOL:
-                    vals[idx] = self._interpolated_value(piece, x, f)
-        return vals
+                    e0 = piece.start + math.floor(k + POINT_TOL) * piece.step
+                    e1 = min(e0 + piece.step, piece.stop)
+                    f0, f1 = float(f(e0)), float(f(e1))
+                    vals[idx] = f0 + (f1 - f0) * (x - e0) / (e1 - e0)
+        return g, widths[1:], dense[1:], vals
 
     def nabla_integral(self, f: Callable[[float], float], a: float, b: float) -> float:
         """The nabla integral of ``f`` over (a, b], signed in the bounds.
@@ -462,9 +440,7 @@ class TimeScale:
         self._require_member(b, "upper bound")
         if b - a <= POINT_TOL:
             return 0.0
-        g, widths, dense = self.panels(a, b)
-        widths, dense = widths[1:], dense[1:]
-        vals = self._sampled_values(f, g)
+        g, widths, dense, vals = self._sampled(f, a, b)
         trap = 0.5 * widths * (vals[:-1] + vals[1:])
         jump = widths * vals[1:]
         return float(np.sum(np.where(dense, trap, jump)))
@@ -478,7 +454,8 @@ class TimeScale:
 
         Dense panels contribute the trapezoid of ``p``; a left-scattered point
         with graininess ``w`` contributes ``-log(1 - w * p)`` exactly.  Raises
-        :class:`RegressivityError` when ``1 - w * p <= 0`` anywhere.
+        :class:`RegressivityError` when ``1 - w * p`` is not positive (or NaN)
+        at a left-scattered point.
 
         A dense panel that opens at a left-scattered point samples its left
         edge just inside the panel: rates composed with the graininess (such
@@ -486,17 +463,16 @@ class TimeScale:
         the atom's own value belongs to its jump factor alone -- the dense
         stretch right of it must integrate the dense-side values.
         """
-        g, widths, dense = self.panels(a, b)
+        g, widths, dense, vals = self._sampled(p, a, b)
         if g.size < 2:
             return g, np.empty(0)
-        widths, dense = widths[1:], dense[1:]
-        vals = self._sampled_values(p, g)
         one_minus = 1.0 - widths * vals[1:]
-        bad = (~dense) & (one_minus <= 0.0)
+        bad = (~dense) & ~(one_minus > 0.0)  # NaN is not positive either
         if np.any(bad):
             where = float(g[1:][bad][0])
             raise RegressivityError(
-                f"1 - nu*p <= 0 at left-scattered point t={where!r}; "
+                f"1 - nu*p = {float(one_minus[bad][0])!r} is not positive at "
+                f"left-scattered point t={where!r}; "
                 "p is not positively nu-regressive there",
                 at_time=where,
             )
@@ -554,11 +530,11 @@ class TimeScale:
         self, p: Callable[[float], float], a: float, b: float
     ) -> bool:
         """True iff 1 - nu(t) p(t) > 0 at every left-scattered t in (a, b]."""
-        g, widths, dense = self.panels(a, b)
-        widths, dense = widths[1:], dense[1:]
-        vals = _eval_on(p, g)
-        one_minus = 1.0 - widths * vals[1:]
-        return bool(np.all(one_minus[~dense] > 0.0))
+        try:
+            self._log_increments(p, a, b)
+        except RegressivityError:
+            return False
+        return True
 
     # -- misc ---------------------------------------------------------------
 

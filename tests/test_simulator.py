@@ -493,6 +493,25 @@ def test_array_lookups_equal_scalar_lookups_on_hybrid_scale():
         traj.slope(0, np.array([1.0, first - 0.5]))
 
 
+def test_lookups_refuse_state_indices_outside_both_layers():
+    traj = simulate(two_neuron_spec(), history_pairs()["trig"][0],
+                    TimeScale.integer_lattice(), t_end=3.0)
+    for index in (-1, 2 * traj.n, 5):
+        for lookup in (traj.value, traj.slope):
+            with pytest.raises(IndexError, match="outside 0..3"):
+                lookup(index, 2.0)
+
+
+@pytest.mark.parametrize("u", [1.0 - 5e-10, 1.0 + 5e-10, 2.35 - 9e-10, 0.973])
+def test_reference_snap_matches_the_committed_grid_lookup(u):
+    # network.rhs snaps window starts with ts.snap_down; the stepper reads
+    # the same query through _Located on the grid that ts.panels builds
+    ts = test_golden.HYBRID
+    times, _, dense = ts.panels(-2.0, 20.0)
+    lo = simulator._Located(times, dense, np.array([u])).lo
+    assert ts.snap_down(u) == times[lo[0]]
+
+
 def test_csv_export_layout():
     spec = two_neuron_spec()
     hist, _ = history_pairs()["trig"]

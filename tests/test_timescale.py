@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chronoscale import (
@@ -27,6 +27,7 @@ from chronoscale import (
     circle_plus,
     cylinder,
 )
+from chronoscale.timescale import POINT_TOL
 
 EXACT = 1e-12
 SCATTERED_TOL = 1e-10
@@ -124,6 +125,34 @@ class TestStructure:
         assert ts.backward_jump(2.0) == 1.0
         assert ts.snap_down(4.2) == 3.0
 
+    @given(
+        spacing=st.sampled_from([0.01, 0.03, 0.05, 0.1, 0.5, 1.0, 2.0, 6.0]),
+        anchor=st.floats(-1.0, 1.0),
+        k=st.integers(-2000, 2000),
+        offset=st.one_of(
+            st.floats(-0.9 * POINT_TOL, 0.9 * POINT_TOL),
+            st.floats(1.1 * POINT_TOL, 4e-3),
+            st.floats(-4e-3, -1.1 * POINT_TOL),
+        ),
+    )
+    @example(spacing=0.01, anchor=0.0, k=50, offset=-5e-10)
+    @example(spacing=6.0, anchor=0.0, k=2, offset=3e-9)
+    @settings(max_examples=300, deadline=None)
+    def test_lattice_queries_share_one_tolerance(self, spacing, anchor, k, offset):
+        # offsets stay clear of +-POINT_TOL by 10% and below half a spacing
+        ts = TimeScale.integer_lattice(spacing, anchor)
+        node = anchor + k * spacing
+        t = node + offset
+        member = ts.contains(t)
+        assert member == (abs(offset) <= POINT_TOL)
+        assert ts.grid(t, t).size == (1 if member else 0)
+        if member:
+            assert ts.snap_down(t) == node
+            assert ts.graininess(t) == spacing
+            assert ts.backward_jump(t) == pytest.approx(node - spacing, abs=1e-12)
+        else:
+            assert ts.snap_down(t) == (node if offset > 0 else anchor + (k - 1) * spacing)
+
     def test_panels(self):
         # lattice nodes 1..3 are scattered; the gap to 5 is one scattered
         # panel of width 2; the dense piece's panels follow
@@ -157,9 +186,12 @@ class TestDerivative:
         # nu(2.0) = 1: exact quotient (4 - 1) / 1.
         assert union.nabla_derivative(f, 2.0) == pytest.approx(3.0, abs=EXACT)
 
-    def test_undefined_at_dense_minimum(self, interval):
+    @pytest.mark.parametrize("ts", [TimeScale.real_interval(0.0, 3.0, 0.01),
+                                    TimeScale([LatticePiece(0.0, 10.0)])],
+                             ids=["dense", "lattice"])
+    def test_undefined_at_the_minimum(self, ts):
         with pytest.raises(DerivativeUndefinedError):
-            interval.nabla_derivative(math.sin, 0.0)
+            ts.nabla_derivative(math.sin, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -306,5 +338,6 @@ class TestExponential:
     def test_positive_regressivity_scan(self, lattice, interval):
         assert lattice.is_positively_regressive(lambda t: 0.5, 0.0, 10.0)
         assert not lattice.is_positively_regressive(lambda t: 1.5, 0.0, 10.0)
+        assert not lattice.is_positively_regressive(lambda t: math.nan, 0.0, 10.0)
         # Dense windows carry no scattered points, so any p qualifies.
         assert interval.is_positively_regressive(lambda t: 99.0, 0.0, 3.0)
