@@ -62,13 +62,14 @@ def main():
           f"the backward quotient {quot:.6f}")
 
     section("CSV export")
-    out = os.path.join(tempfile.mkdtemp(prefix="chronoscale_demo_"), "run.csv")
-    traj_z.to_csv(out)
-    with open(out) as fh:
-        head = [next(fh).rstrip() for _ in range(3)]
-    print(f"  wrote {out}")
-    for line in head:
-        print(f"  {line[:76]}")
+    with tempfile.TemporaryDirectory(prefix="chronoscale_demo_") as tmp:
+        out = os.path.join(tmp, "run.csv")
+        traj_z.to_csv(out)
+        with open(out) as fh:
+            head = [next(fh).rstrip() for _ in range(3)]
+        print(f"  wrote {out}")
+        for line in head:
+            print(f"  {line[:76]}")
 
 
 if __name__ == "__main__":

@@ -75,14 +75,14 @@ def main():
           "usually much faster)")
 
     section("CSV export")
-    out = os.path.join(tempfile.mkdtemp(prefix="chronoscale_demo_"),
-                       "stability.csv")
-    write_stability_csv(report, out)
-    with open(out) as fh:
-        head = [next(fh).rstrip() for _ in range(3)]
-    print(f"  wrote {out}")
-    for line in head:
-        print(f"  {line}")
+    with tempfile.TemporaryDirectory(prefix="chronoscale_demo_") as tmp:
+        out = os.path.join(tmp, "stability.csv")
+        write_stability_csv(report, out)
+        with open(out) as fh:
+            head = [next(fh).rstrip() for _ in range(3)]
+        print(f"  wrote {out}")
+        for line in head:
+            print(f"  {line}")
 
 
 if __name__ == "__main__":

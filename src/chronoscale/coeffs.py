@@ -10,7 +10,10 @@ language so that they can be
 * bounded: interval enclosures over all t in R (Moore, *Interval Analysis*,
   1966), exact when t occurs once, with user overrides taking precedence.
 
-Grammar (prefix notation, whitespace separated, parentheses group):
+Grammar (prefix notation, whitespace separated, parentheses group).  The
+table ``_GRAMMAR`` gives each keyword its node class and its counts of
+leading numbers and sub-expressions; :func:`to_text` and :func:`parse_expr`
+both read it, so it is the one place a node kind is spelled:
 
     expr := 't'                          the time variable
           | 'const' NUM                  a constant
@@ -33,8 +36,9 @@ which encodes ``0.895 + 0.005 * sin(2.6458 * t)``.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -230,10 +234,6 @@ class Mul(CoeffExpr):
         return _mul(self.left.enclose(), self.right.enclose())
 
 
-_UNARY = {"sin": Sin, "cos": Cos, "abs": Abs, "exp": Exp, "neg": Neg}
-_BINARY = {"add": Add, "mul": Mul}
-
-
 # ---------------------------------------------------------------------------
 # stacked evaluation
 # ---------------------------------------------------------------------------
@@ -302,129 +302,92 @@ class ExprStack:
 # ---------------------------------------------------------------------------
 
 
+# keyword: (node class, count of leading numbers, count of sub-expressions)
+_GRAMMAR = {
+    "t": (TimeVar, 0, 0), "const": (Const, 1, 0),
+    "sin": (Sin, 0, 1), "cos": (Cos, 0, 1), "abs": (Abs, 0, 1), "exp": (Exp, 0, 1),
+    "neg": (Neg, 0, 1), "scale": (Scale, 1, 1), "affine": (Affine, 2, 1),
+    "add": (Add, 0, 2), "mul": (Mul, 0, 2),
+}
+_KEYWORDS = {cls: word for word, (cls, _, _) in _GRAMMAR.items()}
+_TOKEN = re.compile(r"[(),]|[^\s(),]+")
+
+
 def _num(x: float) -> str:
     return format(float(x), ".17g")
 
 
 def _arg_text(e: CoeffExpr) -> str:
-    """Render a sub-expression as an argument: atoms bare, others in parens."""
-    if isinstance(e, (Const, TimeVar)):
-        return to_text(e)
-    return f"({to_text(e)})"
+    """Render a sub-expression as an argument: atoms (no sub-expressions)
+    bare, others in parens."""
+    text = to_text(e)
+    return text if _GRAMMAR[_KEYWORDS[type(e)]][2] == 0 else f"({text})"
 
 
 def to_text(e: CoeffExpr) -> str:
     """Serialise an expression to the grammar in the module docstring."""
-    if isinstance(e, TimeVar):
-        return "t"
-    if isinstance(e, Const):
-        return f"const {_num(e.value)}"
-    if isinstance(e, Scale):
-        return f"scale {_num(e.factor)} {_arg_text(e.arg)}"
-    if isinstance(e, Affine):
-        return f"affine {_num(e.slope)} {_num(e.offset)} {_arg_text(e.arg)}"
-    if isinstance(e, Add):
-        return f"add({to_text(e.left)}, {to_text(e.right)})"
-    if isinstance(e, Mul):
-        return f"mul({to_text(e.left)}, {to_text(e.right)})"
-    for name, cls in _UNARY.items():
-        if isinstance(e, cls):
-            return f"{name} {_arg_text(e.arg)}"
-    raise ExprParseError(f"cannot serialise {e!r}")
+    word = _KEYWORDS.get(type(e))
+    if word is None:
+        raise ExprParseError(f"cannot serialise {e!r}")
+    _, nums, subs = _GRAMMAR[word]
+    fields = [getattr(e, name) for name in e.__match_args__]
+    if subs == 2:
+        return f"{word}({to_text(fields[0])}, {to_text(fields[1])})"
+    return " ".join([word, *map(_num, fields[:nums]), *map(_arg_text, fields[nums:])])
 
 
-def _tokenize(text: str) -> list[str]:
-    out: list[str] = []
-    word = ""
-    for ch in text:
-        if ch in "(),":
-            if word:
-                out.append(word)
-                word = ""
-            out.append(ch)
-        elif ch.isspace():
-            if word:
-                out.append(word)
-                word = ""
-        else:
-            word += ch
-    if word:
-        out.append(word)
-    return out
+def _take(tokens: Iterator[str], text: str) -> str:
+    tok = next(tokens, None)
+    if tok is None:
+        raise ExprParseError(f"unexpected end of expression in {text!r}")
+    return tok
 
 
-class _Tokens:
-    def __init__(self, toks: list[str], text: str):
-        self.toks = toks
-        self.pos = 0
-        self.text = text
-
-    def peek(self) -> str | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ExprParseError(f"unexpected end of expression in {self.text!r}")
-        self.pos += 1
-        return tok
-
-    def expect(self, what: str) -> None:
-        tok = self.next()
-        if tok != what:
-            raise ExprParseError(
-                f"expected {what!r} but found {tok!r} in {self.text!r}"
-            )
-
-    def number(self) -> float:
-        tok = self.next()
-        try:
-            return float(tok)
-        except ValueError:
-            raise ExprParseError(f"expected a number, found {tok!r} in {self.text!r}")
+def _expect(tokens: Iterator[str], what: str, text: str) -> None:
+    tok = _take(tokens, text)
+    if tok != what:
+        raise ExprParseError(f"expected {what!r} but found {tok!r} in {text!r}")
 
 
-def _parse(tokens: _Tokens) -> CoeffExpr:
-    tok = tokens.next()
-    if tok == "(":
-        inner = _parse(tokens)
-        tokens.expect(")")
-        return inner
-    if tok == "t":
-        return TimeVar()
-    if tok == "const":
-        return Const(tokens.number())
-    if tok == "scale":
-        return Scale(tokens.number(), _parse(tokens))
-    if tok == "affine":
-        slope = tokens.number()
-        offset = tokens.number()
-        return Affine(slope, offset, _parse(tokens))
-    if tok in _UNARY:
-        return _UNARY[tok](_parse(tokens))
-    if tok in _BINARY:
-        cls = _BINARY[tok]
-        tokens.expect("(")
-        left = _parse(tokens)
-        tokens.expect(",")
-        right = _parse(tokens)
-        tokens.expect(")")
-        return cls(left, right)
-    # Bare numeric literal: convenient shorthand for a constant.
+def _number(tokens: Iterator[str], text: str) -> float:
+    tok = _take(tokens, text)
     try:
-        return Const(float(tok))
+        return float(tok)
     except ValueError:
-        raise ExprParseError(f"unknown token {tok!r} in {tokens.text!r}")
+        raise ExprParseError(f"expected a number, found {tok!r} in {text!r}") from None
+
+
+def _parse(tokens: Iterator[str], text: str) -> CoeffExpr:
+    tok = _take(tokens, text)
+    if tok == "(":
+        inner = _parse(tokens, text)
+        _expect(tokens, ")", text)
+        return inner
+    if tok not in _GRAMMAR:
+        try:  # a bare numeric literal is shorthand for a constant
+            return Const(float(tok))
+        except ValueError:
+            raise ExprParseError(f"unknown token {tok!r} in {text!r}") from None
+    cls, nums, subs = _GRAMMAR[tok]
+    fields = [_number(tokens, text) for _ in range(nums)]
+    if subs == 2:
+        _expect(tokens, "(", text)
+        fields.append(_parse(tokens, text))
+        _expect(tokens, ",", text)
+        fields.append(_parse(tokens, text))
+        _expect(tokens, ")", text)
+    elif subs:
+        fields.append(_parse(tokens, text))
+    return cls(*fields)
 
 
 def parse_expr(text: str) -> CoeffExpr:
     """Parse expression text; inverse of :func:`to_text`."""
-    tokens = _Tokens(_tokenize(text), text)
-    expr = _parse(tokens)
-    if tokens.peek() is not None:
-        raise ExprParseError(
-            f"trailing tokens {tokens.toks[tokens.pos:]} in {text!r}"
-        )
+    tokens = iter(_TOKEN.findall(text))
+    expr = _parse(tokens, text)
+    rest = list(tokens)
+    if rest:
+        raise ExprParseError(f"trailing tokens {rest} in {text!r}")
     return expr
 
 

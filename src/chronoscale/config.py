@@ -249,6 +249,10 @@ def _build_network(items: list[tuple[int, str, str]],
         raise _at_line(exc, _as_map(items, "network")) from None
 
 
+# each [history] key prefix and the HistorySpec field its n expressions fill
+_HISTORY_KEYS = {"phi": "stm", "phi_nabla": "stm_slope", "psi": "ltm", "psi_nabla": "ltm_slope"}
+
+
 def _build_history(items: list[tuple[int, str, str]], n: int) -> HistorySpec:
     table = _as_map(items, "history")
     if "window" not in table:
@@ -266,11 +270,10 @@ def _build_history(items: list[tuple[int, str, str]], n: int) -> HistorySpec:
             out.append(_parse_expr_value(value, line_no, key))
         return tuple(out)
 
-    stm, stm_slope, ltm, ltm_slope = (need(p) for p in ("phi", "phi_nabla", "psi", "psi_nabla"))
+    fields = {name: need(prefix) for prefix, name in _HISTORY_KEYS.items()}
     _reject_stray(table, "history")
     try:
-        return HistorySpec(stm=stm, stm_slope=stm_slope, ltm=ltm, ltm_slope=ltm_slope,
-                           window=window)
+        return HistorySpec(window=window, **fields)
     except FieldError as exc:
         raise _at_line(exc, _as_map(items, "history")) from None
 
@@ -352,22 +355,25 @@ def _boolean(raw: str) -> bool:
     return {"true": True, "false": False}[raw.lower()]
 
 
-# how each [run] key reads its text, and what the text must be
-_RUN_READERS = {
-    "t_end": (float, "a number"), "t0": (float, "a number"), "r": (float, "a number"),
-    "corrector_iters": (int, "an integer"),
-    "include_delayed_feedback": (_boolean, "true or false"),
+# each [run] key in file order: how it reads its text, what the text must be,
+# and how its value is written
+_RUN_KEYS = {
+    "t_end": (float, "a number", repr),
+    "t0": (float, "a number", repr),
+    "corrector_iters": (int, "an integer", str),
+    "r": (float, "a number", repr),
     "r_grid": (_radii, f"lo:hi:step with finite lo <= hi and a positive step, at most "
-                       f"{MAX_RADII} radii, or a list"),
+                       f"{MAX_RADII} radii, or a list", lambda v: " ".join(map(repr, v))),
+    "include_delayed_feedback": (_boolean, "true or false", lambda v: "true" if v else "false"),
 }
 
 
 def _build_run(items: list[tuple[int, str, str]]) -> RunOptions:
     table = _as_map(items, "run")
-    _reject_stray({key: entry for key, entry in table.items() if key not in _RUN_READERS}, "run")
+    _reject_stray({key: entry for key, entry in table.items() if key not in _RUN_KEYS}, "run")
     kwargs = {}
     for key, (line_no, raw) in table.items():
-        read, form = _RUN_READERS[key]
+        read, form, _ = _RUN_KEYS[key]
         try:
             kwargs[key] = read(raw)
         except (KeyError, ValueError):
@@ -426,9 +432,8 @@ def parse_history_text(text: str, n: int) -> HistorySpec:
 def serialize_history(history: HistorySpec) -> str:
     """Render a standalone ``[history]`` file (see :func:`parse_history_text`)."""
     lines = ["[history]", f"window = {history.window!r}"]
-    for prefix, group in (("phi", history.stm), ("phi_nabla", history.stm_slope),
-                          ("psi", history.ltm), ("psi_nabla", history.ltm_slope)):
-        for i, fn in enumerate(group):
+    for prefix, name in _HISTORY_KEYS.items():
+        for i, fn in enumerate(getattr(history, name)):
             if not isinstance(fn, CoeffExpr):
                 raise ValueError(
                     f"history entry {prefix}.{i + 1} is not an expression; "
@@ -474,13 +479,8 @@ def serialize_config(spec: NetworkSpec, history: HistorySpec | None = None,
     if run is not None:
         lines.append("")
         lines.append("[run]")
-        lines.append(f"t_end = {run.t_end!r}")
-        lines.append(f"t0 = {run.t0!r}")
-        lines.append(f"corrector_iters = {run.corrector_iters}")
-        if run.r is not None:
-            lines.append(f"r = {run.r!r}")
-        if run.r_grid is not None:
-            lines.append("r_grid = " + " ".join(repr(v) for v in run.r_grid))
-        lines.append("include_delayed_feedback = "
-                     + ("true" if run.include_delayed_feedback else "false"))
+        for key, (_, _, write) in _RUN_KEYS.items():
+            value = getattr(run, key)
+            if value is not None:
+                lines.append(f"{key} = {write(value)}")
     return "\n".join(lines) + "\n"

@@ -397,15 +397,17 @@ class TimeScale:
         is True when it is part of a dense stretch (trapezoid), False when
         g[k] is a left-scattered point receiving the whole panel as jump mass.
         """
+        return self._panels_and_nu(a, b)[:3]
+
+    def _panels_and_nu(self, a: float, b: float) -> tuple[np.ndarray, ...]:
+        """:meth:`panels` plus nu of every grid node, from one grid walk."""
         g, nu = self.grid_with_graininess(a, b)
         widths = np.diff(g, prepend=g[:1])
-        return g, widths, (nu <= widths / 2) & (widths > 0)
+        return g, widths, (nu <= widths / 2) & (widths > 0), nu
 
-    def _sampled(
-        self, f: Callable, a: float, b: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _sampled(self, f: Callable, a: float, b: float) -> tuple[np.ndarray, ...]:
         """The grid over [a, b], its panel widths and dense mask (entry 0
-        dropped), and ``f`` on the grid.
+        dropped), ``f`` on the grid, and nu of every grid node.
 
         Interior grid nodes are always anchored panel edges or lattice nodes;
         only the first/last node of a window can fall strictly inside a dense
@@ -413,7 +415,7 @@ class TimeScale:
         interpolant of ``f``, so that integrals are exactly additive (module
         docstring).
         """
-        g, widths, dense = self.panels(a, b)
+        g, widths, dense, nu = self._panels_and_nu(a, b)
         vals = _eval_on(f, g)
         for idx in {0, g.size - 1} if g.size else ():
             x = float(g[idx])
@@ -425,7 +427,7 @@ class TimeScale:
                     e1 = min(e0 + piece.step, piece.stop)
                     f0, f1 = float(f(e0)), float(f(e1))
                     vals[idx] = f0 + (f1 - f0) * (x - e0) / (e1 - e0)
-        return g, widths[1:], dense[1:], vals
+        return g, widths[1:], dense[1:], vals, nu
 
     def nabla_integral(self, f: Callable[[float], float], a: float, b: float) -> float:
         """The nabla integral of ``f`` over (a, b], signed in the bounds.
@@ -440,7 +442,7 @@ class TimeScale:
         self._require_member(b, "upper bound")
         if b - a <= POINT_TOL:
             return 0.0
-        g, widths, dense, vals = self._sampled(f, a, b)
+        g, widths, dense, vals, _ = self._sampled(f, a, b)
         trap = 0.5 * widths * (vals[:-1] + vals[1:])
         jump = widths * vals[1:]
         return float(np.sum(np.where(dense, trap, jump)))
@@ -463,7 +465,7 @@ class TimeScale:
         the atom's own value belongs to its jump factor alone -- the dense
         stretch right of it must integrate the dense-side values.
         """
-        g, widths, dense, vals = self._sampled(p, a, b)
+        g, widths, dense, vals, nu = self._sampled(p, a, b)
         if g.size < 2:
             return g, np.empty(0)
         one_minus = 1.0 - widths * vals[1:]
@@ -477,10 +479,7 @@ class TimeScale:
                 at_time=where,
             )
         left = vals[:-1]
-        opens_at_atom = np.zeros(len(widths), dtype=bool)
-        opens_at_atom[1:] = dense[1:] & ~dense[:-1]
-        if dense.size and dense[0] and self.graininess(float(g[0])) > 0.0:
-            opens_at_atom[0] = True
+        opens_at_atom = dense & (nu[:-1] > 0.0)
         if np.any(opens_at_atom):
             left = left.copy()
             for j in np.nonzero(opens_at_atom)[0]:

@@ -67,6 +67,23 @@ class TestEvaluation:
         assert Const(3.0)(np.zeros(5)).shape == (5,)
 
 
+def _exprs(depth: int):
+    """Grammar expressions of nesting depth <= ``depth`` over all 11 node kinds."""
+    num = st.floats(-3.0, 3.0, allow_nan=False)
+    leaves = st.just(T) | st.builds(Const, num)
+    if depth == 0:
+        return leaves
+    sub = _exprs(depth - 1)
+    return st.one_of(
+        leaves,
+        *(st.builds(node, sub) for node in (Sin, Cos, Abs, Exp, Neg)),
+        st.builds(Scale, num, sub),
+        st.builds(Affine, num, num, sub),
+        st.builds(Add, sub, sub),
+        st.builds(Mul, sub, sub),
+    )
+
+
 class TestSerialisation:
     def test_documented_example_parses(self):
         text = "add(const 0.895, scale 0.005 (sin (affine 2.6458 0 t)))"
@@ -88,9 +105,23 @@ class TestSerialisation:
         assert parse_expr("0.45") == Const(0.45)
 
     def test_parse_errors(self):
-        for bad in ("", "sin", "add(t)", "add(t, t", "frob 1 2", "const x", "t t"):
-            with pytest.raises(ExprParseError):
+        for bad, message in [
+            ("", "unexpected end of expression in ''"),
+            ("sin", "unexpected end of expression in 'sin'"),
+            ("add(t)", "expected ',' but found ')' in 'add(t)'"),
+            ("add(t, t", "unexpected end of expression in 'add(t, t'"),
+            ("add t t", "expected '(' but found 't' in 'add t t'"),
+            ("(t", "unexpected end of expression in '(t'"),
+            ("frob 1 2", "unknown token 'frob' in 'frob 1 2'"),
+            (")", "unknown token ')' in ')'"),
+            ("const x", "expected a number, found 'x' in 'const x'"),
+            ("affine 1 t t", "expected a number, found 't' in 'affine 1 t t'"),
+            ("t t", "trailing tokens ['t'] in 't t'"),
+            ("add(t, t)) sin", "trailing tokens [')', 'sin'] in 'add(t, t)) sin'"),
+        ]:
+            with pytest.raises(ExprParseError) as info:
                 parse_expr(bad)
+            assert str(info.value) == message
 
     @given(
         a=st.floats(-2.0, 2.0, allow_nan=False),
@@ -102,6 +133,15 @@ class TestSerialisation:
         e = Add(Const(a), Scale(b, Sin(Affine(w, 0.0, T))))
         again = parse_expr(to_text(e))
         assert again == e
+
+    @given(e=_exprs(4))
+    @example(e=Affine(math.inf, -0.0, Cos(Mul(Const(-math.inf), Scale(1e-300, T)))))
+    @example(e=Neg(Exp(Add(Const(1e300), Abs(Const(-0.0))))))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_every_node_kind(self, e):
+        again = parse_expr(to_text(e))
+        assert again == e
+        assert to_text(again) == to_text(e)  # also tells -0.0 from 0.0
 
 
 class TestBounds:
@@ -124,23 +164,6 @@ class TestBounds:
 
     def test_override_record(self):
         assert BoundPair(0.9, 0.89).source == "override"
-
-
-def _exprs(depth: int):
-    """Grammar expressions of nesting depth <= ``depth`` over all 11 node kinds."""
-    num = st.floats(-3.0, 3.0, allow_nan=False)
-    leaves = st.just(T) | st.builds(Const, num)
-    if depth == 0:
-        return leaves
-    sub = _exprs(depth - 1)
-    return st.one_of(
-        leaves,
-        *(st.builds(node, sub) for node in (Sin, Cos, Abs, Exp, Neg)),
-        st.builds(Scale, num, sub),
-        st.builds(Affine, num, num, sub),
-        st.builds(Add, sub, sub),
-        st.builds(Mul, sub, sub),
-    )
 
 
 class TestEnclosure:

@@ -73,13 +73,19 @@ def distinct_constant_spec(n=3):
     return NetworkSpec(n=n, activations=(ACTIVATIONS["tanh"],) * n, **vectors, **matrices)
 
 
-@pytest.mark.parametrize("spec, hist", [
-    (two_neuron_spec(), history_pairs()["trig"][0]),
-    (distinct_constant_spec(), None),
-], ids=["two-neuron", "distinct-n3"])
-def test_serialize_parse_roundtrip_is_bit_identical(spec, hist):
-    run = RunOptions(t_end=25.0, r=0.45, include_delayed_feedback=False)
-    text = serialize_config(spec, hist, {"kind": "Z"}, run)
+_RUN = RunOptions(t_end=25.0, r=0.45, include_delayed_feedback=False)
+
+
+@pytest.mark.parametrize("spec, hist, desc, run", [
+    (two_neuron_spec(), history_pairs()["trig"][0], {"kind": "Z"}, _RUN),
+    (distinct_constant_spec(), None, {"kind": "Z"}, _RUN),
+    (two_neuron_spec(), history_pairs()["trig"][1],
+     {"kind": "union", "step": "0.02", "intervals": "-3,30;32,50"},
+     RunOptions(t_end=40.0, t0=-1.5, corrector_iters=7, r_grid=(0.1, 0.25, 0.45),
+                include_delayed_feedback=True)),
+], ids=["two-neuron", "distinct-n3", "union-r-grid"])
+def test_serialize_parse_roundtrip_is_bit_identical(spec, hist, desc, run):
+    text = serialize_config(spec, hist, desc, run)
     cfg = parse_config(text)
     again = serialize_config(cfg.spec, cfg.history, cfg.timescale_desc, cfg.run)
     assert again == text
@@ -93,6 +99,31 @@ def test_serialize_parse_roundtrip_is_bit_identical(spec, hist):
             assert pair.sup_abs == abs(expr(0.0))
     listed = [line.split(":")[0].strip() for line in bounds.summary_lines()[1:-1]]
     assert listed == [key for key, _, _ in NetworkSpec.coefficient_keys(spec.n)]
+
+
+def test_run_and_history_lines_are_pinned():
+    hist = HistorySpec(stm=(Const(0.5),), stm_slope=(Const(0.0),),
+                       ltm=(Scale(2.0, TimeVar()),), ltm_slope=(Const(2.0),), window=1.5)
+    text = serialize_config(scalar_spec(), hist, None,
+                            RunOptions(t_end=12.5, t0=-1.0, corrector_iters=3,
+                                       r_grid=(0.1, 0.2), include_delayed_feedback=False))
+    tail = text[text.index("[history]"):]
+    assert tail == ("[history]\n"
+                    "window = 1.5\n"
+                    "phi.1 = const 0.5\n"
+                    "phi_nabla.1 = const 0\n"
+                    "psi.1 = scale 2 t\n"
+                    "psi_nabla.1 = const 2\n"
+                    "\n"
+                    "[run]\n"
+                    "t_end = 12.5\n"
+                    "t0 = -1.0\n"
+                    "corrector_iters = 3\n"
+                    "r_grid = 0.1 0.2\n"
+                    "include_delayed_feedback = false\n")
+    assert serialize_config(scalar_spec(), run=RunOptions(r=0.3)).endswith(
+        "[run]\nt_end = 50.0\nt0 = 0.0\ncorrector_iters = 4\nr = 0.3\n"
+        "include_delayed_feedback = true\n")
 
 
 def test_parsed_objects_match_source(bench_cfg):

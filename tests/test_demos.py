@@ -28,9 +28,11 @@ _MARKERS = {
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(script, src_env):
+def test_demo_runs(script, src_env, tmp_path):
+    # the demo's temporary files go under tmp_path, which it must leave empty
     proc = subprocess.run([sys.executable, str(script)], capture_output=True,
-                          text=True, timeout=300, env=src_env)
+                          text=True, timeout=300, env={**src_env, "TMPDIR": str(tmp_path)})
     assert proc.returncode == 0, proc.stderr
     for marker in _MARKERS[script.name]:
         assert marker in proc.stdout, f"{script.name}: missing {marker!r}"
+    assert not any(tmp_path.iterdir()), f"{script.name} left {sorted(tmp_path.iterdir())}"
