@@ -48,6 +48,7 @@ from .conditions import (
     search_r,
 )
 from .config import (
+    TIMESCALE_KINDS,
     ConfigError,
     RunConfig,
     RunOptions,
@@ -74,6 +75,11 @@ EXIT_RUNTIME = 3
 # ---------------------------------------------------------------------------
 
 
+# --timescale spells each TIMESCALE_KINDS row by its name, and :<value> for its flag key
+_FLAG_METAVAR = "{%s}" % "|".join(f"{kind}:<{flag}>" if flag else kind
+                                  for kind, (_, _, flag) in TIMESCALE_KINDS.items())
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chronoscale",
@@ -83,36 +89,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_timescale_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--timescale", metavar="{Z|R|union:<a,b;c,d;...>}",
-                       help="override the [timescale] section: Z (unit "
-                            "lattice), R (continuum grid; span inferred "
-                            "from the run), or union:<a,b;c,d;...> (closed "
-                            "intervals joined by jumps)")
+    def command(name: str, about: str, config: str = "configuration file"):
+        """A subcommand that reads ``config`` and takes the time-scale flags."""
+        p = sub.add_parser(name, help=about)
+        p.add_argument("config", help=config)
+        p.add_argument("--timescale", metavar=_FLAG_METAVAR,
+                       help="override the [timescale] section with a scale of "
+                            "this kind (R spans the run and its history)")
         p.add_argument("--h", type=float, metavar="STEP",
                        help="grid step for dense scales (default 0.01)")
+        return p
 
-    p_check = sub.add_parser("check", help="bounds + solvability report")
-    p_check.add_argument("config", help="configuration file")
-    p_check.add_argument("--r", type=float, metavar="RADIUS",
-                         help="check this invariance radius only")
-    add_timescale_flags(p_check)
+    command("check", "bounds + solvability report").add_argument(
+        "--r", type=float, metavar="RADIUS", help="check this invariance radius only")
+    command("certificate", "decay certificate (lambda, M)").add_argument(
+        "--r", type=float, metavar="RADIUS", help="invariance radius for the feasibility gate")
 
-    p_cert = sub.add_parser("certificate", help="decay certificate (lambda, M)")
-    p_cert.add_argument("config", help="configuration file")
-    p_cert.add_argument("--r", type=float, metavar="RADIUS",
-                        help="invariance radius for the feasibility gate")
-    add_timescale_flags(p_cert)
-
-    p_sim = sub.add_parser("simulate", help="integrate and write trajectory CSV")
-    p_sim.add_argument("config", help="configuration file")
+    p_sim = command("simulate", "integrate and write trajectory CSV")
     p_sim.add_argument("--t-end", dest="t_end", type=float, metavar="T")
     p_sim.add_argument("--out", metavar="PATH", help="CSV path (default: stdout)")
-    add_timescale_flags(p_sim)
 
-    p_stab = sub.add_parser("stability",
-                            help="paired simulation + certificate + bound check")
-    p_stab.add_argument("config", help="configuration file (primary history)")
+    p_stab = command("stability", "paired simulation + certificate + bound check",
+                     "configuration file (primary history)")
     p_stab.add_argument("--history2", metavar="PATH",
                         help="file with the second [history] section")
     p_stab.add_argument("--t-end", dest="t_end", type=float, metavar="T")
@@ -121,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="V",
                         help="replace the certified decay rate by V "
                              "(testing only; breaks the guarantee)")
-    add_timescale_flags(p_stab)
 
     p_ex = sub.add_parser("example",
                           help="materialize the built-in benchmark and run "
@@ -152,13 +149,13 @@ def _resolve_timescale(args: argparse.Namespace, cfg: RunConfig,
                        t_end: float, required: bool = True) -> TimeScale | None:
     """Pick the time scale: the --timescale flag wins over the config section.
 
-    The flag is translated into a ``[timescale]`` description and ``--h``
-    sets its ``step``; both then go through :func:`build_timescale`, which
-    rejects ``--h`` on a kind that reads no step.
+    The flag names a row of :data:`TIMESCALE_KINDS`, its ``:<value>`` sets the
+    row's flag key, and ``R`` spans the run.  ``--h`` sets the description's
+    ``step``; it then goes through :func:`build_timescale`, which rejects
+    ``--h`` on a kind that reads no step.
     """
     flag = getattr(args, "timescale", None)
     h = getattr(args, "h", None)
-    kind = (flag or "").strip()
     if not flag:
         if cfg.timescale is None and (required or h is not None):
             needs = "--h needs a time scale: " if h is not None else ""
@@ -166,17 +163,16 @@ def _resolve_timescale(args: argparse.Namespace, cfg: RunConfig,
         if cfg.timescale is None or h is None:
             return cfg.timescale
         desc = dict(cfg.timescale_desc)
-    elif kind.upper() == "Z":
-        desc = {"kind": "Z"}
-    elif kind.upper() == "R":
-        window = cfg.history.window if cfg.history is not None else 1.0
-        desc = {"kind": "R", "start": repr(cfg.run.t0 - window - 0.5),
-                "stop": repr(t_end), "step": "0.01"}
-    elif kind.upper().startswith("UNION:"):
-        desc = {"kind": "union", "intervals": kind[len("union:"):]}
     else:
-        raise ConfigError(
-            f"unknown --timescale value {flag!r} (expected Z, R, or union:<...>)")
+        name, colon, value = flag.strip().partition(":")
+        desc = next(({"kind": kind, **({key: value} if colon else {})}
+                     for kind, (_, _, key) in TIMESCALE_KINDS.items()
+                     if kind.upper() == name.upper() and bool(colon) == bool(key)), None)
+        if desc is None:
+            raise ConfigError(f"unknown --timescale value {flag!r} (expected {_FLAG_METAVAR})")
+        if desc["kind"] == "R":  # the grid spans the run and its history
+            window = cfg.history.window if cfg.history is not None else 1.0
+            desc.update(start=repr(cfg.run.t0 - window - 0.5), stop=repr(t_end), step="0.01")
     source = f"--timescale {flag!r}" if flag else "[timescale]"
     if h is not None:
         desc["step"] = repr(h)
@@ -361,6 +357,20 @@ _HANDLERS = {
 }
 
 
+# each failure a command may end in, subclasses before their bases: its
+# stderr prefix (formatted with the exception as ``exc``) and exit code
+_FAILURES = (
+    (ConfigError, "config error", EXIT_CONFIG),
+    (InfeasibleError, "infeasible", EXIT_INFEASIBLE),
+    (ConditionsError, "conditions error", EXIT_CONFIG),
+    (RegressivityError, "regressivity violated", EXIT_INFEASIBLE),
+    (StepFailureError, "step failure at t = {exc.t:g}", EXIT_RUNTIME),
+    (SimulationError, "simulation error", EXIT_RUNTIME),
+    (TimeScaleError, "time-scale error", EXIT_CONFIG),
+    (OSError, "i/o error", EXIT_CONFIG),
+)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -368,33 +378,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad usage, 0 on --help
         code = exc.code
         return code if isinstance(code, int) else EXIT_CONFIG
-    handler = _HANDLERS[args.command]
     try:
-        return handler(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ConditionsError as exc:
-        print(f"conditions error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except RegressivityError as exc:
-        print(f"regressivity violated: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except StepFailureError as exc:
-        print(f"step failure at t = {exc.t:g}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except SimulationError as exc:
-        print(f"simulation error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except TimeScaleError as exc:
-        print(f"time-scale error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _HANDLERS[args.command](args)
+    except tuple(kind for kind, _, _ in _FAILURES) as exc:
+        prefix, code = next((prefix, code) for kind, prefix, code in _FAILURES
+                            if isinstance(exc, kind))
+        print(f"{prefix.format(exc=exc)}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

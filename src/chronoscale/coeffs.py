@@ -328,7 +328,7 @@ def to_text(e: CoeffExpr) -> str:
     """Serialise an expression to the grammar in the module docstring."""
     word = _KEYWORDS.get(type(e))
     if word is None:
-        raise ExprParseError(f"cannot serialise {e!r}")
+        raise ExprParseError(f"cannot serialise {type(e).__name__}")
     _, nums, subs = _GRAMMAR[word]
     fields = [getattr(e, name) for name in e.__match_args__]
     if subs == 2:

@@ -17,7 +17,8 @@ headers.  ``#`` starts a comment; blank lines are ignored.  Sections:
 
 ``[bounds]`` (optional)
     Overrides for the enclosed coefficient bounds, keyed like the
-    coefficients: ``key = sup`` or ``key = sup inf``.
+    coefficients: ``key = sup`` or ``key = sup inf``, checked by
+    :class:`NetworkSpec`.
 
 ``[history]`` (optional)
     ``window`` plus expressions ``phi.i`` / ``phi_nabla.i`` (short-term
@@ -25,11 +26,9 @@ headers.  ``#`` starts a comment; blank lines are ignored.  Sections:
     at relative times ``s <= 0``.
 
 ``[timescale]`` (optional)
-    ``kind = Z`` with optional ``spacing``/``anchor``; ``kind = R`` with
-    ``start``, ``stop``, ``step``; ``kind = union`` with ``intervals = a,b;
-    c,d; ...`` (or ``a b; c d; ...``) and optional ``step`` (default 0.01).
-    Any other key is an error.  :func:`build_timescale` turns the section
-    into a ``TimeScale``.
+    ``kind`` and the keys its row of :data:`TIMESCALE_KINDS` reads; any
+    other key is an error.  :func:`build_timescale` turns the section into a
+    ``TimeScale``.
 
 ``[run]`` (optional)
     ``t_end``, ``t0``, ``corrector_iters``, ``r`` or ``r_grid`` (not both;
@@ -56,6 +55,7 @@ __all__ = [
     "ConfigError",
     "RunOptions",
     "RunConfig",
+    "TIMESCALE_KINDS",
     "build_timescale",
     "parse_config",
     "parse_history_text",
@@ -163,11 +163,12 @@ def _at_line(exc: FieldError, table: Mapping[str, tuple[int, str]]) -> ConfigErr
     return ConfigError(f"line {line_no}: {exc}")
 
 
-def _parse_float(value: str, line_no: int, key: str) -> float:
+def _number(key: str, text: str, line_no: int | None = None) -> float:
     try:
-        return float(value)
+        return float(text)
     except ValueError:
-        raise ConfigError(f"line {line_no}: {key} must be a number, got {value!r}") from None
+        where = f"line {line_no}: " if line_no is not None else ""
+        raise ConfigError(f"{where}{key} must be a number, got {text!r}") from None
 
 
 def _parse_expr_value(value: str, line_no: int, key: str) -> CoeffExpr:
@@ -207,7 +208,7 @@ def _build_network(items: list[tuple[int, str, str]],
         activations.append(ACTIVATIONS[name])
         if f"L.{i}" in table:
             line_no, raw = table.pop(f"L.{i}")
-            lipschitz.append(_parse_float(raw, line_no, f"L.{i}"))
+            lipschitz.append(_number(f"L.{i}", raw, line_no))
         else:
             lipschitz.append(activations[-1].lipschitz)
 
@@ -221,21 +222,14 @@ def _build_network(items: list[tuple[int, str, str]],
     _reject_stray(table, "network")
 
     overrides: dict[str, BoundPair] = {}
-    if bound_items:
-        valid_keys = {key for key, _, _ in NetworkSpec.coefficient_keys(n)}
-        for key, (line_no, value) in _as_map(bound_items, "bounds").items():
-            if key not in valid_keys:
-                raise ConfigError(f"line {line_no}: unknown [bounds] key {key!r}")
-            parts = value.split()
-            if len(parts) not in (1, 2):
-                raise ConfigError(
-                    f"line {line_no}: bounds need 'sup' or 'sup inf', got {value!r}")
-            sup = _parse_float(parts[0], line_no, key)
-            inf = _parse_float(parts[1], line_no, key) if len(parts) == 2 else 0.0
-            if not (0.0 <= inf <= sup < math.inf):
-                raise ConfigError(
-                    f"line {line_no}: bounds of {key} need finite 0 <= inf <= sup, got {value!r}")
-            overrides[key] = BoundPair(sup, inf, "override")
+    bounds = _as_map(bound_items or [], "bounds")
+    for key, (line_no, value) in bounds.items():
+        parts = value.split()
+        if len(parts) not in (1, 2):
+            raise ConfigError(f"line {line_no}: bounds need 'sup' or 'sup inf', got {value!r}")
+        sup = _number(key, parts[0], line_no)
+        inf = _number(key, parts[1], line_no) if len(parts) == 2 else 0.0
+        overrides[key] = BoundPair(sup, inf, "override")
 
     try:
         return NetworkSpec(
@@ -246,7 +240,8 @@ def _build_network(items: list[tuple[int, str, str]],
             **coeffs,
         )
     except FieldError as exc:
-        raise _at_line(exc, _as_map(items, "network")) from None
+        # NetworkSpec checks overrides before L.i, so a key [bounds] holds is the culprit
+        raise _at_line(exc, {**_as_map(items, "network"), **bounds}) from None
 
 
 # each [history] key prefix and the HistorySpec field its n expressions fill
@@ -258,7 +253,7 @@ def _build_history(items: list[tuple[int, str, str]], n: int) -> HistorySpec:
     if "window" not in table:
         raise ConfigError("[history] section must set window")
     line_no, raw = table.pop("window")
-    window = _parse_float(raw, line_no, "window")
+    window = _number("window", raw, line_no)
 
     def need(prefix: str) -> tuple[CoeffExpr, ...]:
         out = []
@@ -278,13 +273,37 @@ def _build_history(items: list[tuple[int, str, str]], n: int) -> HistorySpec:
         raise _at_line(exc, _as_map(items, "history")) from None
 
 
+def _intervals(key: str, text: str) -> list[tuple[float, ...]]:
+    """``a,b; c,d; ...`` or ``a b; c d; ...``."""
+    out = []
+    for chunk in text.split(";"):
+        ends = chunk.split(",") if "," in chunk else chunk.split()
+        if len(ends) != 2:
+            raise ValueError(f"each interval needs two endpoints, got {chunk!r}")
+        out.append(tuple(_number(key, end) for end in ends))
+    return out
+
+
+# each [timescale] kind (its name matched without regard to case): the
+# TimeScale constructor its keys feed by name, its keys in file order with
+# how each reads (key, text) and its default (None: required), and the key
+# that ``--timescale kind:<value>`` sets
+TIMESCALE_KINDS = {
+    "Z": (TimeScale.integer_lattice, {"spacing": (_number, 1.0), "anchor": (_number, 0.0)}, None),
+    "R": (TimeScale.real_interval,
+          {"start": (_number, None), "stop": (_number, None), "step": (_number, None)}, None),
+    "union": (TimeScale.union_of_intervals,
+              {"step": (_number, 0.01), "intervals": (_intervals, None)}, "intervals"),
+}
+
+
 def build_timescale(desc: Mapping[str, str],
                     lines: Mapping[str, int] | None = None) -> TimeScale:
     """Build the time scale a ``[timescale]`` description names.
 
     ``desc`` maps the section's keys to their text, as in
-    :attr:`RunConfig.timescale_desc`; union endpoints are separated by a
-    comma or by whitespace.  A key the kind does not read is an error.
+    :attr:`RunConfig.timescale_desc`, and is read by its kind's row of
+    :data:`TIMESCALE_KINDS`.  A key the kind does not read is an error.
     ``lines`` maps keys to the line numbers that prefix the diagnostics of a
     parsed file.
     """
@@ -293,42 +312,30 @@ def build_timescale(desc: Mapping[str, str],
     def fail(key: str, message: str) -> ConfigError:
         return ConfigError(f"line {lines[key]}: {message}" if key in lines else message)
 
-    def to_float(key: str, text: str) -> float:
-        try:
-            return float(text)
-        except ValueError:
-            raise fail(key, f"{key} must be a number, got {text!r}") from None
-
-    def number(key: str, default: float | None = None) -> float:
-        if key in desc:
-            return to_float(key, desc[key])
-        if default is None:
-            raise ConfigError(f"[timescale] kind R requires {key}")
-        return default
-
     if "kind" not in desc:
         raise ConfigError("[timescale] section must set kind")
-    kind = desc["kind"].strip().upper()
-    reads = {"Z": ("spacing", "anchor"), "R": ("start", "stop", "step"),
-             "UNION": ("intervals", "step")}
-    if kind not in reads:
-        raise fail("kind", f"unknown timescale kind {desc['kind']!r} (expected Z, R, or union)")
+    name = _kind_name(desc["kind"])
+    if name is None:
+        *rest, last = TIMESCALE_KINDS
+        raise fail("kind", f"unknown timescale kind {desc['kind']!r} "
+                           f"(expected {', '.join(rest)}, or {last})")
+    build, keys, _ = TIMESCALE_KINDS[name]
     _reject_stray({key: (lines.get(key), text) for key, text in desc.items()
-                   if key != "kind" and key not in reads[kind]}, "timescale")
-    if kind == "Z":
-        return TimeScale.integer_lattice(spacing=number("spacing", 1.0),
-                                         anchor=number("anchor", 0.0))
-    if kind == "R":
-        return TimeScale.real_interval(number("start"), number("stop"), number("step"))
-    if "intervals" not in desc:
-        raise ConfigError("[timescale] kind union requires intervals")
-    intervals = []
-    for chunk in desc["intervals"].split(";"):
-        ends = chunk.split(",") if "," in chunk else chunk.split()
-        if len(ends) != 2:
-            raise fail("intervals", f"each interval needs two endpoints, got {chunk!r}")
-        intervals.append(tuple(to_float("intervals", text) for text in ends))
-    return TimeScale.union_of_intervals(intervals, step=number("step", 0.01))
+                   if key != "kind" and key not in keys}, "timescale")
+    values = {}
+    for key, (read, default) in keys.items():
+        if key not in desc and default is None:
+            raise ConfigError(f"[timescale] kind {name} requires {key}")
+        try:
+            values[key] = read(key, desc[key]) if key in desc else default
+        except ValueError as exc:
+            raise fail(key, str(exc)) from None
+    return build(**values)
+
+
+def _kind_name(text: str) -> str | None:
+    """The :data:`TIMESCALE_KINDS` row ``text`` names, if any."""
+    return next((name for name in TIMESCALE_KINDS if name.upper() == text.strip().upper()), None)
 
 
 # most radii an r_grid range may hold; each is a solvability check to report
@@ -398,18 +405,13 @@ def parse_config(text: str) -> RunConfig:
     if "network" not in sections:
         raise ConfigError("configuration must contain a [network] section")
     spec = _build_network(sections["network"], sections.get("bounds"))
-    history = None
-    if "history" in sections:
-        history = _build_history(sections["history"], spec.n)
-    timescale = None
-    desc: dict[str, str] = {}
-    if "timescale" in sections:
-        table = _as_map(sections["timescale"], "timescale")
-        desc = {key: value for key, (_, value) in table.items()}
-        timescale = build_timescale(desc, {key: ln for key, (ln, _) in table.items()})
-    run = _build_run(sections.get("run", []))
+    history = _build_history(sections["history"], spec.n) if "history" in sections else None
+    table = _as_map(sections.get("timescale", []), "timescale")
+    desc = {key: value for key, (_, value) in table.items()}
+    timescale = (build_timescale(desc, {key: ln for key, (ln, _) in table.items()})
+                 if "timescale" in sections else None)
     return RunConfig(spec=spec, history=history, timescale=timescale,
-                     timescale_desc=desc, run=run)
+                     timescale_desc=desc, run=_build_run(sections.get("run", [])))
 
 
 def parse_history_text(text: str, n: int) -> HistorySpec:
@@ -448,37 +450,35 @@ def serialize_config(spec: NetworkSpec, history: HistorySpec | None = None,
     """Render a configuration as canonical text.
 
     Output is deterministic (fixed key order), and ``parse_config`` of the
-    result reproduces semantically identical objects.
+    result reproduces semantically identical objects.  A ``timescale_desc``
+    that :func:`build_timescale` refuses raises what it raises, and one with
+    a value that is not one line of text without surrounding blanks raises
+    :class:`ConfigError`, so the text is always one ``parse_config`` reads.
     """
-    lines: list[str] = ["[network]", f"n = {spec.n}"]
-    for i in range(spec.n):
-        lines.append(f"f.{i + 1} = {spec.activations[i].name}")
-    for i in range(spec.n):
-        lines.append(f"L.{i + 1} = {spec.lipschitz[i]!r}")
-    for key, expr in spec.coefficient_items():
-        lines.append(f"{key} = {to_text(expr)}")
+    lines = ["[network]", f"n = {spec.n}"]
+    lines += [f"f.{i + 1} = {act.name}" for i, act in enumerate(spec.activations)]
+    lines += [f"L.{i + 1} = {bound!r}" for i, bound in enumerate(spec.lipschitz)]
+    lines += [f"{key} = {to_text(expr)}" for key, expr in spec.coefficient_items()]
     if spec.bound_overrides:
-        lines.append("")
-        lines.append("[bounds]")
-        order = {key: pos for pos, (key, _, _) in enumerate(NetworkSpec.coefficient_keys(spec.n))}
-        for key in sorted(spec.bound_overrides, key=lambda k: order.get(k, 10**9)):
-            pair = spec.bound_overrides[key]
-            if pair.inf_abs:
-                lines.append(f"{key} = {pair.sup_abs!r} {pair.inf_abs!r}")
-            else:
-                lines.append(f"{key} = {pair.sup_abs!r}")
+        lines += ["", "[bounds]"]
+        for key, _, _ in NetworkSpec.coefficient_keys(spec.n):
+            pair = spec.bound_overrides.get(key)
+            if pair is not None:
+                inf = f" {pair.inf_abs!r}" if pair.inf_abs else ""
+                lines.append(f"{key} = {pair.sup_abs!r}{inf}")
     if history is not None:
-        lines.append("")
-        lines.extend(serialize_history(history).splitlines())
+        lines += ["", *serialize_history(history).splitlines()]
     if timescale_desc:
-        lines.append("")
-        lines.append("[timescale]")
-        for key in ("kind", "spacing", "anchor", "start", "stop", "step", "intervals"):
-            if key in timescale_desc:
-                lines.append(f"{key} = {timescale_desc[key]}")
+        build_timescale(timescale_desc)
+        lines += ["", "[timescale]"]
+        for key in ("kind", *TIMESCALE_KINDS[_kind_name(timescale_desc["kind"])][1]):
+            value = timescale_desc.get(key)
+            if value is not None and value.strip().splitlines() != [value]:
+                raise ConfigError(f"[timescale] {key} = {value!r} is not one line of text")
+            if value is not None:
+                lines.append(f"{key} = {value}")
     if run is not None:
-        lines.append("")
-        lines.append("[run]")
+        lines += ["", "[run]"]
         for key, (_, _, write) in _RUN_KEYS.items():
             value = getattr(run, key)
             if value is not None:

@@ -134,6 +134,8 @@ class NetworkSpec:
 
     ``bound_overrides`` maps coefficient keys (``"alpha.1"``, ``"D.2.1"``,
     ... -- 1-based) to :class:`BoundPair` values that replace enclosed bounds.
+    A key outside ``coefficient_keys(n)`` or a pair not finite with ``0 <= inf
+    <= sup`` raises :class:`FieldError`, checked before the Lipschitz bounds.
     """
 
     n: int
@@ -171,6 +173,13 @@ class NetworkSpec:
             )
         elif len(self.lipschitz) != n:
             raise ValueError(f"need {n} Lipschitz constants")
+        keys = {key for key, _, _ in self.coefficient_keys(n)}
+        for key, pair in self.bound_overrides.items():
+            if key not in keys:
+                raise FieldError((key,), f"unknown [bounds] key {key!r}")
+            if not 0.0 <= pair.inf_abs <= pair.sup_abs < math.inf:
+                raise FieldError((key,), f"bounds of {key} need finite 0 <= inf <= sup, "
+                                         f"got sup {pair.sup_abs!r}, inf {pair.inf_abs!r}")
         for i, (act, bound) in enumerate(zip(self.activations, self.lipschitz)):
             if not act.lipschitz <= bound < math.inf:
                 key = f"L.{i + 1}"

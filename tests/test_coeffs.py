@@ -123,6 +123,17 @@ class TestSerialisation:
                 parse_expr(bad)
             assert str(info.value) == message
 
+    def test_unknown_node_kind_is_named_not_recursed_into(self):
+        # CoeffExpr.__repr__ calls to_text, so the error must not format the node
+        class Ramp(CoeffExpr):
+            def __call__(self, t):
+                return t
+
+        with pytest.raises(ExprParseError, match="^cannot serialise Ramp$"):
+            to_text(Ramp())
+        with pytest.raises(ExprParseError, match="^cannot serialise Ramp$"):
+            to_text(Add(Const(1.0), Ramp()))
+
     @given(
         a=st.floats(-2.0, 2.0, allow_nan=False),
         b=st.floats(-2.0, 2.0, allow_nan=False),

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronoscale.benchmark import history_pairs, two_neuron_spec
 from chronoscale.cli import _resolve_timescale, build_parser, main
@@ -20,8 +22,9 @@ from chronoscale.config import (
     serialize_config,
     serialize_history,
 )
-from chronoscale.network import ACTIVATIONS, NetworkSpec
+from chronoscale.network import ACTIVATIONS, FieldError, NetworkSpec
 from chronoscale.simulator import HistorySpec
+from chronoscale.timescale import TimeScaleError
 
 
 def scalar_spec():
@@ -194,6 +197,106 @@ def test_union_interval_syntaxes_build_the_same_scale(tmp_path):
         parse_config(f"{base}[timescale]\nkind = union\nintervals = 0,1,2\n")
     with pytest.raises(ConfigError, match=f"line {line + 1}: unknown \\[timescale\\] key 'stpe'"):
         parse_config(f"{base}[timescale]\nkind = union\nintervals = -3,2; 2.5,8\nstpe = 0.05\n")
+
+
+@pytest.mark.parametrize("desc, message", [
+    ({"kind": "Z", "start": "0"}, "unknown \\[timescale\\] key 'start'"),
+    ({"kind": "Z", "foo": "1"}, "unknown \\[timescale\\] key 'foo'"),
+    ({"kind": "R", "start": "0", "stop": "1"}, "\\[timescale\\] kind R requires step"),
+    ({"kind": "lattice"}, "unknown timescale kind 'lattice' \\(expected Z, R, or union\\)"),
+    ({"kind": "union", "intervals": "0,1; x,3"}, "intervals must be a number, got ' x'"),
+    ({"kind": "union", "intervals": "0,1;\n2,3"}, "not one line of text"),
+    ({"kind": "Z", "spacing": " 2"}, "not one line of text"),
+])
+def test_serialize_refuses_a_timescale_parse_config_refuses(desc, message):
+    with pytest.raises(ConfigError, match=message):
+        serialize_config(scalar_spec(), None, desc)
+
+
+_SCALAR = scalar_spec()
+_FINITE = st.floats(0.0, 1e3, allow_nan=False)
+
+
+@st.composite
+def _timescale_descs(draw):
+    """A [timescale] description, and whether a corruption was applied to it."""
+    kind = draw(st.sampled_from(["Z", "R", "union"]))
+    num = lambda lo, hi: repr(draw(st.floats(lo, hi, allow_nan=False)))
+    if kind == "Z":
+        desc = {"spacing": num(0.1, 5.0), "anchor": num(-5.0, 5.0)}
+        desc = {key: value for key, value in desc.items() if draw(st.booleans())}
+    elif kind == "R":
+        start = draw(st.floats(-5.0, 0.0))
+        desc = {"start": repr(start), "stop": repr(start + draw(st.floats(0.5, 50.0))),
+                "step": num(0.01, 0.5)}
+    else:
+        ends = sorted(draw(st.lists(st.integers(-50, 60), min_size=2, max_size=6, unique=True)))
+        sep, join = draw(st.sampled_from([(",", ";"), (" ", "; "), (",", "; ")]))
+        desc = {"intervals": join.join(f"{a}{sep}{b}" for a, b in zip(ends[::2], ends[1::2]))}
+        if draw(st.booleans()):
+            desc["step"] = num(0.01, 0.5)
+    desc = {"kind": draw(st.sampled_from([kind, kind.lower(), kind.upper()])), **desc}
+    corruptions = draw(st.lists(st.sampled_from(
+        ["stray key", "missing key", "unknown kind", "non-numeric", "padded"]), max_size=2))
+    for corruption in corruptions:
+        key = draw(st.sampled_from(sorted(desc) or ["kind"]))
+        if corruption == "stray key":
+            desc[draw(st.sampled_from(["spacing", "anchor", "start", "stop", "step",
+                                       "intervals", "foo"]))] = "1"
+        elif corruption == "missing key":
+            desc.pop(key, None)
+        elif corruption == "unknown kind":
+            desc["kind"] = draw(st.sampled_from(["lattice", "hybrid", "", "Z R"]))
+        elif corruption == "non-numeric":
+            desc[key] = draw(st.sampled_from(["abc", "1..2", "", "0,1;2", "1 2"]))
+        else:
+            desc[key] = draw(st.sampled_from([" {}", "{}\n", "{}\nstep = 2", "{}\r"])).format(
+                desc.get(key, "1"))
+    return desc, bool(corruptions)
+
+
+@st.composite
+def _override_tables(draw):
+    """A [bounds] table for the one-neuron spec, and whether it was corrupted."""
+    keys = [key for key, _, _ in NetworkSpec.coefficient_keys(1)]
+    table = {}
+    for key in draw(st.lists(st.sampled_from(keys), max_size=4, unique=True)):
+        inf, sup = sorted((draw(_FINITE), draw(_FINITE)))
+        table[key] = BoundPair(sup, inf if draw(st.booleans()) else 0.0)
+    corruptions = draw(st.lists(st.sampled_from(
+        ["negative", "inverted", "non-finite", "outside the model"]), max_size=2))
+    for corruption in corruptions:
+        key = draw(st.sampled_from(keys))
+        if corruption == "negative":
+            table[key] = BoundPair(-draw(st.floats(1e-9, 10.0)), 0.0)
+        elif corruption == "inverted":
+            table[key] = BoundPair(1.0, 1.0 + draw(st.floats(1e-9, 10.0)))
+        elif corruption == "non-finite":
+            bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+            table[key] = draw(st.sampled_from([BoundPair(bad, 0.0), BoundPair(1.0, bad)]))
+        else:
+            table[draw(st.sampled_from(["alpha.2", "D.1.2", "D.2.1", "L.1", "foo"]))] = \
+                BoundPair(1.0, 0.0)
+    return table, bool(corruptions)
+
+
+@given(drawn_desc=_timescale_descs(), drawn_table=_override_tables())
+@settings(max_examples=150, deadline=None)
+def test_serialized_timescale_and_bounds_reparse_to_the_same_bytes(drawn_desc, drawn_table):
+    (desc, bad_desc), (table, bad_table) = drawn_desc, drawn_table
+    try:
+        spec = dataclasses.replace(_SCALAR, bound_overrides=table)
+    except FieldError:
+        assert bad_table
+        spec = _SCALAR
+    try:
+        text = serialize_config(spec, None, desc, RunOptions())
+    except (ConfigError, TimeScaleError):
+        assert bad_desc
+        return
+    cfg = parse_config(text)
+    assert cfg.spec.bound_overrides == spec.bound_overrides
+    assert serialize_config(cfg.spec, cfg.history, cfg.timescale_desc, cfg.run) == text
 
 
 def test_parse_history_text_roundtrip():
@@ -506,6 +609,38 @@ def test_bad_timescale_flags_are_config_errors(bench_cfg, tmp_path, capsys):
         err = captured.err.splitlines()
         assert captured.out == "" and len(err) == 1, argv
         assert err[0].startswith("config error: ") and named in err[0], argv
+
+
+def test_timescale_flag_is_spelled_from_the_kind_table(bench_cfg, capsys):
+    for value in ("lattice", "Z:2", "union", "R:0,1"):
+        assert main(["check", str(bench_cfg), "--timescale", value]) == 2
+        assert _one_config_error(capsys) == (
+            f"config error: unknown --timescale value {value!r} "
+            f"(expected {{Z|R|union:<intervals>}})")
+    # kind names match without regard to case, as in a [timescale] section
+    for value in ("z", "r", "UNION:-3,30;32,50"):
+        assert main(["check", str(bench_cfg), "--timescale", value]) == 0
+        capsys.readouterr()
+    assert main(["check", "--help"]) == 0
+    assert "--timescale {Z|R|union:<intervals>}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("desc, edit, flags, code, prefix", [
+    # the reference model on 8Z; see tests/test_soundness_corpus.py
+    ({"kind": "Z", "spacing": "8"}, None, (), 3, "step failure at t = 8: step to t=8.0 failed"),
+    ({"kind": "R", "start": "-2", "stop": "16", "step": "0.1"}, ("stop = 16", "stop = -5"),
+     (), 2, "time-scale error: dense piece needs stop > start"),
+    ({"kind": "Z"}, None, ("--out", "no-such-dir/traj.csv"), 2, "i/o error: "),
+])
+def test_failures_map_to_stderr_prefix_and_exit_code(desc, edit, flags, code, prefix,
+                                                      tmp_path, capsys):
+    text = serialize_config(two_neuron_spec(), history_pairs()["trig"][0], desc,
+                            RunOptions(t_end=16.0))
+    path = tmp_path / "run.cfg"
+    path.write_text(text.replace(*edit) if edit else text)
+    assert main(["simulate", str(path), *flags]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix), err
 
 
 def test_module_entry_point(bench_cfg, src_env):

@@ -10,7 +10,7 @@ import pytest
 import test_memory
 from chronoscale import network
 from chronoscale.benchmark import two_neuron_spec
-from chronoscale.coeffs import Const, Scale, Sin, TimeVar
+from chronoscale.coeffs import BoundPair, Const, Scale, Sin, TimeVar
 from chronoscale.network import ACTIVATIONS, NetworkSpec, rhs
 from chronoscale.simulator import HistorySpec, simulate
 from chronoscale.timescale import TimeScale
@@ -124,6 +124,25 @@ def test_unsound_lipschitz_bound_rejected():
     for bound in (0.4, -5.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="L.1 = .* must be finite and at least"):
             scalar_spec(activations=(ACTIVATIONS["sin_half"],), lipschitz=(bound,))
+
+
+@pytest.mark.parametrize("key, pair, message", [
+    ("D.1.1", BoundPair(-5.0, 0.0), "bounds of D.1.1 need finite 0 <= inf <= sup"),
+    ("alpha.1", BoundPair(0.5, 0.9), "bounds of alpha.1 need finite"),
+    ("c.2", BoundPair(0.5, -0.1), "bounds of c.2 need finite"),
+    ("eta.1", BoundPair(math.nan, 0.0), "bounds of eta.1 need finite"),
+    ("I.1", BoundPair(math.inf, 0.0), "bounds of I.1 need finite"),
+    ("alpha.3", BoundPair(1.0, 0.5), "unknown \\[bounds\\] key 'alpha.3'"),
+    ("D.1.3", BoundPair(1.0, 0.0), "unknown \\[bounds\\] key 'D.1.3'"),
+    ("L.1", BoundPair(1.0, 0.0), "unknown \\[bounds\\] key 'L.1'"),
+])
+def test_unsound_or_stray_bound_override_rejected(key, pair, message):
+    # compute_bounds would use a negative sup in Pbar and kappa, and ignore a
+    # key outside the model; both refusals match what parse_config reports
+    spec = two_neuron_spec()
+    with pytest.raises(network.FieldError, match=message) as info:
+        dataclasses.replace(spec, bound_overrides={**spec.bound_overrides, key: pair})
+    assert info.value.keys == (key,)
 
 
 def test_coefficient_items_keys_and_count():

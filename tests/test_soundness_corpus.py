@@ -1,0 +1,63 @@
+"""Soundness corpus: every issued certificate must hold on the run it certifies.
+
+One table of cases, each the reference model with its ``trig`` history pair,
+the radius ``r = 0.45`` and ``include_delayed_feedback=False`` (the settings
+of ``chronoscale example``) on one time scale, spelled as a ``[timescale]``
+description.  The property is the one the certificate promises: either no
+certificate is issued, or both histories simulate and ``verify_bound`` finds
+no violation.  A case that breaks it today is a strict expected failure whose
+reason is the finding, so a change that mends it has to flip the mark.
+"""
+
+import pytest
+
+from chronoscale.analyzer import verify_bound
+from chronoscale.benchmark import history_pairs, two_neuron_spec
+from chronoscale.conditions import ConditionsError, compute_bounds, find_lambda, search_r
+from chronoscale.config import build_timescale
+from chronoscale.simulator import StepFailureError, simulate
+
+
+def _xfail(raises, reason):
+    return pytest.mark.xfail(strict=True, raises=raises, reason=reason)
+
+
+_SNAPPED_LEAK = ("t - eta(t) snaps down to rho(t) on a lattice, so the realised leak "
+                 "delay is the spacing while the bounds use eta+ = 0.06")
+_WIDE_GAP = "fixed-point correction does not converge across a wide gap"
+
+# (id, [timescale] description, t_end, mark or None)
+CASES = [
+    ("Z", {"kind": "Z"}, 200.0, None),
+    ("4Z", {"kind": "Z", "spacing": "4"}, 40.0,
+     _xfail(AssertionError, f"certificate violated on 4Z: {_SNAPPED_LEAK}")),
+    ("6Z", {"kind": "Z", "spacing": "6"}, 60.0,
+     _xfail(AssertionError, f"certificate violated on 6Z: {_SNAPPED_LEAK}")),
+    ("8Z", {"kind": "Z", "spacing": "8"}, 40.0,
+     _xfail(StepFailureError, f"certified on 8Z, then a step fails at t = 8: {_SNAPPED_LEAK}")),
+    ("gap-2", {"kind": "union", "intervals": "-3,30;32,60"}, 60.0, None),
+    ("gap-5", {"kind": "union", "intervals": "-3,30;35,60"}, 60.0,
+     _xfail(StepFailureError, f"a step fails at t = 35: {_WIDE_GAP}")),
+    ("gap-20", {"kind": "union", "intervals": "-3,110;130,140"}, 140.0,
+     _xfail(StepFailureError, f"a step fails at t = 130: {_WIDE_GAP}")),
+]
+
+
+@pytest.mark.parametrize("desc, t_end", [
+    pytest.param(desc, t_end, id=case_id, marks=mark or ())
+    for case_id, desc, t_end, mark in CASES])
+def test_certificate_is_refused_or_holds(desc, t_end):
+    spec = two_neuron_spec()
+    hist_a, hist_b = history_pairs()["trig"]
+    ts = build_timescale(desc)
+    bounds = compute_bounds(spec, ts)
+    f0 = tuple(a.at_zero for a in spec.activations)
+    if search_r(bounds, spec.lipschitz, f0, (0.45,), include_delayed_feedback=False) is None:
+        return
+    try:
+        cert = find_lambda(bounds, spec.lipschitz, include_delayed_feedback=False)
+    except ConditionsError:
+        return
+    traj_a, traj_b = (simulate(spec, hist, ts, t_end) for hist in (hist_a, hist_b))
+    report = verify_bound(traj_a, traj_b, hist_a, hist_b, cert, ts)
+    assert not report.violated, report.to_text()
