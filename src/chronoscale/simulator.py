@@ -50,15 +50,22 @@ activations is linear in the columns, so a plan row is a sparse linear map:
 flat indices into the buffer, a weight per index that folds in the
 coefficient, the interpolation or partial-panel weight and the sign of a
 prefix difference, and the output entry of each term, plus the lagged
-lookups' indices, weights and coefficients.  A step picks its plan row,
-writes the state being solved for into its grid column, so that queries
-landing in the live panel read it like committed values, and evaluates the
-right-hand side as one gather and ``bincount`` for the linear terms and one
-for the lagged activations.  Table, located queries and plan of a chunk
-stay within ``CHUNK_BYTES`` (0.5 MiB), so the working set is flat in the
-grid length; a whole-grid table alone would hold 1.7 MiB for a two-neuron
-dense run of 5,000 steps.  A history lookup that reaches below the grid
-raises when a step uses its row, not when the row is compiled.
+lookups' indices, weights and coefficients.  A chunk also holds each grid
+point's panel masses: the weights that the integrands' samples at the
+panel's two ends, ``V[k-1]`` and ``V[k]``, carry in its integral.  A step
+picks its plan row and *opens* its grid column once: the part of the prefix
+integrals ``F[k]`` that does not depend on the column, ``F[k-1]`` plus the
+left mass times ``V[k-1]``, is formed then.  Every state the step tries
+(predictor, each corrector pass, the commit) is then one *live-column
+write*: the state, its integrand samples ``f`` and the opened prefix plus
+the right mass times them, so that queries landing in the live panel read
+it like committed values.  The right-hand side is one gather for the linear
+terms and one for the lagged activations, written into one buffer that one
+``bincount`` sums.  Table, located queries and plan of a chunk stay within
+``CHUNK_BYTES`` (0.5 MiB), so the working set is flat in the grid length; a
+whole-grid table alone would hold 1.7 MiB for a two-neuron dense run of
+5,000 steps.  A history lookup that reaches below the grid raises when a
+step uses its row, not when the row is compiled.
 """
 
 from __future__ import annotations
@@ -83,7 +90,8 @@ __all__ = [
     "distance_series",
 ]
 
-# Budget of one compiled chunk: its coefficient table, located queries and plan, 0.5 MiB.
+# Budget of one compiled chunk: its coefficient table, located queries and
+# plan with the panel masses that open each column, 0.5 MiB.
 CHUNK_BYTES = 1 << 19
 
 
@@ -313,6 +321,10 @@ class _Engine:
     ``4n..6n-1`` are ``F``, the prefix integrals of ``V``'s rows from the
     grid start, and row ``6n`` holds ones.  ``Y``, ``V`` and ``F`` are views
     of ``G``; the derivative traces ``dY`` are an array of their own.
+
+    A step writes only its own column: :meth:`_open` forms the part of
+    ``F[:, k]`` that does not depend on it once, and every state the step
+    tries, like every history column, goes in through :meth:`_write`.
     """
 
     def __init__(self, spec: NetworkSpec, history: HistorySpec, ts: TimeScale,
@@ -342,11 +354,12 @@ class _Engine:
         self.Gf = self.G.ravel()
         self.Y, self.V, self.F = self.G[:2 * n], self.G[2 * n:4 * n], self.G[4 * n:6 * n]
         self.dY = np.zeros((2 * n, N))
-        # The mass of panel k in V's rows is w * (left * V[k-1] + right * V[k]):
-        # the trapezoid of f(x) on dense panels, the right-end atom of f(x)
-        # on scattered ones, and f(slope) constant over every panel.
-        self.mass_dense = (np.repeat([0.5, 0.0], n), np.repeat([0.5, 1.0], n))
-        self.mass_scattered = (np.zeros(2 * n), np.ones(2 * n))
+        # F[:, k] = F_open + right * V[:, k]: _open forms F_open once per
+        # step, and every write of column k adds the second part
+        self.F_open, self.live = np.empty(2 * n), None
+        # the activations' arguments at the live column: x, then its panel slope
+        self.z = np.empty(2 * n)
+        self.z_x, self.z_slope = self.z[:n], self.z[n:]
         neurons = np.arange(n)
         self.f = _activation(spec, np.tile(neurons, 2))
         self.f_lag = _activation(spec, np.tile(neurons, n))
@@ -355,26 +368,31 @@ class _Engine:
         # x_i and S_i, sigma_ij and zeta_ij open the windows of the integrals
         # of V's rows 2n + j and 3n + j, and tau_ij looks up x_j.
         nn = n * n
-        self.pairs_i, pairs_j = np.repeat(neurons, n), np.tile(neurons, n)
+        pairs_i, pairs_j = np.repeat(neurons, n), np.tile(neurons, n)
         self.lag_rows = pairs_j * N
         leaks, windows = np.arange(2 * n), np.concatenate((pairs_j, n + pairs_j))
-        pairs2 = np.tile(self.pairs_i, 2)
+        pairs2 = np.tile(pairs_i, 2)
         # The linear terms of a plan row, in order: Y and F at the leaks' and
         # windows' lo; Y and V at their hi; V at the spread windows' lo; then
         # at column k, S_i (B), f(x_i) (E), the ones (I, J), f(x_j) (D) and
-        # F at the windows' end.  Each reads G's row g and adds to entry out.
+        # F at the windows' end.  Each reads G's row g and adds to entry out;
+        # the lagged activations follow them in out.
         g = np.concatenate((leaks, 4 * n + windows, leaks, 2 * n + windows, 2 * n + pairs_j,
                             n + neurons, 2 * n + neurons, np.full(2 * n, 6 * n),
                             2 * n + pairs_j, 4 * n + windows))
-        self.out = np.concatenate((leaks, pairs2, leaks, pairs2, self.pairs_i,
+        self.out = np.concatenate((leaks, pairs2, leaks, pairs2, pairs_i,
                                    neurons, n + neurons, neurons, n + neurons,
-                                   self.pairs_i, pairs2))
+                                   pairs_i, pairs2, pairs_i))
         self.row_offsets = g * N
+        # _rhs writes every term into one buffer, which one bincount sums
+        self.terms = np.empty(len(self.out))
+        self.linear, self.lagged = self.terms[:len(g)], self.terms[len(g):]
         # A compile holds the chunk's table, the four arrays of its located
-        # queries and its plan: idx and w, five arrays of the lags, the reach.
+        # queries and its plan: idx and w, five arrays of the lags, the
+        # reach and the two panel masses.
         table_row = 8 * (len(spec.VECTOR_FIELDS) * n + len(spec.MATRIX_FIELDS) * nn)
         located_row = 32 * (2 * n + 3 * nn)
-        plan_row = 16 * len(g) + 40 * nn + 8
+        plan_row = 16 * len(g) + 40 * nn + 8 + 32 * n
         self.chunk_len = max(2, CHUNK_BYTES // (table_row + located_row + plan_row))
         self.chunk, self.chunk_start, self.chunk_end = None, 0, 0
 
@@ -385,23 +403,53 @@ class _Engine:
         for row, fn in enumerate(history.stm_slope + history.ltm_slope):
             self.dY[row, :k0 + 1] = _eval_on(fn, rel)
         self.V[:, 0] = self.f(np.concatenate((self.Y[:n, 0], self.dY[:n, 0])))
-        for k in range(1, k0 + 1):
-            self._set_column(k, self.Y[:, k])
+        for start in range(1, k0 + 1, self.chunk_len):  # the masses a chunk at a time
+            masses = self._masses(start, min(start + self.chunk_len, k0 + 1))
+            for k, left, right in zip(range(start, k0 + 1), *masses):
+                self._open(k, left, right)
+                self._write(self.Y[:, k])
 
         self.prev_rhs: np.ndarray | None = None
 
     # -- grid columns ------------------------------------------------------
 
-    def _set_column(self, k: int, y: np.ndarray) -> np.ndarray:
-        """Make ``y`` the state at grid point ``k``, with its integrand
-        samples and prefix integrals, and return its backward panel slopes."""
-        n, w, V = self.n, self.width[k], self.V
-        self.Y[:, k] = y
-        slopes = (y - self.Y[:, k - 1]) / w
-        V[:, k] = self.f(np.concatenate((y[:n], slopes[:n])))
-        left, right = self.mass_dense if self.dense[k] else self.mass_scattered
-        self.F[:, k] = self.F[:, k - 1] + w * (left * V[:, k - 1] + right * V[:, k])
-        return slopes
+    def _masses(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """The weights ``left`` and ``right`` of grid points ``start`` to
+        ``stop - 1``, one row each: the mass of panel ``k`` in V's rows is
+        ``left[k] * V[k-1] + right[k] * V[k]``, the trapezoid of f(x) on
+        dense panels, the right-end atom of f(x) on scattered ones, and
+        f(slope) constant over every panel."""
+        n, width = self.n, self.width[start:stop, None]
+        dense = self.dense[start:stop, None]
+        left = width * np.where(dense, np.repeat([0.5, 0.0], n), 0.0)
+        right = width * np.where(dense, np.repeat([0.5, 1.0], n), 1.0)
+        return left, right
+
+    def _open(self, k: int, left: np.ndarray, right: np.ndarray) -> None:
+        """Make grid point ``k``, with panel masses ``left`` and ``right``,
+        the live column that :meth:`_write` writes.
+
+        The part of ``F[:, k]`` that does not depend on the column,
+        ``F[:, k-1] + left * V[:, k-1]``, is formed here, once per step.
+        """
+        np.multiply(left, self.V[:, k - 1], out=self.F_open)
+        self.F_open += self.F[:, k - 1]
+        self.live = (self.Y[:, k], self.Y[:self.n, k - 1], self.width[k],
+                     self.V[:, k], self.F[:, k], right)
+
+    def _write(self, y: np.ndarray) -> None:
+        """Make ``y`` the state at the live grid point, with its integrand
+        samples ``V = f(x, slope of x)`` and prefix integrals
+        ``F = F_open + right * V``."""
+        y_k, x_prev, width, v_k, f_k, right = self.live
+        y_k[:] = y
+        x = y[:self.n]
+        self.z_x[:] = x
+        np.subtract(x, x_prev, out=self.z_slope)
+        self.z_slope /= width
+        v_k[:] = v = self.f(self.z)
+        np.multiply(right, v, out=f_k)
+        f_k += self.F_open
 
     def _compile(self, start: int) -> None:
         """Compile the plan of up to ``chunk_len`` grid points from ``start``.
@@ -442,7 +490,7 @@ class _Engine:
         at = _Located(self.times, self.dense, np.minimum(np.subtract(t, u, out=u), t, out=u))
         del u  # the query times, not needed once located
 
-        idx = np.empty((rows, len(self.out)), dtype=np.intp)
+        idx = np.empty((rows, len(self.row_offsets)), dtype=np.intp)
         idx[:, :E] = at.lo[:, :E]
         idx[:, E:2 * E] = at.hi[:, :E]
         idx[:, 2 * E:2 * E + nn] = at.lo[:, L:S]
@@ -467,13 +515,14 @@ class _Engine:
         put(w[:, 2 * E + nn:-2 * nn], tbl.B, tbl.E, tbl.I, tbl.J, tbl.D)
         self.chunk = (at.reach, idx, w, at.lo[:, E:] + self.lag_rows,
                       at.hi[:, E:] + self.lag_rows, 1.0 - at.lam[:, E:],
-                      at.lam[:, E:].copy(), tbl.Dtau.reshape(rows, nn).copy())
+                      at.lam[:, E:].copy(), tbl.Dtau.reshape(rows, nn).copy(),
+                      *self._masses(start, stop))
         self.chunk_start, self.chunk_end = start, stop
 
     # -- right-hand side ---------------------------------------------------
 
-    def _plan(self, k: int) -> tuple:
-        """Row ``k`` of the compiled plan.
+    def _plan(self, k: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+        """Row ``k`` of the compiled plan and the panel masses of ``k``.
 
         Compiles the chunk from ``k`` when ``k`` lies outside the current
         one, and raises :class:`HistoryUnderflowError` when a query of row
@@ -482,17 +531,18 @@ class _Engine:
         if not self.chunk_start <= k < self.chunk_end:
             self._compile(k)
         r = k - self.chunk_start
-        reach, idx, w, tlo, thi, wl, wh, dtau = self.chunk
+        reach, idx, w, tlo, thi, wl, wh, dtau, left, right = self.chunk
         _check_reach(reach[r], self.times[0])
-        return idx[r], w[r], tlo[r], thi[r], wl[r], wh[r], dtau[r]
+        return (idx[r], w[r], tlo[r], thi[r], wl[r], wh[r], dtau[r]), left[r], right[r]
 
     def _rhs(self, plan: tuple) -> np.ndarray:
         """Both layers' right-hand sides at the grid point of ``plan``, whose
-        column must be set: the linear terms plus the lagged activations."""
+        column must be written: the linear terms plus the lagged activations."""
         idx, w, tlo, thi, wl, wh, dtau = plan
-        Gf, m = self.Gf, 2 * self.n
-        lagged = dtau * self.f_lag(wl * Gf[tlo] + wh * Gf[thi])
-        return np.bincount(self.out, w * Gf[idx], m) + np.bincount(self.pairs_i, lagged, m)
+        Gf = self.Gf
+        np.multiply(w, Gf[idx], out=self.linear)
+        np.multiply(dtau, self.f_lag(wl * Gf[tlo] + wh * Gf[thi]), out=self.lagged)
+        return np.bincount(self.out, self.terms, 2 * self.n)
 
     # -- stepping ----------------------------------------------------------
 
@@ -501,43 +551,47 @@ class _Engine:
         if self.prev_rhs is None:
             if k - 1 == 0:
                 raise SimulationError("cannot evaluate the dynamics at the grid start")
-            self.prev_rhs = self._rhs(self._plan(k - 1))
-        plan = self._plan(k)
+            self.prev_rhs = self._rhs(self._plan(k - 1)[0])
+        plan, left, right = self._plan(k)
+        self._open(k, left, right)
         y_prev = self.Y[:, k - 1]
         y_pred = y_prev + w * self.prev_rhs
         if not np.isfinite(y_pred).all():
             raise StepFailureError(float(self.times[k]), "predictor became non-finite")
-        self._set_column(k, y_pred)
+        self._write(y_pred)
         y_new = y_prev + 0.5 * w * (self.prev_rhs + self._rhs(plan))
         if not np.isfinite(y_new).all():
             raise StepFailureError(float(self.times[k]), "state became non-finite")
-        self._set_column(k, y_new)
+        self._write(y_new)
         self.prev_rhs = self.dY[:, k] = self._rhs(plan)
 
     def _step_scattered(self, k: int) -> None:
         t = float(self.times[k])
         w = self.width[k]
-        plan = self._plan(k)
+        plan, left, right = self._plan(k)
+        self._open(k, left, right)
         y_prev = y_live = self.Y[:, k - 1]
         first_gap = last_gap = 0.0
         for m in range(self.corrector_iters):
-            self._set_column(k, y_live)
+            self._write(y_live)
             y_next = y_prev + w * self._rhs(plan)
-            if not np.isfinite(y_next).all():
-                raise StepFailureError(t, "fixed-point iteration became non-finite")
+            # y_live is finite, so the gap is finite exactly when y_next is;
+            # inf and nan pass through the difference and max without a warning
             gap = float(abs(y_next - y_live).max())
+            if not math.isfinite(gap):
+                raise StepFailureError(t, "fixed-point iteration became non-finite")
             if m == 0:
                 first_gap = gap
             last_gap = gap
             y_live = y_next
-        scale = 1.0 + float(abs(y_live).max())
-        if (self.corrector_iters >= 2 and last_gap > 1e-9 * scale
-                and last_gap > 0.5 * first_gap):
+        if (self.corrector_iters >= 2 and last_gap > 0.5 * first_gap
+                and last_gap > 1e-9 * (1.0 + float(abs(y_live).max()))):
             raise StepFailureError(
                 t, f"fixed-point iteration did not contract "
                    f"(residual {last_gap:.3e} from initial {first_gap:.3e}); "
                    f"the implicit update appears divergent at this gap size")
-        self.dY[:, k] = self._set_column(k, y_live)  # y_live passed the finiteness check
+        self._write(y_live)
+        self.dY[:, k] = (y_live - y_prev) / w
         self.prev_rhs = None
 
     def run(self) -> Trajectory:

@@ -121,8 +121,12 @@ class LatticePiece:
     anchor: float = 0.0
 
     def __post_init__(self):
-        if not self.spacing > 0:
-            raise TimeScaleError(f"lattice spacing must be positive, got {self.spacing}")
+        if not math.isfinite(self.anchor):
+            raise TimeScaleError(f"lattice anchor must be finite, got {self.anchor}")
+        # a spacing at or below POINT_TOL would merge nodes the lookups tell apart
+        if not POINT_TOL < self.spacing < math.inf:
+            raise TimeScaleError(f"lattice spacing must be finite and exceed "
+                                 f"{POINT_TOL:g}, got {self.spacing}")
         if self.start > self.stop:
             raise TimeScaleError("piece start must not exceed stop")
         start, stop = self.start, self.stop

@@ -89,7 +89,7 @@ def test_decay_fit_needs_ten_positive_samples():
 
 
 def test_decay_fit_ignores_rounding_noise():
-    # past t ~ 107 the series is below 1e-14, where a converged pair is rounding noise
+    # past t ~ 92 the series is below 1e-12, where a converged pair is rounding noise
     t = np.arange(0.0, 201.0)
     noise = np.random.default_rng(0).uniform(0.0, 1e-17, t.shape)
     rate, _ = decay_fit(t, np.exp(-0.3 * t) + noise)

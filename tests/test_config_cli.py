@@ -643,6 +643,22 @@ def test_failures_map_to_stderr_prefix_and_exit_code(desc, edit, flags, code, pr
     assert len(err) == 1 and err[0].startswith(prefix), err
 
 
+@pytest.mark.parametrize("command", ["certificate", "simulate"])
+@pytest.mark.parametrize("line, message", [
+    ("anchor = nan", "lattice anchor must be finite, got nan"),
+    ("spacing = 1e-300", "lattice spacing must be finite and exceed 1e-09, got 1e-300"),
+    ("spacing = inf", "lattice spacing must be finite and exceed 1e-09, got inf"),
+], ids=["nan-anchor", "tiny-spacing", "infinite-spacing"])
+def test_malformed_lattice_is_a_time_scale_error(command, line, message, bench_cfg, capsys):
+    text = bench_cfg.read_text()
+    assert "\nkind = Z\n" in text
+    bench_cfg.write_text(text.replace("\nkind = Z\n", f"\nkind = Z\n{line}\n"))
+    assert main([command, str(bench_cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"time-scale error: {message}"]
+
+
 def test_module_entry_point(bench_cfg, src_env):
     proc = subprocess.run(
         [sys.executable, "-m", "chronoscale", "check", str(bench_cfg)],

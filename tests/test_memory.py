@@ -6,11 +6,12 @@ coefficients into one sparse linear map per grid point) in chunks of grid
 points whose table, located queries and plan together stay within a fixed
 budget, so the memory one ``simulate`` call needs beyond the trajectory it
 returns stays flat in the grid length.  numpy reports its buffers to
-tracemalloc, so the measured peak repeats exactly from run to run: 0.95 MiB
-for the reference dense run and 0.76 MiB for the 16-neuron run, which
-includes building the spec's stacked coefficients on first use (0.97 and
-0.84 MiB with a dense coupling matrix per step and a budget that counted
-the table alone, 1.11 and 1.13 MiB with a coefficient block holding several
+tracemalloc, so the measured peak repeats exactly from run to run: 0.98 MiB
+for the reference dense run and 0.79 MiB for the 16-neuron run, which
+includes building the spec's stacked coefficients on first use (0.95 and
+0.76 MiB before a chunk held its panel masses and the right-hand side a
+buffer of its terms, 0.97 and 0.84 MiB with a dense coupling matrix per
+step and a budget that counted the table alone, 1.11 and 1.13 MiB with a coefficient block holding several
 plan chunks, 1.10 and 1.06 MiB before coefficients were evaluated one
 expression shape at a time, 0.89 and 0.91 MiB before the plan was
 compiled).  A whole-grid coefficient table (1.7 MiB for the reference dense

@@ -352,14 +352,42 @@ def test_short_term_state_ignores_long_term_when_uncoupled():
     assert not np.array_equal(a.s, b.s)
 
 
-def test_divergent_fixed_point_raises_with_timestamp():
-    # On the unit lattice the implicit update contracts only when the live
-    # coefficient mass stays below one; alpha = 2.5 forces divergence.
-    spec = scalar_spec(alpha=(Const(2.5),))
+@pytest.mark.parametrize("spec, ts, message, t", [
+    # an infinite input makes the first dense step's predictor infinite
+    (scalar_spec(I=(Const(math.inf),)), TimeScale.real_interval(-1.0, 1.0, 0.01),
+     "predictor became non-finite", 0.01),
+    # the predictor reaches 1e306; at it, D f(x) = 1e308 and the input 1e308
+    # sum past the largest double in the corrector's right-hand side
+    (scalar_spec(I=(Const(1e308),), D=((Const(100.0),),)),
+     TimeScale.real_interval(-1.0, 1.0, 0.01), "state became non-finite", 0.01),
+    (scalar_spec(I=(Const(math.inf),)), TimeScale.integer_lattice(),
+     "fixed-point iteration became non-finite", 1.0),
+    # on the unit lattice the implicit update contracts only when the live
+    # coefficient mass stays below one; alpha = 2.5 forces divergence
+    (scalar_spec(alpha=(Const(2.5),)), TimeScale.integer_lattice(),
+     "fixed-point iteration did not contract (residual 3.906e+01 from initial "
+     "2.500e+00); the implicit update appears divergent at this gap size", 1.0),
+], ids=["predictor", "state", "fixed-point", "contraction"])
+def test_step_failures_name_their_check_and_time(spec, ts, message, t):
+    # RuntimeWarnings are errors here, so the checks must see inf and nan
+    # iterates without numpy warning on them first
     with pytest.raises(StepFailureError) as exc:
-        simulate(spec, flat_history(x0=1.0), TimeScale.integer_lattice(),
-                 t_end=5.0)
-    assert exc.value.t == 1.0
+        simulate(spec, flat_history(x0=1.0), ts, t_end=5.0)
+    assert exc.value.t == pytest.approx(t, abs=1e-12)
+    assert str(exc.value) == f"step to t={exc.value.t!r} failed: {message}"
+
+
+def test_prefix_integrals_are_running_sums_of_panel_masses():
+    # Recomputed from V alone: the trapezoid of f(x) on dense panels, its
+    # right-end atom on scattered ones, and f(slope) constant over each panel.
+    hist, _ = history_pairs()["trig"]
+    engine = simulator._Engine(two_neuron_spec(), hist, test_golden.HYBRID, 120.0, 0.0, 4)
+    engine.run()
+    n, V, width, dense = engine.n, engine.V, engine.width[1:], engine.dense[1:]
+    masses = np.vstack((width * np.where(dense, 0.5 * (V[:n, :-1] + V[:n, 1:]), V[:n, 1:]),
+                        width * V[n:, 1:]))
+    prefix = np.concatenate((np.zeros((2 * n, 1)), np.cumsum(masses, axis=1)), axis=1)
+    np.testing.assert_allclose(engine.F, prefix, rtol=0.0, atol=1e-12)
 
 
 def test_single_corrector_pass_skips_divergence_check():
