@@ -13,11 +13,8 @@ Run:  python3 demos/02_feasibility_check.py
 
 import numpy as np
 
-from chronoscale import check_H3, compute_bounds, search_r
+from chronoscale import activation_offsets, check_H3, compute_bounds, search_r
 from chronoscale.benchmark import two_neuron_spec
-
-LIP = (1.0, 1.0)      # activation Lipschitz constants
-F_AT_ZERO = (0.0, 0.0)  # activation values at the origin
 
 
 def section(title):
@@ -27,6 +24,8 @@ def section(title):
 
 def main():
     spec = two_neuron_spec()
+    lip = spec.lipschitz           # the model's Lipschitz bounds L_j
+    f0 = activation_offsets(spec)  # |f_j(0)|, one per activation
 
     section("coefficient envelopes")
     bounds = compute_bounds(spec)
@@ -39,14 +38,14 @@ def main():
     print(f"  decay cap min(alpha_inf, c_inf) = {bounds.decay_cap():g}")
 
     section("two-part check at radius r = 0.45")
-    report = check_H3(bounds, LIP, F_AT_ZERO, r=0.45,
+    report = check_H3(bounds, lip, f0, r=0.45,
                       include_delayed_feedback=False)
     for line in report.summary_lines():
         print(line)
 
     section("smallest feasible radius on a grid")
     grid = np.round(np.arange(0.10, 1.0 + 1e-9, 0.05), 10)
-    best = search_r(bounds, LIP, F_AT_ZERO, r_grid=grid,
+    best = search_r(bounds, lip, f0, r_grid=grid,
                     include_delayed_feedback=False)
     print(f"  grid 0.10, 0.15, ..., 1.00  ->  smallest feasible r = {best}")
 
@@ -55,7 +54,7 @@ def main():
     for key in ("D_sup", "Dtau_sup", "Dbar_sup", "Dtil_sup", "B_sup", "E_sup"):
         doubled[key] = 2.0 * doubled[key]
     stressed = type(bounds)(**doubled)
-    bad = check_H3(stressed, LIP, F_AT_ZERO, r=0.45,
+    bad = check_H3(stressed, lip, f0, r=0.45,
                    include_delayed_feedback=False)
     print(f"  kappa = {bad.kappa:.4f} (needs < 1)   "
           f"max invariance expression = {bad.max_r_expr:.4f} (needs <= 0.45)")

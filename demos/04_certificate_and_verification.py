@@ -5,8 +5,9 @@ must approach each other exponentially once the contraction check passes.
 This demo:
 
 1. computes the certificate (lambda, M) for the reference model on the
-   integer lattice -- the largest admissible decay rate keeping all four
-   margin-function families positive, with its overshoot constant,
+   integer lattice -- gated on the smallest feasible invariance radius, the
+   largest admissible decay rate keeping all four margin-function families
+   positive, with its overshoot constant,
 2. simulates the model twice from different histories,
 3. checks the certified envelope pointwise against the realized distance
    and fits the empirical decay rate,
@@ -21,15 +22,12 @@ import tempfile
 
 from chronoscale import (
     TimeScale,
-    compute_bounds,
-    find_lambda,
+    certify,
     simulate,
     verify_bound,
     write_stability_csv,
 )
 from chronoscale.benchmark import history_pairs, two_neuron_spec
-
-LIP = (1.0, 1.0)
 
 
 def section(title):
@@ -42,8 +40,7 @@ def main():
     ts = TimeScale.integer_lattice()
 
     section("certificate on the integer lattice")
-    bounds = compute_bounds(spec, ts=ts)
-    cert = find_lambda(bounds, LIP)
+    _, cert = certify(spec, ts)
     print(f"  lambda = {cert.lam:.9f}")
     print(f"  M      = {cert.big_m:.9f}")
     print(f"  admissible-rate cap = {cert.cap:.6f}  "

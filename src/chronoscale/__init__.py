@@ -37,6 +37,8 @@ from .conditions import (
     Certificate,
     H3Report,
     InfeasibleError,
+    activation_offsets,
+    certify,
     check_H3,
     compute_bounds,
     find_lambda,
@@ -92,6 +94,8 @@ __all__ = [
     "check_H3",
     "search_r",
     "find_lambda",
+    "activation_offsets",
+    "certify",
     "HistorySpec",
     "Trajectory",
     "SimulationError",

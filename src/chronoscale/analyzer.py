@@ -27,7 +27,7 @@ import numpy as np
 from .coeffs import Const
 from .conditions import Certificate
 from .simulator import HistorySpec, Trajectory, distance_series, history_norm
-from .timescale import TimeScale
+from .timescale import POINT_TOL, TimeScale
 
 __all__ = [
     "decay_fit",
@@ -93,6 +93,8 @@ class StabilityReport:
     ``envelope(t) - distance(t)`` (absolute units); ``violated`` is true
     when some distance exceeds its envelope value by more than the absolute
     plus relative tolerance.  The sampled series are kept for CSV export.
+    ``fit_refused`` is :func:`decay_fit`'s reason when it refused the
+    series (``lambda_fit`` and ``r_squared`` are then ``nan``), else ``None``.
     """
 
     lam: float
@@ -106,6 +108,7 @@ class StabilityReport:
     times: np.ndarray
     distances: np.ndarray
     bounds: np.ndarray
+    fit_refused: str | None = None
 
     @property
     def n_points(self) -> int:
@@ -122,6 +125,10 @@ class StabilityReport:
             f"points {self.n_points}",
             f"lambda_fit {self.lambda_fit!r}",
             f"r_squared {self.r_squared!r}",
+        ]
+        if self.fit_refused is not None:
+            lines.append(f"fit_refused {self.fit_refused}")
+        lines += [
             f"min_margin {self.bound_margin!r}",
             f"min_margin_rel {self.min_relative_margin!r}",
             f"violated {'true' if self.violated else 'false'}",
@@ -151,23 +158,24 @@ def verify_bound(traj_a: Trajectory, traj_b: Trajectory,
     t0 = float(times[0])
     gap0 = history_norm(hist_a, hist_b, ts, t0=t0)
     grid, growth = ts.nabla_exp_grid(Const(cert.lam), t0, float(times[-1]))
-    if len(grid) != len(times) or not np.allclose(grid, times, atol=1e-9, rtol=0.0):
+    if len(grid) != len(times) or not np.allclose(grid, times, atol=POINT_TOL, rtol=0.0):
         raise ValueError("envelope grid does not match the trajectory grid")
     bounds = cert.big_m * gap0 / growth
     margins = bounds - dist
     rel = margins / np.maximum(bounds, 1e-300)
     violated = bool(np.any(dist > bounds + 1e-9 + 1e-6 * bounds))
+    refused = None
     try:
         lam_fit, r2 = decay_fit(times, dist)
-    except ValueError:
-        lam_fit, r2 = math.nan, math.nan
+    except ValueError as exc:
+        lam_fit, r2, refused = math.nan, math.nan, str(exc)
     return StabilityReport(
         lam=cert.lam, big_m=cert.big_m, history_gap=gap0,
         lambda_fit=lam_fit, r_squared=r2,
         bound_margin=float(np.min(margins)),
         min_relative_margin=float(np.min(rel)),
         violated=violated,
-        times=times, distances=dist, bounds=bounds,
+        times=times, distances=dist, bounds=bounds, fit_refused=refused,
     )
 
 

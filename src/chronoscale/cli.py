@@ -18,9 +18,10 @@ Subcommands
     the decay envelope against the measured trajectory distance; exit 0 iff
     the bound is never violated.
 ``example``
-    Materialize the built-in two-neuron benchmark configuration and run
-    check + certificate + stability on a continuum grid (h = 0.01) and on
-    the unit lattice.
+    Materialize the built-in two-neuron benchmark configuration, read the
+    files back, and print the solvability check, certificate and stability
+    report that ``stability`` computes for them on their continuum grid
+    (h = 0.01) and with ``--timescale Z --t-end 200``.
 
 Exit codes (stable contract): 0 success, 1 infeasible or bound violated,
 2 configuration or conditions error, 3 runtime (stepping) failure.
@@ -35,17 +36,17 @@ from pathlib import Path
 from typing import Sequence
 
 from . import benchmark
-from .analyzer import verify_bound, write_stability_csv
+from .analyzer import StabilityReport, verify_bound, write_stability_csv
 from .conditions import (
     DEFAULT_R_GRID,
     Certificate,
     ConditionsError,
     H3Report,
     InfeasibleError,
+    activation_offsets,
+    certify,
     check_H3,
     compute_bounds,
-    find_lambda,
-    search_r,
 )
 from .config import (
     TIMESCALE_KINDS,
@@ -58,8 +59,7 @@ from .config import (
     serialize_config,
     serialize_history,
 )
-from .network import NetworkSpec
-from .simulator import SimulationError, StepFailureError, simulate
+from .simulator import HistorySpec, SimulationError, StepFailureError, simulate
 from .timescale import RegressivityError, TimeScale, TimeScaleError
 
 __all__ = ["main", "build_parser"]
@@ -197,32 +197,27 @@ def _run_options(args: argparse.Namespace, run: RunOptions) -> RunOptions:
         raise ConfigError(f"--r must be a finite positive radius, got {r!r}") from None
 
 
-def _activation_zeros(spec: NetworkSpec) -> tuple[float, ...]:
-    return tuple(a.at_zero for a in spec.activations)
-
-
 def _radius_grid(run: RunOptions) -> Sequence[float]:
     """``r``, else ``r_grid``, else the default grid."""
     return (run.r,) if run.r is not None else run.r_grid or tuple(map(float, DEFAULT_R_GRID))
 
 
-def _certify(spec: NetworkSpec, ts: TimeScale, r_grid: Sequence[float],
-             include_delayed_feedback: bool) -> tuple[H3Report, Certificate]:
-    """Gate on the smallest feasible radius in ``r_grid``, then certify.
-
-    Returns the solvability report at that radius and the decay certificate;
-    raises :class:`InfeasibleError` when no radius passes.
-    """
-    bounds = compute_bounds(spec, ts)
-    f0 = _activation_zeros(spec)
-    r = search_r(bounds, spec.lipschitz, f0, r_grid, include_delayed_feedback)
-    if r is None:
-        raise InfeasibleError(
-            "no radius in the grid passes the solvability check; "
-            "no certificate is issued")
-    gate = check_H3(bounds, spec.lipschitz, f0, r, include_delayed_feedback)
-    return gate, find_lambda(bounds, spec.lipschitz,
-                             include_delayed_feedback=include_delayed_feedback)
+def _stability(cfg: RunConfig, hist2: HistorySpec, ts: TimeScale, run: RunOptions,
+               lambda_override: float | None = None,
+               ) -> tuple[H3Report, Certificate, StabilityReport]:
+    """The gate's report, the certificate (its rate replaced by
+    ``lambda_override`` when given) and the check of that certificate
+    against ``cfg.spec`` simulated on ``ts`` from ``cfg.history`` and ``hist2``."""
+    gate, cert = certify(cfg.spec, ts, _radius_grid(run), run.include_delayed_feedback)
+    if lambda_override is not None:
+        cert = dataclasses.replace(
+            cert, lam=float(lambda_override),
+            witness=f"decay rate manually overridden to {lambda_override:g} "
+                    f"(testing only)")
+    traj_a, traj_b = (simulate(cfg.spec, hist, ts, run.t_end, t0=run.t0,
+                               corrector_iters=run.corrector_iters)
+                      for hist in (cfg.history, hist2))
+    return gate, cert, verify_bound(traj_a, traj_b, cfg.history, hist2, cert, ts)
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +233,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     for line in bounds.summary_lines():
         print(line)
     feasible = False
+    f0 = activation_offsets(cfg.spec)
     for r in _radius_grid(run):
-        report = check_H3(bounds, cfg.spec.lipschitz, _activation_zeros(cfg.spec),
-                          float(r), run.include_delayed_feedback)
+        report = check_H3(bounds, cfg.spec.lipschitz, f0, float(r),
+                          run.include_delayed_feedback)
         print()
         for line in report.summary_lines():
             print(line)
@@ -252,7 +248,7 @@ def cmd_certificate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     run = _run_options(args, cfg.run)
     ts = _resolve_timescale(args, cfg, run.t_end)
-    gate, cert = _certify(cfg.spec, ts, _radius_grid(run), run.include_delayed_feedback)
+    gate, cert = certify(cfg.spec, ts, _radius_grid(run), run.include_delayed_feedback)
     print(f"feasible radius r = {gate.r:g} (kappa = {gate.kappa:.6f})")
     print(cert.to_text(), end="")
     return EXIT_OK
@@ -283,16 +279,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
     hist2 = parse_history_text(_read_text(args.history2), cfg.spec.n)
     run = _run_options(args, cfg.run)
     ts = _resolve_timescale(args, cfg, run.t_end)
-    _, cert = _certify(cfg.spec, ts, _radius_grid(run), run.include_delayed_feedback)
-    if args.lambda_override is not None:
-        cert = dataclasses.replace(
-            cert, lam=float(args.lambda_override),
-            witness=f"decay rate manually overridden to {args.lambda_override:g} "
-                    f"(testing only)")
-    traj_a, traj_b = (simulate(cfg.spec, hist, ts, run.t_end, t0=run.t0,
-                               corrector_iters=run.corrector_iters)
-                      for hist in (cfg.history, hist2))
-    report = verify_bound(traj_a, traj_b, cfg.history, hist2, cert, ts)
+    _, _, report = _stability(cfg, hist2, ts, run, args.lambda_override)
     print(report.to_text(), end="")
     if args.out:
         write_stability_csv(report, args.out)
@@ -317,13 +304,16 @@ def cmd_example(args: argparse.Namespace) -> int:
     print(f"wrote {history2_path}")
     print()
 
-    scales: tuple[tuple[str, TimeScale, float], ...] = (
-        ("R (grid h = 0.01)", build_timescale(ts_desc), run.t_end),
-        ("Z (unit lattice)", TimeScale.integer_lattice(), 200.0),
+    # what `stability` computes for these files, and with --timescale Z --t-end 200
+    cfg = _load_config(str(config_path))
+    hist2 = parse_history_text(_read_text(str(history2_path)), cfg.spec.n)
+    scales = (
+        ("R (grid h = 0.01)", cfg.timescale, cfg.run),
+        ("Z (unit lattice)", build_timescale({"kind": "Z"}),
+         dataclasses.replace(cfg.run, t_end=200.0)),
     )
-    certified = [_certify(spec, ts, (run.r,), run.include_delayed_feedback)
-                 for _, ts, _ in scales]
-    report = certified[0][0]
+    results = [_stability(cfg, hist2, ts, run) for _, ts, run in scales]
+    report = results[0][0]
     print(f"== solvability check (r = {report.r:g}) ==")
     print(f"P_1 = {report.P[0]:.4f}   P_2 = {report.P[1]:.4f}")
     print(f"Q_1 = {report.Q[0]:.4f}   Q_2 = {report.Q[1]:.4f}")
@@ -333,19 +323,14 @@ def cmd_example(args: argparse.Namespace) -> int:
     print(f"kappa = {report.kappa:.4f}")
     print(f"feasible: {'yes' if report.feasible else 'no'}")
 
-    ok = True
-    for (label, ts, t_end), (_, cert) in zip(scales, certified):
+    for (label, _, _), (_, cert, stab) in zip(scales, results):
         print()
         print(f"== certificate on T = {label} ==")
         print(cert.to_text(), end="")
-        traj_a = simulate(spec, hist_a, ts, t_end)
-        traj_b = simulate(spec, hist_b, ts, t_end)
-        stab = verify_bound(traj_a, traj_b, hist_a, hist_b, cert, ts)
         print()
         print(f"== stability on T = {label} ==")
         print(stab.to_text(), end="")
-        ok = ok and not stab.violated
-    return EXIT_OK if ok else EXIT_INFEASIBLE
+    return EXIT_INFEASIBLE if any(stab.violated for _, _, stab in results) else EXIT_OK
 
 
 _HANDLERS = {

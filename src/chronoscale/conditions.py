@@ -8,7 +8,8 @@ t in R (:func:`compute_bounds`), with user overrides taking precedence.
 Solvability check
 -----------------
 For a candidate ball radius ``r`` the check assembles, per neuron ``i`` (with
-Lipschitz bounds ``L_j`` and activation offsets ``f0_j = |f_j(0)|``):
+Lipschitz bounds ``L_j`` and activation offsets ``f0_j = |f_j(0)|``, which
+:func:`activation_offsets` computes once per model from its activations):
 
     P_i  = alpha_i+ eta_i+ r
          + sum_j D_ij+    (L_j r + f0_j)
@@ -69,6 +70,13 @@ largest one (see :func:`find_lambda`).  The overshoot constant is
 and the certified envelope for the gap between any two solutions is
 ``M * nexp_{circleminus lam}(t, t0) * gap_0 = M * gap_0 / nexp_lam(t, t0)``
 with ``gap_0`` the initial history norm.
+
+The gate
+--------
+``(lam, M)`` certifies decay only for a solution that exists in an invariant
+ball, so a certificate is issued in one place, :func:`certify`: it checks
+the radii of a grid from the smallest, and calls :func:`find_lambda` only
+once one of them passes.
 """
 
 from __future__ import annotations
@@ -88,16 +96,17 @@ __all__ = [
     "InfeasibleError",
     "BoundSet",
     "compute_bounds",
-    "compute_PQ",
     "compute_PQbar",
     "H3Report",
     "check_H3",
     "search_r",
     "DEFAULT_R_GRID",
+    "activation_offsets",
     "HValues",
     "h_functions",
     "Certificate",
     "find_lambda",
+    "certify",
 ]
 
 
@@ -233,33 +242,6 @@ def _slope_sums(
     return total
 
 
-def compute_PQ(
-    b: BoundSet,
-    L: Sequence[float],
-    f0: Sequence[float],
-    r: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Existence-side numerators (P, Q) at ball radius ``r``.
-
-    These always include every coupling term (the module docstring's P_i and
-    Q_i); the reduced-tabulation flag applies only to the contraction side.
-    """
-    L = np.asarray(L, dtype=float)
-    f0 = np.asarray(f0, dtype=float)
-    lr = L * r + f0
-    P = (
-        b.alpha_sup * b.eta_sup * r
-        + b.D_sup @ lr
-        + b.Dtau_sup @ lr
-        + (b.Dbar_sup * b.sigma_d_sup) @ lr
-        + (b.Dtil_sup * b.zeta_sup) @ lr
-        + b.B_sup * r
-        + b.I_sup
-    )
-    Q = b.c_sup * b.varsigma_sup * r + b.E_sup * (L * r + f0) + b.J_sup
-    return P, Q
-
-
 def compute_PQbar(
     b: BoundSet,
     L: Sequence[float],
@@ -328,65 +310,59 @@ class H3Report:
         return out
 
 
-def check_H3(
-    b: BoundSet,
-    L: Sequence[float],
-    f0: Sequence[float],
-    r: float,
-    include_delayed_feedback: bool = True,
-) -> H3Report:
-    """Run the invariance + contraction check at ball radius ``r``."""
+def check_H3(b: BoundSet, L: Sequence[float], f0: Sequence[float], r: float,
+             include_delayed_feedback: bool = True) -> H3Report:
+    """Run the invariance + contraction check at ball radius ``r``.
+
+    The existence-side numerators P and Q always include every coupling
+    term (the module docstring's P_i and Q_i); the reduced-tabulation flag
+    applies only to the contraction side.
+    """
     L = np.asarray(L, dtype=float)
-    f0 = np.asarray(f0, dtype=float)
-    P, Q = compute_PQ(b, L, f0, r)
+    lr = L * r + np.asarray(f0, dtype=float)
+    P = (b.alpha_sup * b.eta_sup * r + b.D_sup @ lr + b.Dtau_sup @ lr
+         + (b.Dbar_sup * b.sigma_d_sup) @ lr + (b.Dtil_sup * b.zeta_sup) @ lr
+         + b.B_sup * r + b.I_sup)
+    Q = b.c_sup * b.varsigma_sup * r + b.E_sup * lr + b.J_sup
     Pbar, Qbar = compute_PQbar(b, L, include_delayed_feedback)
 
     amp_alpha = 1.0 + b.alpha_sup / b.alpha_inf
     amp_c = 1.0 + b.c_sup / b.c_inf
-
-    r_ratios = np.concatenate(
-        [
-            np.stack([P / b.alpha_inf, amp_alpha * P], axis=1).reshape(-1),
-            Q / b.c_inf,
-            amp_c * Q,
-        ]
-    )
-    kappa_ratios = np.concatenate(
-        [Pbar / b.alpha_inf, amp_alpha * Pbar, Qbar / b.c_inf, amp_c * Qbar]
-    )
-    max_r_expr = float(r_ratios.max())
-    kappa = float(kappa_ratios.max())
-    return H3Report(
-        r=r,
-        include_delayed_feedback=include_delayed_feedback,
-        P=P,
-        Q=Q,
-        Pbar=Pbar,
-        Qbar=Qbar,
-        r_ratios=r_ratios,
-        kappa_ratios=kappa_ratios,
-        max_r_expr=max_r_expr,
-        kappa=kappa,
-        feasible=bool(max_r_expr <= r and kappa < 1.0),
-    )
+    r_ratios = np.concatenate([np.stack([P / b.alpha_inf, amp_alpha * P], axis=1).reshape(-1),
+                               Q / b.c_inf, amp_c * Q])
+    kappa_ratios = np.concatenate([Pbar / b.alpha_inf, amp_alpha * Pbar,
+                                   Qbar / b.c_inf, amp_c * Qbar])
+    max_r_expr, kappa = float(r_ratios.max()), float(kappa_ratios.max())
+    return H3Report(r=r, include_delayed_feedback=include_delayed_feedback, P=P, Q=Q,
+                    Pbar=Pbar, Qbar=Qbar, r_ratios=r_ratios, kappa_ratios=kappa_ratios,
+                    max_r_expr=max_r_expr, kappa=kappa,
+                    feasible=bool(max_r_expr <= r and kappa < 1.0))
 
 
 DEFAULT_R_GRID: np.ndarray = np.round(np.arange(0.10, 1.0 + 1e-9, 0.05), 10)
 
 
-def search_r(
-    b: BoundSet,
-    L: Sequence[float],
-    f0: Sequence[float],
-    r_grid: Sequence[float] | None = None,
-    include_delayed_feedback: bool = True,
-) -> float | None:
+def search_r(b: BoundSet, L: Sequence[float], f0: Sequence[float],
+             r_grid: Sequence[float] | None = None,
+             include_delayed_feedback: bool = True) -> float | None:
     """Smallest radius in ``r_grid`` passing :func:`check_H3`, or ``None``."""
+    gate = _first_feasible(b, L, f0, r_grid, include_delayed_feedback)
+    return None if gate is None else gate.r
+
+
+def _first_feasible(b: BoundSet, L: Sequence[float], f0: Sequence[float],
+                    r_grid: Sequence[float] | None,
+                    include_delayed_feedback: bool) -> H3Report | None:
+    """The passing report of the smallest radius in ``r_grid``, or ``None``;
+    radii are checked smallest first, each at most once."""
     grid = DEFAULT_R_GRID if r_grid is None else np.asarray(r_grid, dtype=float)
-    for r in np.sort(grid):
-        if check_H3(b, L, f0, float(r), include_delayed_feedback).feasible:
-            return float(r)
-    return None
+    reports = (check_H3(b, L, f0, float(r), include_delayed_feedback) for r in np.sort(grid))
+    return next((report for report in reports if report.feasible), None)
+
+
+def activation_offsets(spec: NetworkSpec) -> tuple[float, ...]:
+    """The offsets ``f0_j = |f_j(0)|`` the solvability check takes."""
+    return tuple(abs(float(a.fn(0.0))) for a in spec.activations)
 
 
 # ---------------------------------------------------------------------------
@@ -578,3 +554,25 @@ def find_lambda(
         h_at_lambda=h_functions(b, L, float(lam), include_delayed_feedback),
         witness=witness,
     )
+
+
+def certify(spec: NetworkSpec, ts: TimeScale | None = None,
+            r_grid: Sequence[float] | None = None,
+            include_delayed_feedback: bool = True) -> tuple[H3Report, Certificate]:
+    """Gate on the smallest feasible radius, then certify.
+
+    Bounds ``spec`` on ``ts`` (:func:`compute_bounds`), runs
+    :func:`check_H3` with ``L = spec.lipschitz`` and
+    :func:`activation_offsets` at the radii of ``r_grid`` (default
+    ``DEFAULT_R_GRID``) from the smallest, and stops at the first that
+    passes.  Returns that report and :func:`find_lambda`'s certificate;
+    raises :class:`InfeasibleError` when no radius passes.
+    """
+    bounds = compute_bounds(spec, ts)
+    gate = _first_feasible(bounds, spec.lipschitz, activation_offsets(spec), r_grid,
+                           include_delayed_feedback)
+    if gate is None:
+        raise InfeasibleError(
+            "no radius in the grid passes the solvability check; no certificate is issued")
+    return gate, find_lambda(bounds, spec.lipschitz,
+                             include_delayed_feedback=include_delayed_feedback)

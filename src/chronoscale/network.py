@@ -81,13 +81,12 @@ class Activation:
     """A neuron output nonlinearity with a declared Lipschitz bound.
 
     ``lipschitz`` must be an upper bound for |f(u)-f(v)| / |u-v| (it need not
-    be tight), and ``at_zero`` caches f(0) for the solvability arithmetic.
+    be tight); the solvability check derives |f(0)| from ``fn``.
     """
 
     name: str
     fn: Callable[[float | np.ndarray], float | np.ndarray]
     lipschitz: float
-    at_zero: float
 
 
 def _sin_half(u):
@@ -99,9 +98,9 @@ def _tanh(u):
 
 
 ACTIVATIONS: dict[str, Activation] = {
-    "sin_half": Activation("sin_half", _sin_half, 0.5, 0.0),
-    "tanh": Activation("tanh", _tanh, 1.0, 0.0),
-    "identity": Activation("identity", lambda u: u, 1.0, 0.0),
+    "sin_half": Activation("sin_half", _sin_half, 0.5),
+    "tanh": Activation("tanh", _tanh, 1.0),
+    "identity": Activation("identity", lambda u: u, 1.0),
 }
 
 

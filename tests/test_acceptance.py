@@ -33,13 +33,12 @@ from chronoscale.benchmark import (
     two_neuron_spec,
 )
 from chronoscale.coeffs import Const
-from chronoscale.conditions import check_H3, compute_bounds, find_lambda
+from chronoscale.conditions import activation_offsets, check_H3, compute_bounds, find_lambda
 from chronoscale.network import ACTIVATIONS, NetworkSpec
 from chronoscale.simulator import HistorySpec, simulate
 from chronoscale.timescale import RegressivityError, TimeScale, circle_minus
 
 L_ONES = (1.0, 1.0)
-F_AT_ZERO = (0.0, 0.0)
 
 XFAIL_CELL = pytest.mark.xfail(
     strict=True,
@@ -56,7 +55,7 @@ XFAIL_CELL = pytest.mark.xfail(
 def solvability_report():
     start = time.perf_counter()
     spec = two_neuron_spec()
-    report = check_H3(compute_bounds(spec), L_ONES, F_AT_ZERO,
+    report = check_H3(compute_bounds(spec), L_ONES, activation_offsets(spec),
                       REFERENCE["r"], include_delayed_feedback=False)
     assert time.perf_counter() - start < 1.0
     return report

@@ -13,8 +13,9 @@ from chronoscale.analyzer import (
     verify_bound,
     write_stability_csv,
 )
+from chronoscale.benchmark import history_pairs, two_neuron_spec
 from chronoscale.coeffs import Const
-from chronoscale.conditions import Certificate
+from chronoscale.conditions import Certificate, certify
 from chronoscale.network import ACTIVATIONS, NetworkSpec
 from chronoscale.simulator import HistorySpec, simulate
 from chronoscale.timescale import DensePiece, LatticePiece, RegressivityError, TimeScale
@@ -222,6 +223,22 @@ def test_report_text_mentions_verdict():
     text = report.to_text()
     assert "violated false" in text
     assert "lambda_fit" in text
+    assert report.fit_refused is None and "fit_refused" not in text
+
+
+def test_refused_fit_carries_its_reason():
+    # the reference trig pair on 4Z, t_end = 40: 11 points, 9 after burn-in
+    spec = two_neuron_spec()
+    ha, hb = history_pairs()["trig"]
+    ts = TimeScale.integer_lattice(4.0)
+    _, cert = certify(spec, ts, (0.45,), include_delayed_feedback=False)
+    ta, tb = (simulate(spec, h, ts, 40.0) for h in (ha, hb))
+    report = verify_bound(ta, tb, ha, hb, cert, ts)
+    assert report.n_points == 11 and math.isnan(report.lambda_fit)
+    reason = "need at least 10 distances above 1e-12 after burn-in, have 9"
+    assert report.fit_refused == reason
+    lines = report.to_text().splitlines()
+    assert lines[lines.index(f"r_squared {report.r_squared!r}") + 1] == f"fit_refused {reason}"
 
 
 # ---------------------------------------------------------------------------

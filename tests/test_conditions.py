@@ -5,6 +5,7 @@ the override bound table (plain interval arithmetic on the column sums) and
 frozen here; the library must reproduce them exactly.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,13 +21,14 @@ from chronoscale.conditions import (
     BoundSet,
     ConditionsError,
     InfeasibleError,
+    certify,
     check_H3,
     compute_bounds,
     find_lambda,
     h_functions,
     search_r,
 )
-from chronoscale.network import ACTIVATIONS, NetworkSpec
+from chronoscale.network import ACTIVATIONS, Activation, NetworkSpec
 from chronoscale.timescale import DensePiece, LatticePiece, TimeScale
 
 L = (1.0, 1.0)
@@ -209,10 +211,53 @@ def test_doubled_weights_are_infeasible_on_default_grid(bench_bounds):
         family = key.split(".")[0]
         if family in ("D", "Dtau", "Dbar", "Dtil", "B", "E"):
             overrides[key] = BoundPair(2.0 * pair.sup_abs, pair.inf_abs, "override")
-    import dataclasses
     doubled = dataclasses.replace(spec, bound_overrides=overrides)
     b = compute_bounds(doubled)
     assert search_r(b, L, F0, include_delayed_feedback=False) is None
+    with pytest.raises(InfeasibleError, match="^no radius in the grid passes the "
+                       "solvability check; no certificate is issued$"):
+        certify(doubled, include_delayed_feedback=False)
+
+
+# ---------------------------------------------------------------------------
+# the certification gate
+# ---------------------------------------------------------------------------
+
+
+def assert_same(a, b):
+    """Field-by-field equality of two reports or certificates, arrays exact."""
+    assert type(a) is type(b)
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if dataclasses.is_dataclass(x):
+            assert_same(x, y)
+        else:
+            np.testing.assert_array_equal(x, y)
+
+
+@pytest.mark.parametrize("feedback", [True, False])
+@pytest.mark.parametrize("ts", [
+    pytest.param(TimeScale.real_interval(-2.0, 50.0, 0.01), id="R"),
+    pytest.param(TimeScale.integer_lattice(), id="Z"),
+])
+def test_certify_is_the_gate_then_find_lambda(ts, feedback):
+    spec = benchmark.two_neuron_spec()
+    gate, cert = certify(spec, ts, include_delayed_feedback=feedback)
+    b = compute_bounds(spec, ts)
+    r = search_r(b, spec.lipschitz, F0, include_delayed_feedback=feedback)
+    assert_same(gate, check_H3(b, spec.lipschitz, F0, r, feedback))
+    assert_same(cert, find_lambda(b, spec.lipschitz, include_delayed_feedback=feedback))
+
+
+def test_certify_gates_on_the_absolute_activation_offset():
+    shifted = Activation("tanh_shifted", lambda u: np.tanh(u) - 0.3, 1.0)
+    spec = dataclasses.replace(benchmark.two_neuron_spec(), activations=(shifted, shifted))
+    grid = np.arange(0.5, 5.0, 0.5)
+    gate, _ = certify(spec, r_grid=grid, include_delayed_feedback=False)
+    b = compute_bounds(spec)
+    assert gate.r == search_r(b, L, (0.3, 0.3), grid, include_delayed_feedback=False)
+    np.testing.assert_array_equal(gate.P, check_H3(b, L, (0.3, 0.3), gate.r, False).P)
+    assert not np.array_equal(gate.P, check_H3(b, L, (-0.3, -0.3), gate.r, False).P)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +265,7 @@ def test_doubled_weights_are_infeasible_on_default_grid(bench_bounds):
 # ---------------------------------------------------------------------------
 
 
-def test_margin_functions_at_zero_equal_contraction_deficits(bench_bounds):
+def test_margin_functions_at_rate_0_equal_contraction_deficits(bench_bounds):
     hv = h_functions(bench_bounds, L, 0.0, include_delayed_feedback=False)
     # at rate 0 the long-term margins reduce to c_inf - Qbar
     assert hv.h_bar == pytest.approx([0.28 - QBAR1, 0.27 - QBAR2], rel=1e-9)
@@ -229,7 +274,6 @@ def test_margin_functions_at_zero_equal_contraction_deficits(bench_bounds):
 
 
 def test_certificate_frozen_values_lattice(bench_bounds):
-    import dataclasses
     b = dataclasses.replace(bench_bounds, nu_sup=1.0)
     cert = find_lambda(b, L, include_delayed_feedback=False)
     assert cert.lam == pytest.approx(0.045317725, abs=1e-6)
@@ -250,7 +294,6 @@ def test_certificate_frozen_values_dense(bench_bounds):
 
 
 def test_dense_rate_dominates_lattice_rate(bench_bounds):
-    import dataclasses
     lam_dense = find_lambda(bench_bounds, L, include_delayed_feedback=False).lam
     lam_lattice = find_lambda(dataclasses.replace(bench_bounds, nu_sup=1.0), L,
                               include_delayed_feedback=False).lam
@@ -318,7 +361,6 @@ def test_infeasible_bounds_raise(bench_bounds):
     spec = benchmark.two_neuron_spec()
     overrides = dict(spec.bound_overrides)
     overrides["E.1"] = BoundPair(0.63, 0.0, "override")  # Qbar_1 > c_1^-
-    import dataclasses
     bad = dataclasses.replace(spec, bound_overrides=overrides)
     with pytest.raises(InfeasibleError):
         find_lambda(compute_bounds(bad), L, include_delayed_feedback=False)

@@ -72,12 +72,6 @@ def test_declared_lipschitz_bounds_secant_slopes(name):
     assert slopes.max() <= act.lipschitz + 1e-12
 
 
-@pytest.mark.parametrize("name", sorted(ACTIVATIONS))
-def test_activation_at_zero_cached(name):
-    act = ACTIVATIONS[name]
-    assert act.at_zero == pytest.approx(float(act.fn(0.0)), abs=1e-15)
-
-
 def test_sin_half_scalar_and_vector_agree():
     act = ACTIVATIONS["sin_half"]
     u = np.array([-1.0, 0.0, 2.5])

@@ -3,9 +3,9 @@
 One table of cases, each the reference model with its ``trig`` history pair,
 the radius ``r = 0.45`` and ``include_delayed_feedback=False`` (the settings
 of ``chronoscale example``) on one time scale, spelled as a ``[timescale]``
-description.  The property is the one the certificate promises: either no
-certificate is issued, or both histories simulate and ``verify_bound`` finds
-no violation.  A case that breaks it today is a strict expected failure whose
+description.  Certificates come from ``certify``, as the CLI's do.  The
+property is the one the certificate promises: either no certificate is
+issued, or both histories simulate and ``verify_bound`` finds no violation.  A case that breaks it today is a strict expected failure whose
 reason is the finding, so a change that mends it has to flip the mark.
 """
 
@@ -13,7 +13,7 @@ import pytest
 
 from chronoscale.analyzer import verify_bound
 from chronoscale.benchmark import history_pairs, two_neuron_spec
-from chronoscale.conditions import ConditionsError, compute_bounds, find_lambda, search_r
+from chronoscale.conditions import ConditionsError, certify
 from chronoscale.config import build_timescale
 from chronoscale.simulator import StepFailureError, simulate
 
@@ -50,12 +50,8 @@ def test_certificate_is_refused_or_holds(desc, t_end):
     spec = two_neuron_spec()
     hist_a, hist_b = history_pairs()["trig"]
     ts = build_timescale(desc)
-    bounds = compute_bounds(spec, ts)
-    f0 = tuple(a.at_zero for a in spec.activations)
-    if search_r(bounds, spec.lipschitz, f0, (0.45,), include_delayed_feedback=False) is None:
-        return
     try:
-        cert = find_lambda(bounds, spec.lipschitz, include_delayed_feedback=False)
+        _, cert = certify(spec, ts, (0.45,), include_delayed_feedback=False)
     except ConditionsError:
         return
     traj_a, traj_b = (simulate(spec, hist, ts, t_end) for hist in (hist_a, hist_b))
