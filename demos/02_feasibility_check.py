@@ -11,10 +11,9 @@ Walks through the two-part contraction argument the library automates:
 Run:  python3 demos/02_feasibility_check.py
 """
 
-import numpy as np
-
 from chronoscale import activation_offsets, check_H3, compute_bounds, search_r
 from chronoscale.benchmark import two_neuron_spec
+from chronoscale.conditions import DEFAULT_R_GRID
 
 
 def section(title):
@@ -44,8 +43,7 @@ def main():
         print(line)
 
     section("smallest feasible radius on a grid")
-    grid = np.round(np.arange(0.10, 1.0 + 1e-9, 0.05), 10)
-    best = search_r(bounds, lip, f0, r_grid=grid,
+    best = search_r(bounds, lip, f0, r_grid=DEFAULT_R_GRID,
                     include_delayed_feedback=False)
     print(f"  grid 0.10, 0.15, ..., 1.00  ->  smallest feasible r = {best}")
 

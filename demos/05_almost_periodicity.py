@@ -39,7 +39,7 @@ def main():
 
     section("translation-number scan")
     eps = 0.05 * amplitude
-    scan = scan_translation_numbers(times, values, epsilon=eps,
+    scan = scan_translation_numbers(traj, 0, epsilon=eps,
                                     tau_range=(1.0, 80.0), tau_step=0.1,
                                     window=(20.0, 40.0))
     for line in scan.summary_lines():

@@ -27,7 +27,6 @@ from .analyzer import (
     TranslationScan,
     decay_fit,
     scan_translation_numbers,
-    translation_error,
     verify_bound,
     write_stability_csv,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "decay_fit",
     "verify_bound",
     "write_stability_csv",
-    "translation_error",
     "scan_translation_numbers",
     "ConfigError",
     "RunConfig",

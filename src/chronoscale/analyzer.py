@@ -9,11 +9,13 @@ Three instruments:
   against a simulated trajectory pair: the distance between the runs must
   stay below ``M * |history gap| / nexp_lambda(t, t0)``, which equals
   ``M * nexp_{circleminus lambda}(t, t0) * |history gap|``, at every point;
-* :func:`translation_error` / :func:`scan_translation_numbers` -- an
-  almost-periodicity diagnostic: the shifts ``tau`` whose translated copy of
-  a signal stays uniformly within ``epsilon`` of the original.  With finite
-  windows and a finite ``epsilon`` this is an evidence scan, never a proof,
-  and it is reported as such.
+* :func:`scan_translation_numbers` -- an almost-periodicity diagnostic:
+  the shifts ``tau`` whose translated copy of a run stays uniformly within
+  ``epsilon`` of the original.  Translates are read from the committed grid
+  through the trajectory's own lookup, so on a lattice only shifts that
+  keep the run on the time scale can be scanned.  With finite windows and a
+  finite ``epsilon`` this is an evidence scan, never a proof, and it is
+  reported as such.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "StabilityReport",
     "verify_bound",
     "write_stability_csv",
-    "translation_error",
     "TranslationScan",
     "scan_translation_numbers",
 ]
@@ -192,31 +193,6 @@ def write_stability_csv(report: StabilityReport, target: str | IO[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def translation_error(times: Sequence[float], values: Sequence[float],
-                      tau: float, window: tuple[float, float]) -> float:
-    """Sup of ``|v(t + tau) - v(t)|`` over sample times in ``window``.
-
-    Off-sample lookups interpolate linearly.  Both the window and its
-    translate must be covered by the series.
-    """
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    a, b = window
-    if not (b >= a):
-        raise ValueError("window must be ordered")
-    if a < t[0] - 1e-9 or b + tau > t[-1] + 1e-9 or a + tau < t[0] - 1e-9:
-        raise ValueError(
-            f"window [{a}, {b}] shifted by {tau} is not covered by the series "
-            f"range [{t[0]}, {t[-1]}]")
-    mask = (t >= a) & (t <= b)
-    if not mask.any():
-        raise ValueError("no samples fall inside the window")
-    base_t = t[mask]
-    base_v = v[mask]
-    shifted = np.interp(base_t + tau, t, v)
-    return float(np.max(np.abs(shifted - base_v)))
-
-
 @dataclass(frozen=True)
 class TranslationScan:
     """Result of an epsilon-translation scan.
@@ -250,33 +226,51 @@ class TranslationScan:
         return lines
 
 
-def scan_translation_numbers(times: Sequence[float], values: Sequence[float],
-                             epsilon: float,
+def scan_translation_numbers(traj: Trajectory, index: int, epsilon: float,
                              tau_range: tuple[float, float] = (1.0, 100.0),
                              tau_step: float = 0.1,
                              window: tuple[float, float] | None = None,
                              ) -> TranslationScan:
-    """Scan shifts in ``tau_range`` for epsilon-translation numbers.
+    """Scan shifts in ``tau_range`` for epsilon-translation numbers of
+    state ``index`` of ``traj`` (numbered as in :meth:`Trajectory.value`).
 
-    ``window`` defaults to the widest interval whose largest translate
-    still fits inside the series.  Returns every scanned shift with its
-    translation error, the hit list, and the largest gap between
-    consecutive hits.
+    The translation error of a shift ``tau`` is the sup of
+    ``|x(t + tau) - x(t)|`` over the live grid points ``t`` in ``window``,
+    with ``x(t + tau)`` read from the committed grid as the stepper reads
+    it.  ``window`` defaults to the widest interval whose largest translate
+    still fits inside the run.  A translate past the end of the run raises
+    ``ValueError``, one below its history
+    :class:`~chronoscale.simulator.HistoryUnderflowError`, and one that
+    leaves the time scale (strictly inside a scattered panel) ``ValueError``
+    naming the shift.  Returns every scanned shift with its translation
+    error, the hit list, and the largest gap between consecutive hits.
     """
     if tau_step <= 0:
         raise ValueError("tau_step must be positive")
-    t = np.asarray(times, dtype=float)
     lo, hi = tau_range
     if not hi >= lo:
         raise ValueError("tau_range must be ordered")
+    t = traj.live_times
     if window is None:
         window = (float(t[0]), float(t[-1]) - hi)
         if window[1] <= window[0]:
             raise ValueError("series too short for this shift range")
+    series = traj._series(index)[0]
+    base_t = t[(t >= window[0]) & (t <= window[1])]
+    if not len(base_t):
+        raise ValueError("no samples fall inside the window")
+    base = traj.value(index, base_t)
     count = int(math.floor((hi - lo) / tau_step + 1e-9)) + 1
     taus = lo + tau_step * np.arange(count)
-    errors = np.array([translation_error(times, values, float(tau), window)
-                       for tau in taus])
+    errors = np.empty(count)
+    for k, tau in enumerate(taus):
+        at = traj._locate(base_t + tau)
+        off = (at.hi > at.lo) & ~traj._panel_dense[at.hi]
+        if off.any():
+            raise ValueError(
+                f"shift tau={float(tau)!r} moves t={float(base_t[off][0])!r} off "
+                "the time scale (strictly inside a scattered panel)")
+        errors[k] = np.max(np.abs(at.value(series) - base))
     hits = taus[errors <= epsilon]
     max_gap = float(np.max(np.diff(hits))) if len(hits) >= 2 else 0.0
     return TranslationScan(epsilon=float(epsilon), window=window, taus=taus,

@@ -115,10 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="file with the second [history] section")
     p_stab.add_argument("--t-end", dest="t_end", type=float, metavar="T")
     p_stab.add_argument("--out", metavar="PATH", help="stability CSV path")
-    p_stab.add_argument("--lambda-override", dest="lambda_override", type=float,
-                        metavar="V",
-                        help="replace the certified decay rate by V "
-                             "(testing only; breaks the guarantee)")
 
     p_ex = sub.add_parser("example",
                           help="materialize the built-in benchmark and run "
@@ -203,17 +199,10 @@ def _radius_grid(run: RunOptions) -> Sequence[float]:
 
 
 def _stability(cfg: RunConfig, hist2: HistorySpec, ts: TimeScale, run: RunOptions,
-               lambda_override: float | None = None,
                ) -> tuple[H3Report, Certificate, StabilityReport]:
-    """The gate's report, the certificate (its rate replaced by
-    ``lambda_override`` when given) and the check of that certificate
+    """The gate's report, the certificate and the check of that certificate
     against ``cfg.spec`` simulated on ``ts`` from ``cfg.history`` and ``hist2``."""
     gate, cert = certify(cfg.spec, ts, _radius_grid(run), run.include_delayed_feedback)
-    if lambda_override is not None:
-        cert = dataclasses.replace(
-            cert, lam=float(lambda_override),
-            witness=f"decay rate manually overridden to {lambda_override:g} "
-                    f"(testing only)")
     traj_a, traj_b = (simulate(cfg.spec, hist, ts, run.t_end, t0=run.t0,
                                corrector_iters=run.corrector_iters)
                       for hist in (cfg.history, hist2))
@@ -279,7 +268,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
     hist2 = parse_history_text(_read_text(args.history2), cfg.spec.n)
     run = _run_options(args, cfg.run)
     ts = _resolve_timescale(args, cfg, run.t_end)
-    _, _, report = _stability(cfg, hist2, ts, run, args.lambda_override)
+    _, _, report = _stability(cfg, hist2, ts, run)
     print(report.to_text(), end="")
     if args.out:
         write_stability_csv(report, args.out)

@@ -275,7 +275,6 @@ class H3Report:
     """
 
     r: float
-    include_delayed_feedback: bool
     P: np.ndarray
     Q: np.ndarray
     Pbar: np.ndarray
@@ -333,8 +332,8 @@ def check_H3(b: BoundSet, L: Sequence[float], f0: Sequence[float], r: float,
     kappa_ratios = np.concatenate([Pbar / b.alpha_inf, amp_alpha * Pbar,
                                    Qbar / b.c_inf, amp_c * Qbar])
     max_r_expr, kappa = float(r_ratios.max()), float(kappa_ratios.max())
-    return H3Report(r=r, include_delayed_feedback=include_delayed_feedback, P=P, Q=Q,
-                    Pbar=Pbar, Qbar=Qbar, r_ratios=r_ratios, kappa_ratios=kappa_ratios,
+    return H3Report(r=r, P=P, Q=Q, Pbar=Pbar, Qbar=Qbar,
+                    r_ratios=r_ratios, kappa_ratios=kappa_ratios,
                     max_r_expr=max_r_expr, kappa=kappa,
                     feasible=bool(max_r_expr <= r and kappa < 1.0))
 

@@ -332,7 +332,7 @@ def test_translation_scan_finds_relatively_dense_shifts():
     values = traj.x[0, traj.start_index:]
     settled = values[times >= 20.0]
     amplitude = 0.5 * (float(settled.max()) - float(settled.min()))
-    scan = scan_translation_numbers(times, values,
+    scan = scan_translation_numbers(traj, 0,
                                     epsilon=0.05 * amplitude,
                                     tau_range=(1.0, 100.0), tau_step=0.1,
                                     window=(20.0, 50.0))

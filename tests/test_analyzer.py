@@ -9,7 +9,6 @@ import pytest
 from chronoscale.analyzer import (
     decay_fit,
     scan_translation_numbers,
-    translation_error,
     verify_bound,
     write_stability_csv,
 )
@@ -17,7 +16,7 @@ from chronoscale.benchmark import history_pairs, two_neuron_spec
 from chronoscale.coeffs import Const
 from chronoscale.conditions import Certificate, certify
 from chronoscale.network import ACTIVATIONS, NetworkSpec
-from chronoscale.simulator import HistorySpec, simulate
+from chronoscale.simulator import HistorySpec, HistoryUnderflowError, Trajectory, simulate
 from chronoscale.timescale import DensePiece, LatticePiece, RegressivityError, TimeScale
 
 
@@ -246,28 +245,36 @@ def test_refused_fit_carries_its_reason():
 # ---------------------------------------------------------------------------
 
 
-def test_translation_error_zero_shift():
-    t = np.linspace(0.0, 50.0, 5001)
-    v = np.sin(t)
-    assert translation_error(t, v, 0.0, (5.0, 20.0)) == 0.0
+def series_run(ts, t_end, f):
+    """A one-neuron run on the grid of ``ts`` over [0, t_end] whose
+    short-term state is ``f`` and whose other series are zero."""
+    times, _, dense = ts.panels(0.0, t_end)
+    x = f(times)[None, :]
+    zero = np.zeros_like(x)
+    return Trajectory(ts=ts, times=times, start_index=0, x=x, s=zero, dx=zero, ds=zero,
+                      _panel_dense=dense)
 
 
-def test_translation_error_full_period_is_tiny():
-    t = np.linspace(0.0, 50.0, 50001)
-    v = np.sin(t)
-    err = translation_error(t, v, 2.0 * math.pi, (5.0, 20.0))
-    assert err < 1e-4
+def sine_run():
+    return series_run(TimeScale.real_interval(0.0, 50.0, 0.01), 50.0, np.sin)
 
 
-def test_translation_error_requires_coverage():
-    t = np.linspace(0.0, 10.0, 101)
-    with pytest.raises(ValueError, match="not covered"):
-        translation_error(t, np.sin(t), 8.0, (0.0, 5.0))
+def test_scan_zero_shift_is_exact():
+    scan = scan_translation_numbers(sine_run(), 0, epsilon=0.0, tau_range=(0.0, 0.0),
+                                    window=(5.0, 20.0))
+    assert list(scan.errors) == [0.0] and list(scan.hits) == [0.0]
+
+
+def test_scan_full_period_is_tiny():
+    two_pi = 2.0 * math.pi
+    scan = scan_translation_numbers(sine_run(), 0, epsilon=1e-4, tau_range=(two_pi, two_pi),
+                                    window=(5.0, 20.0))
+    assert 0.0 < scan.errors[0] < 1e-4
 
 
 def test_scan_finds_near_periods_of_sine():
-    t = np.linspace(0.0, 150.0, 15001)
-    scan = scan_translation_numbers(t, np.sin(t), epsilon=0.06,
+    traj = series_run(TimeScale.real_interval(0.0, 150.0, 0.01), 150.0, np.sin)
+    scan = scan_translation_numbers(traj, 0, epsilon=0.06,
                                     tau_range=(1.0, 30.0), tau_step=0.1)
     assert len(scan.hits) > 0
     two_pi = 2.0 * math.pi
@@ -278,8 +285,9 @@ def test_scan_finds_near_periods_of_sine():
 
 
 def test_scan_constant_series_hits_everywhere():
-    t = np.linspace(0.0, 100.0, 1001)
-    scan = scan_translation_numbers(t, np.full_like(t, 2.5), epsilon=1e-9,
+    traj = series_run(TimeScale.real_interval(0.0, 100.0, 0.1), 100.0,
+                      lambda t: np.full_like(t, 2.5))
+    scan = scan_translation_numbers(traj, 0, epsilon=1e-9,
                                     tau_range=(1.0, 20.0), tau_step=0.5)
     assert len(scan.hits) == len(scan.taus)
     assert scan.max_gap == pytest.approx(0.5, abs=1e-9)
@@ -287,7 +295,26 @@ def test_scan_constant_series_hits_everywhere():
 
 
 def test_scan_rejects_shift_range_beyond_series():
-    t = np.linspace(0.0, 10.0, 101)
+    traj = series_run(TimeScale.real_interval(0.0, 10.0, 0.1), 10.0, np.sin)
     with pytest.raises(ValueError, match="too short"):
-        scan_translation_numbers(t, np.sin(t), epsilon=0.1,
-                                 tau_range=(1.0, 50.0))
+        scan_translation_numbers(traj, 0, epsilon=0.1, tau_range=(1.0, 50.0))
+
+
+def test_translation_error_requires_coverage():
+    traj = series_run(TimeScale.real_interval(0.0, 10.0, 0.1), 10.0, np.sin)
+    with pytest.raises(ValueError, match="beyond the trajectory end"):
+        scan_translation_numbers(traj, 0, epsilon=0.1, tau_range=(8.0, 8.0),
+                                 window=(0.0, 5.0))
+    with pytest.raises(HistoryUnderflowError):
+        scan_translation_numbers(traj, 0, epsilon=0.1, tau_range=(-1.0, -1.0),
+                                 window=(0.0, 5.0))
+
+
+def test_scan_on_the_unit_lattice_takes_only_shifts_that_stay_on_it():
+    traj = series_run(TimeScale.integer_lattice(), 60.0, lambda t: np.cos(np.pi * t))
+    scan = scan_translation_numbers(traj, 0, epsilon=1e-12, tau_range=(1.0, 10.0),
+                                    tau_step=1.0)
+    assert list(scan.hits) == [2.0, 4.0, 6.0, 8.0, 10.0]
+    with pytest.raises(ValueError, match=r"shift tau=1\.5 moves t=0\.0 off the time scale"):
+        scan_translation_numbers(traj, 0, epsilon=1e-12, tau_range=(1.0, 10.0),
+                                 tau_step=0.5)

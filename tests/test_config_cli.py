@@ -427,12 +427,15 @@ def test_stability_command(bench_cfg, history2_file, tmp_path, capsys):
     assert out_path.read_text().splitlines()[0] == "t,distance,bound,margin"
 
 
-def test_stability_lambda_override_fails_cleanly(bench_cfg, history2_file, capsys):
-    # a rate far beyond the certificate is inadmissible on the unit lattice
-    rc = main(["stability", str(bench_cfg), "--history2", str(history2_file),
-               "--lambda-override", "4.0"])
-    assert rc == 1
-    assert "regressivity" in capsys.readouterr().err
+def test_stability_exits_1_when_the_certificate_is_violated(history2_file, tmp_path, capsys):
+    # the example's config on 4Z: the certificate is issued, and the run breaks it
+    path = tmp_path / "4z.cfg"
+    path.write_text(serialize_config(
+        two_neuron_spec(), history_pairs()["trig"][0], {"kind": "Z", "spacing": "4"},
+        RunOptions(t_end=50.0, r=0.45, include_delayed_feedback=False)))
+    assert main(["stability", str(path), "--history2", str(history2_file),
+                 "--t-end", "40"]) == 1
+    assert "violated true" in capsys.readouterr().out
 
 
 def test_stability_gates_on_the_solvability_check(bench_cfg, history2_file,
