@@ -36,10 +36,11 @@ group identities exact to rounding on purely discrete scales.
 
 Numerical conventions
 ---------------------
-* One tolerance, ``POINT_TOL``, in time units (not lattice steps), decides
-  every membership, lattice-index and snap question.  Graininess is read off
-  the grid walk that builds every grid (:meth:`TimeScale.grid_with_graininess`),
-  so scalar queries and grids agree.
+* One tolerance, ``POINT_TOL``, in time units (not lattice steps or
+  panels), decides every membership, index and snap question, for lattice
+  nodes and dense panel edges alike: a dense piece keeps its edges as a
+  lattice piece.  Graininess is read off the grid walk that builds every grid
+  (:meth:`TimeScale.grid_with_graininess`), so scalar queries and grids agree.
 * Dense quadrature is the trapezoid rule on panels **anchored at the start of
   each dense piece**.  An integration bound falling strictly inside a panel
   is handled by integrating the anchored piecewise-linear interpolant of the
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -149,11 +150,15 @@ class LatticePiece:
         node = self.anchor + self._index(t, math.floor) * self.spacing
         return self.start <= node <= self.stop and t - node <= POINT_TOL
 
+    @property
+    def graininess(self) -> float:
+        return self.spacing
+
     def snap_down(self, t: float) -> float:
         """Largest node <= t (assumes start - tol <= t)."""
         return self.anchor + self._index(min(t, self.stop), math.floor) * self.spacing
 
-    def nodes(self, lo: float, hi: float) -> np.ndarray:
+    def grid(self, lo: float, hi: float) -> np.ndarray:
         """All nodes in [lo, hi] (clipped to the piece)."""
         k_lo = self._index(max(lo, self.start), math.ceil)
         k_hi = self._index(min(hi, self.stop), math.floor)
@@ -167,22 +172,26 @@ class DensePiece:
     """Closed real interval [start, stop] with a quadrature step.
 
     The requested step is adjusted so the piece holds a whole number of
-    panels; panel edges are anchored at ``start``.
+    panels; the panel edges are the lattice ``edges`` anchored at ``start``.
     """
 
     start: float
     stop: float
     step: float = 0.01
+    edges: LatticePiece = field(init=False, repr=False, compare=False)
+    graininess = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise TimeScaleError("dense pieces must have finite bounds")
         if not self.stop > self.start:
             raise TimeScaleError("dense piece needs stop > start")
-        if not self.step > 0:
-            raise TimeScaleError(f"quadrature step must be positive, got {self.step}")
-        n_panels = max(1, round((self.stop - self.start) / self.step))
-        object.__setattr__(self, "step", (self.stop - self.start) / n_panels)
+        if not POINT_TOL < self.step < math.inf:  # inf would adjust to one panel
+            raise TimeScaleError(f"quadrature step must be finite and exceed "
+                                 f"{POINT_TOL:g}, got {self.step}")
+        step = (self.stop - self.start) / max(1, round((self.stop - self.start) / self.step))
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "edges", LatticePiece(self.start, self.stop, step, self.start))
 
     def contains(self, t: float) -> bool:
         return self.start - POINT_TOL <= t <= self.stop + POINT_TOL
@@ -190,28 +199,19 @@ class DensePiece:
     def snap_down(self, t: float) -> float:
         return min(t, self.stop)
 
-    def edges(self, lo: float, hi: float) -> np.ndarray:
-        """Anchored panel edges within [lo, hi], always including lo and hi.
-
-        ``lo``/``hi`` are clipped to the piece.  Off-edge endpoints are
-        inserted so integration windows are honoured exactly.
-        """
-        lo = max(lo, self.start)
-        hi = min(hi, self.stop)
+    def grid(self, lo: float, hi: float) -> np.ndarray:
+        """[lo, hi] clipped to the piece: its ends and the edges strictly
+        between them.  An edge within ``POINT_TOL`` of hi ends the grid at the
+        lower of the two; a window no wider than ``POINT_TOL`` is lo alone."""
+        lo, hi = max(lo, self.start), min(hi, self.stop)
         if lo > hi + POINT_TOL:
             return np.empty(0)
-        k_lo = math.ceil((lo - self.start) / self.step - POINT_TOL)
-        k_hi = math.floor((hi - self.start) / self.step + POINT_TOL)
-        inner = self.start + self.step * np.arange(k_lo, k_hi + 1, dtype=float)
-        pts = [lo]
-        for e in inner:
-            if e > pts[-1] + POINT_TOL:
-                pts.append(e)
-        if hi > pts[-1] + POINT_TOL:
-            pts.append(hi)
-        elif len(pts) > 1:
-            pts[-1] = min(pts[-1], hi)
-        return np.asarray(pts)
+        if hi <= lo + POINT_TOL:
+            return np.array([lo])
+        e = self.edges.grid(lo, hi)
+        e = e[e > lo + POINT_TOL]
+        end = min(e[-1], hi) if e.size and e[-1] >= hi - POINT_TOL else hi
+        return np.concatenate(([lo], e[e < hi - POINT_TOL], [end]))
 
 
 Piece = LatticePiece | DensePiece
@@ -223,12 +223,13 @@ Piece = LatticePiece | DensePiece
 
 
 def _eval_on(f: Callable, xs: np.ndarray) -> np.ndarray:
-    """Evaluate ``f`` on an array, tolerating scalar-only callables."""
+    """Evaluate ``f`` on an array, tolerating scalar-only callables (those
+    that raise ``TypeError`` or ``ValueError`` on an array)."""
     try:
         out = np.asarray(f(xs), dtype=float)
         if out.shape == xs.shape:
             return out
-    except Exception:
+    except (TypeError, ValueError):
         pass
     return np.array([float(f(float(x))) for x in xs])
 
@@ -337,12 +338,8 @@ class TimeScale:
                 if piece.stop < a - POINT_TOL:
                     prev_stop = piece.stop
                 continue
-            if isinstance(piece, LatticePiece):
-                g = piece.nodes(a, b)
-                nu = np.full(g.shape, piece.spacing)
-            else:
-                g = piece.edges(a, b)
-                nu = np.zeros(g.shape)
+            g = piece.grid(a, b)
+            nu = np.full(g.shape, piece.graininess)
             if g.size:
                 if abs(g[0] - piece.start) <= POINT_TOL:
                     # the gap to the previous piece; 0 at the global minimum
@@ -360,9 +357,8 @@ class TimeScale:
         The largest lattice spacing or gap between consecutive pieces (0 on
         a purely dense scale): a bound on the graininess over any horizon.
         """
-        spacings = [p.spacing for p in self.pieces if isinstance(p, LatticePiece)]
         gaps = [nxt.start - prev.stop for prev, nxt in zip(self.pieces, self.pieces[1:])]
-        return float(max(spacings + gaps, default=0.0))
+        return float(max([p.graininess for p in self.pieces] + gaps))
 
     # -- derivative ------------------------------------------------------
 
@@ -424,13 +420,11 @@ class TimeScale:
         for idx in {0, g.size - 1} if g.size else ():
             x = float(g[idx])
             piece = self.pieces[self._index_at_or_before(x)]
-            if isinstance(piece, DensePiece):
-                k = (x - piece.start) / piece.step
-                if abs(k - round(k)) * piece.step > POINT_TOL:
-                    e0 = piece.start + math.floor(k + POINT_TOL) * piece.step
-                    e1 = min(e0 + piece.step, piece.stop)
-                    f0, f1 = float(f(e0)), float(f(e1))
-                    vals[idx] = f0 + (f1 - f0) * (x - e0) / (e1 - e0)
+            if isinstance(piece, DensePiece) and not piece.edges.contains(x):
+                e0 = piece.edges.snap_down(x)
+                e1 = min(e0 + piece.step, piece.stop)
+                f0, f1 = float(f(e0)), float(f(e1))
+                vals[idx] = f0 + (f1 - f0) * (x - e0) / (e1 - e0)
         return g, widths[1:], dense[1:], vals, nu
 
     def nabla_integral(self, f: Callable[[float], float], a: float, b: float) -> float:

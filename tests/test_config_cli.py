@@ -662,6 +662,17 @@ def test_malformed_lattice_is_a_time_scale_error(command, line, message, bench_c
     assert captured.err.splitlines() == [f"time-scale error: {message}"]
 
 
+@pytest.mark.parametrize("command", ["certificate", "simulate"])
+@pytest.mark.parametrize("h", ["1e-12", "inf"], ids=["tiny-step", "infinite-step"])
+def test_malformed_quadrature_step_is_a_time_scale_error(command, h, bench_cfg, capsys):
+    # 1e-12 would ask for trillions of panels and inf adjusts to one panel
+    assert main([command, str(bench_cfg), "--timescale", "R", "--h", h]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"time-scale error: quadrature step must be finite and exceed 1e-09, got {float(h)}"]
+
+
 def test_module_entry_point(bench_cfg, src_env):
     proc = subprocess.run(
         [sys.executable, "-m", "chronoscale", "check", str(bench_cfg)],

@@ -153,6 +153,32 @@ class TestStructure:
         else:
             assert ts.snap_down(t) == (node if offset > 0 else anchor + (k - 1) * spacing)
 
+    @given(
+        step=st.sampled_from([0.01, 0.03, 0.05, 0.1, 0.5, 1.0, 2.0, 6.0]),
+        k=st.integers(1, 3),
+        offset=st.one_of(
+            st.floats(-0.9 * POINT_TOL, 0.9 * POINT_TOL),
+            st.floats(1.1 * POINT_TOL, 4e-3),
+            st.floats(-4e-3, -1.1 * POINT_TOL),
+        ),
+    )
+    @example(step=6.0, k=1, offset=-3e-9)
+    @settings(max_examples=300, deadline=None)
+    def test_dense_queries_share_one_tolerance(self, step, k, offset):
+        # the offsets of the lattice test above, around an interior panel edge
+        piece = DensePiece(0.0, 5 * step, step)
+        ts, h = TimeScale([piece]), piece.step
+        t = k * h + offset
+        assert ts.grid(t, t).size == 1
+        assert np.all(np.diff(ts.grid(t, t + step)) > POINT_TOL)
+        if abs(offset) > POINT_TOL:
+            # t is valued by the interpolant over the panel (e0, e0 + h] holding it
+            e0 = (k - (offset < 0)) * h
+            f0, f1 = e0 ** 3, (e0 + h) ** 3
+            at_t = f0 + (f1 - f0) * (t - e0) / h
+            got = ts.nabla_integral(lambda u: u ** 3, e0, t)
+            assert got == pytest.approx(0.5 * (t - e0) * (f0 + at_t), rel=1e-12)
+
     def test_panels(self):
         # lattice nodes 1..3 are scattered; the gap to 5 is one scattered
         # panel of width 2; the dense piece's panels follow
