@@ -4,8 +4,8 @@ Model coefficients (decay rates, connection weights, inputs, delays) are
 time-varying functions.  This module gives them a tiny closed expression
 language so that they can be
 
-* evaluated fast, on scalars and on numpy arrays alike, and many at once
-  with one numpy operation per node of each tree shape (:class:`ExprStack`),
+* evaluated fast, each node by its numpy ufunc, and many at once with one
+  numpy operation per node of each tree shape (:class:`ExprStack`),
 * written to / read from configuration files losslessly, and
 * bounded: interval enclosures over all t in R (Moore, *Interval Analysis*,
   1966), exact when t occurs once, with user overrides taking precedence.
@@ -80,8 +80,9 @@ class CoeffExpr:
     """Base class: a real-valued function of time.
 
     Instances are callable; ``expr(t)`` accepts floats or numpy arrays and
-    returns the same shape.  ``enclose()`` returns ``(lo, hi)`` with
-    ``lo <= expr(t) <= hi`` for every real ``t``.
+    returns the same shape, computed by numpy either way, so a scalar call
+    equals the matching entry of an array call bit for bit.  ``enclose()``
+    returns ``(lo, hi)`` with ``lo <= expr(t) <= hi`` for every real ``t``.
     """
 
     def __call__(self, t: Number) -> Number:
@@ -99,9 +100,8 @@ class Const(CoeffExpr):
     value: float
 
     def __call__(self, t: Number) -> Number:
-        if isinstance(t, np.ndarray):  # a stacked value broadcasts against t
-            return np.full(np.broadcast_shapes(t.shape, np.shape(self.value)), self.value)
-        return self.value
+        # a stacked value broadcasts against t; ``[()]`` unwraps a 0-d result
+        return np.full(np.broadcast_shapes(np.shape(t), np.shape(self.value)), self.value)[()]
 
     def enclose(self) -> Interval:
         return self.value, self.value
@@ -157,16 +157,13 @@ def _periodic(fn, peak: float):
     return enclose
 
 
-def _unary(name: str, scalar_fn, array_fn, enclose_fn):
+def _unary(name: str, fn, enclose_fn):
     @dataclass(frozen=True)
     class Node(CoeffExpr):
         arg: CoeffExpr
 
         def __call__(self, t: Number) -> Number:
-            v = self.arg(t)
-            if isinstance(v, np.ndarray):
-                return array_fn(v)
-            return scalar_fn(v)
+            return fn(self.arg(t))
 
         def enclose(self) -> Interval:
             return enclose_fn(*self.arg.enclose())
@@ -175,11 +172,11 @@ def _unary(name: str, scalar_fn, array_fn, enclose_fn):
     return Node
 
 
-Sin = _unary("Sin", math.sin, np.sin, _periodic(math.sin, math.pi / 2))
-Cos = _unary("Cos", math.cos, np.cos, _periodic(math.cos, 0.0))
-Abs = _unary("Abs", abs, np.abs, lambda lo, hi: (max(lo, -hi, 0.0), max(-lo, hi)))
-Exp = _unary("Exp", math.exp, np.exp, _exp_enclosure)
-Neg = _unary("Neg", lambda v: -v, np.negative, lambda lo, hi: (-hi, -lo))
+Sin = _unary("Sin", np.sin, _periodic(math.sin, math.pi / 2))
+Cos = _unary("Cos", np.cos, _periodic(math.cos, 0.0))
+Abs = _unary("Abs", np.abs, lambda lo, hi: (max(lo, -hi, 0.0), max(-lo, hi)))
+Exp = _unary("Exp", np.exp, _exp_enclosure)
+Neg = _unary("Neg", np.negative, lambda lo, hi: (-hi, -lo))
 
 
 @dataclass(frozen=True)
@@ -238,12 +235,6 @@ class Mul(CoeffExpr):
 # stacked evaluation
 # ---------------------------------------------------------------------------
 
-# Largest array one step of a stacked evaluation builds: 64 KiB, an eighth of
-# the simulator's 0.5 MiB compiled chunk, so a group's temporaries stay small
-# beside the chunk's table and plan.
-SLAB_BYTES = 1 << 16
-
-
 def _shape(e: CoeffExpr) -> tuple:
     """The tree shape of ``e``: its node types and structure, numbers ignored.
 
@@ -269,13 +260,12 @@ class ExprStack:
     Expressions of the same tree shape form a group, kept as one tree of the
     same node classes whose numbers are columns over the group.  The nodes'
     own ``__call__`` evaluates it on a row of times, so each op computes a
-    ``(group, times)`` slab with the elementwise arithmetic of the single
+    ``(group, times)`` array with the elementwise arithmetic of the single
     trees, and every row equals ``expr(times)`` bit for bit.  Times run along
     the rows because numpy loops innermost over the last axis: a group of two
     over a block of 1,500 times runs two long loops this way, against 1,500
-    short ones the other way.  A slab spans as many times as keep it within
-    ``SLAB_BYTES``, so the trees stay as built and a long block takes several
-    slabs.
+    short ones the other way.  Each group spans the whole block it is given,
+    so a caller bounds its temporaries by the block length it asks for.
     """
 
     def __init__(self, exprs: Sequence[CoeffExpr]):
@@ -291,9 +281,7 @@ class ExprStack:
         t = np.asarray(times, dtype=float)
         out = np.empty((len(t), self.width))
         for cols, tree in self.groups:
-            step = max(1, SLAB_BYTES // (8 * len(cols)))
-            for r in range(0, len(t), step):
-                out[r:r + step, cols] = tree(t[None, r:r + step]).T
+            out[:, cols] = tree(t[None, :]).T
         return out
 
 

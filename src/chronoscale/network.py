@@ -33,9 +33,10 @@ and ``state.slope(index, u)`` give the state and its nabla derivative at a
 time or an array of times ``u``, where indices ``0..n-1`` address the
 short-term states and ``n..2n-1`` the long-term states.  The state owns the
 lookup semantics (interpolation on dense stretches, snap-down on scattered
-ones); the distributed integrals are taken with the time scale's own nabla
-integral, so :func:`rhs` is a slow reference evaluator, independent of the
-stepper, for checking simulator output.
+ones).  :func:`rhs` reads the coefficient values the stepper reads, from
+:meth:`NetworkSpec.coeffs_on`; its delayed lookups and distributed integrals
+(taken with the time scale's own nabla integral) stay independent of the
+stepper, so it is a slow reference evaluator for checking simulator output.
 """
 
 from __future__ import annotations
@@ -89,17 +90,9 @@ class Activation:
     lipschitz: float
 
 
-def _sin_half(u):
-    return np.sin(u / 2.0) if isinstance(u, np.ndarray) else math.sin(u / 2.0)
-
-
-def _tanh(u):
-    return np.tanh(u) if isinstance(u, np.ndarray) else math.tanh(u)
-
-
 ACTIVATIONS: dict[str, Activation] = {
-    "sin_half": Activation("sin_half", _sin_half, 0.5),
-    "tanh": Activation("tanh", _tanh, 1.0),
+    "sin_half": Activation("sin_half", lambda u: np.sin(u / 2.0), 0.5),
+    "tanh": Activation("tanh", np.tanh, 1.0),
     "identity": Activation("identity", lambda u: u, 1.0),
 }
 
@@ -216,14 +209,10 @@ class NetworkSpec:
     # -- coefficient tables -----------------------------------------------
 
     def coeffs_at(self, t: float) -> "CoeffTable":
-        """Evaluate every coefficient at one time (the scalar reference path)."""
-        n = self.n
-        vec = {name: np.array([getattr(self, name)[i](t) for i in range(n)])
-               for name in self.VECTOR_FIELDS}
-        mat = {name: np.array([[getattr(self, name)[i][j](t) for j in range(n)]
-                               for i in range(n)])
-               for name in self.MATRIX_FIELDS}
-        return CoeffTable(t=t, **vec, **mat)
+        """Every coefficient at one time: the one-row case of :meth:`coeffs_on`."""
+        row = self.coeffs_on(np.array([t]))
+        return CoeffTable(t=t, **{name: getattr(row, name)[0]
+                                  for name in self.VECTOR_FIELDS + self.MATRIX_FIELDS})
 
     @cached_property
     def _coefficient_stack(self) -> ExprStack:

@@ -79,6 +79,10 @@ __all__ = [
 # snapping questions use it.
 POINT_TOL = 1e-9
 
+# Most nodes one grid may hold.  A wider window is refused before anything is
+# allocated, since a run keeps several rows of its grid's length per state.
+MAX_NODES = 2_000_000
+
 # Half-width of the central difference at left-dense points.
 DERIVATIVE_STEP = 1e-4
 
@@ -146,10 +150,6 @@ class LatticePiece:
         shift = POINT_TOL if rounding is math.floor else -POINT_TOL
         return rounding((t + shift - self.anchor) / self.spacing)
 
-    def contains(self, t: float) -> bool:
-        node = self.anchor + self._index(t, math.floor) * self.spacing
-        return self.start <= node <= self.stop and t - node <= POINT_TOL
-
     @property
     def graininess(self) -> float:
         return self.spacing
@@ -159,11 +159,14 @@ class LatticePiece:
         return self.anchor + self._index(min(t, self.stop), math.floor) * self.spacing
 
     def grid(self, lo: float, hi: float) -> np.ndarray:
-        """All nodes in [lo, hi] (clipped to the piece)."""
+        """All nodes in [lo, hi] (clipped to the piece), at most ``MAX_NODES``."""
         k_lo = self._index(max(lo, self.start), math.ceil)
         k_hi = self._index(min(hi, self.stop), math.floor)
         if k_hi < k_lo:
             return np.empty(0)
+        if k_hi - k_lo >= MAX_NODES:
+            raise TimeScaleError(f"window [{lo!r}, {hi!r}] holds {k_hi - k_lo + 1} nodes at "
+                                 f"spacing {self.spacing!r}; a grid holds at most {MAX_NODES}")
         return self.anchor + self.spacing * np.arange(k_lo, k_hi + 1, dtype=float)
 
 
@@ -192,9 +195,6 @@ class DensePiece:
         step = (self.stop - self.start) / max(1, round((self.stop - self.start) / self.step))
         object.__setattr__(self, "step", step)
         object.__setattr__(self, "edges", LatticePiece(self.start, self.stop, step, self.start))
-
-    def contains(self, t: float) -> bool:
-        return self.start - POINT_TOL <= t <= self.stop + POINT_TOL
 
     def snap_down(self, t: float) -> float:
         return min(t, self.stop)
@@ -280,8 +280,8 @@ class TimeScale:
         return bisect_right(self._starts, t + POINT_TOL) - 1
 
     def contains(self, t: float) -> bool:
-        i = self._index_at_or_before(t)
-        return i >= 0 and self.pieces[i].contains(t)
+        """Whether t is a point of the scale: its one-point grid walk is not empty."""
+        return self.grid(t, t).size > 0
 
     def _require_member(self, t: float, what: str = "point") -> None:
         if not self.contains(t):
@@ -294,8 +294,10 @@ class TimeScale:
     def graininess(self, t: float) -> float:
         """nu(t) = t - rho(t), read off the grid walk; zero exactly at
         left-dense points."""
-        self._require_member(t)
-        return float(self.grid_with_graininess(t, t)[1][0])
+        nu = self.grid_with_graininess(t, t)[1]
+        if not nu.size:
+            raise TimeScaleError(f"point {t!r} is not a point of the time scale")
+        return float(nu[0])
 
     def snap_down(self, t: float) -> float:
         """The largest scale point <= t (tolerance ``POINT_TOL``).
@@ -420,7 +422,7 @@ class TimeScale:
         for idx in {0, g.size - 1} if g.size else ():
             x = float(g[idx])
             piece = self.pieces[self._index_at_or_before(x)]
-            if isinstance(piece, DensePiece) and not piece.edges.contains(x):
+            if isinstance(piece, DensePiece) and not piece.edges.grid(x, x).size:
                 e0 = piece.edges.snap_down(x)
                 e1 = min(e0 + piece.step, piece.stop)
                 f0, f1 = float(f(e0)), float(f(e1))

@@ -673,6 +673,22 @@ def test_malformed_quadrature_step_is_a_time_scale_error(command, h, bench_cfg, 
         f"time-scale error: quadrature step must be finite and exceed 1e-09, got {float(h)}"]
 
 
+@pytest.mark.parametrize("flags, line", [(["--timescale", "R", "--h", "2e-9"], ""),
+                                         ([], "spacing = 2e-9\n")], ids=["R", "Z"])
+def test_a_run_past_the_node_budget_is_a_time_scale_error(flags, line, bench_cfg, capsys):
+    # the run window [-1.5, 30] at spacing 2e-9 would be a 117 GiB grid
+    text = bench_cfg.read_text()
+    bench_cfg.write_text(text.replace("\nkind = Z\n", f"\nkind = Z\n{line}"))
+    assert main(["simulate", str(bench_cfg), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "time-scale error: window [-1.5, 30.0] holds 15750000001 nodes at spacing 2e-09; "
+        "a grid holds at most 2000000"]
+    # a certificate builds no grid
+    assert main(["certificate", str(bench_cfg), *flags]) == 0
+
+
 def test_module_entry_point(bench_cfg, src_env):
     proc = subprocess.run(
         [sys.executable, "-m", "chronoscale", "check", str(bench_cfg)],

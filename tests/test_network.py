@@ -77,7 +77,17 @@ def test_sin_half_scalar_and_vector_agree():
     u = np.array([-1.0, 0.0, 2.5])
     vec = np.asarray(act.fn(u))
     for k, val in enumerate(u):
-        assert vec[k] == pytest.approx(act.fn(float(val)), abs=1e-15)
+        assert vec[k] == act.fn(float(val))
+
+
+@pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+def test_activation_scalar_call_equals_one_element_array_call(name):
+    # with numpy 2.4 on x86-64, libm's tanh differs from numpy's at 614 of these
+    fn = ACTIVATIONS[name].fn
+    u = np.linspace(-3.0, 3.0, 2001)
+    scalar = np.array([fn(float(v)) for v in u])
+    one = np.concatenate([fn(np.array([v])) for v in u])
+    assert scalar.tobytes() == one.tobytes() == fn(u).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +169,12 @@ def test_coeffs_at_matches_expressions():
 
 def test_coeffs_on_rows_match_coeffs_at():
     spec = two_neuron_spec()
-    times = np.array([-1.25, 0.0, 0.37, 3.0, 41.9])
+    times = np.linspace(-2.0, 200.0, 2001)
     block = spec.coeffs_on(times)
     for b, t in enumerate(times):
         point = spec.coeffs_at(float(t))
         for name in spec.VECTOR_FIELDS + spec.MATRIX_FIELDS:
-            assert np.allclose(getattr(block, name)[b], getattr(point, name),
-                               rtol=0.0, atol=1e-15), name
+            assert np.array_equal(getattr(block, name)[b], getattr(point, name)), (name, t)
 
 
 def test_coeffs_on_equals_each_expression_bit_for_bit():

@@ -69,28 +69,11 @@ def live_index(traj, t):
 # ---------------------------------------------------------------------------
 
 
-def test_matches_independent_lattice_recurrence():
-    spec = two_neuron_spec()
-    hist, _ = history_pairs()["trig"]
-    traj = simulate(spec, hist, TimeScale.integer_lattice(), t_end=50.0,
-                    corrector_iters=8)
-    oracle = lattice_oracle.run(50, corrector_iters=8)
-    worst = 0.0
-    for t in range(1, 51):
-        k = live_index(traj, t)
-        for i in range(2):
-            worst = max(worst,
-                        abs(traj.x[i, k] - oracle["x"][t][i]),
-                        abs(traj.s[i, k] - oracle["s"][t][i]),
-                        abs(traj.dx[i, k] - oracle["dx"][t][i]),
-                        abs(traj.ds[i, k] - oracle["ds"][t][i]))
-    assert worst <= 1e-12
-
-
 def test_matches_recurrence_with_multi_panel_delays():
-    # The reference delays stay below one lattice panel, so distributed sums
-    # hold only the live atom.  Widening every delay makes those sums span
-    # committed and history atoms, exercising the prefix bookkeeping.
+    # Acceptance check 4 runs the reference delays, which stay below one
+    # lattice panel, so distributed sums hold only the live atom.  Widening
+    # every delay makes those sums span committed and history atoms,
+    # exercising the prefix bookkeeping.
     w = lattice_oracle.WIDE
     c = lambda v: Const(float(v))
     mat = lambda v: ((c(v), c(v)), (c(v), c(v)))
@@ -143,29 +126,6 @@ def test_dense_grid_reproduces_scalar_ode():
     err = np.abs(traj.x[0, traj.start_index:] - (1.0 - np.exp(-live)))
     assert float(err.max()) < 1e-5
     assert np.all(traj.s[0] == 0.0)
-
-
-def _delayed_decay_exact(t, a=0.8):
-    # x'(t) = -a x(t-1), x == 1 on [-1, 0]:
-    # x(t) = sum_k (-a)^k ((t-k+1)_+)^k / k!  (method of steps)
-    total = 0.0
-    k = 0
-    while t - k + 1 > 0:
-        total += (-a) ** k * (t - k + 1) ** k / math.factorial(k)
-        k += 1
-    return total
-
-
-def test_dense_step_halving_is_second_order():
-    spec = scalar_spec(alpha=(Const(0.0),), Dtau=((Const(-0.8),),))
-    errs = {}
-    for h in (0.05, 0.025):
-        ts = TimeScale.real_interval(-1.0, 3.0, h)
-        traj = simulate(spec, flat_history(x0=1.0), ts, t_end=3.0)
-        live = range(traj.start_index, len(traj.times))
-        errs[h] = max(abs(traj.x[0, k] - _delayed_decay_exact(traj.times[k]))
-                      for k in live)
-    assert errs[0.05] / errs[0.025] >= 1.8
 
 
 def test_constant_input_integrates_to_elapsed_measure():

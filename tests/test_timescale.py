@@ -10,6 +10,7 @@ circle algebra; and the nabla exponential with its group identities.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from chronoscale import (
     circle_plus,
     cylinder,
 )
-from chronoscale.timescale import POINT_TOL
+from chronoscale.timescale import MAX_NODES, POINT_TOL
 
 EXACT = 1e-12
 SCATTERED_TOL = 1e-10
@@ -178,6 +179,22 @@ class TestStructure:
             at_t = f0 + (f1 - f0) * (t - e0) / h
             got = ts.nabla_integral(lambda u: u ** 3, e0, t)
             assert got == pytest.approx(0.5 * (t - e0) * (f0 + at_t), rel=1e-12)
+
+    def test_grid_refuses_a_window_past_the_node_budget(self):
+        lattice = TimeScale.integer_lattice(0.5)
+        assert lattice.grid(0.0, 0.5 * (MAX_NODES - 1)).size == MAX_NODES
+        with pytest.raises(TimeScaleError, match=f"holds {MAX_NODES + 1} nodes at spacing 0.5"):
+            lattice.grid(0.0, 0.5 * MAX_NODES)
+        # 2.6e10 panel edges would take 194 GiB; the refusal allocates nothing
+        dense = TimeScale.real_interval(-2.0, 50.0, 2e-9)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TimeScaleError, match=f"a grid holds at most {MAX_NODES}"):
+                dense.grid(-2.0, 50.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_panels(self):
         # lattice nodes 1..3 are scattered; the gap to 5 is one scattered
