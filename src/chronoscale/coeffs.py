@@ -9,6 +9,9 @@ language so that they can be
 * written to / read from configuration files losslessly, and
 * bounded: interval enclosures over all t in R (Moore, *Interval Analysis*,
   1966), exact when t occurs once, with user overrides taking precedence.
+  Each node's rule is numpy arithmetic on its ends, so the same rule
+  encloses one tree (0-d ends) or a whole :class:`ExprStack` group at once
+  (ends that are columns over the group).
 
 Grammar (prefix notation, whitespace separated, parentheses group).  The
 table ``_GRAMMAR`` gives each keyword its node class and its counts of
@@ -38,6 +41,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -64,7 +68,7 @@ __all__ = [
 ]
 
 Number = Union[float, np.ndarray]
-Interval = tuple[float, float]
+Interval = tuple[Number, Number]
 
 
 class ExprParseError(ValueError):
@@ -82,7 +86,8 @@ class CoeffExpr:
     Instances are callable; ``expr(t)`` accepts floats or numpy arrays and
     returns the same shape, computed by numpy either way, so a scalar call
     equals the matching entry of an array call bit for bit.  ``enclose()``
-    returns ``(lo, hi)`` with ``lo <= expr(t) <= hi`` for every real ``t``.
+    returns ``(lo, hi)`` with ``lo <= expr(t) <= hi`` for every real ``t``;
+    for a stacked group tree each end holds one such bound per row.
     """
 
     def __call__(self, t: Number) -> Number:
@@ -116,10 +121,21 @@ class TimeVar(CoeffExpr):
         return -math.inf, math.inf
 
 
+# Interval ends overflow to inf, and 0 * inf is formed before it is masked;
+# numpy would warn where Python floats (and a caught OverflowError) do not.
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
+
+@_quiet
 def _mul(x: Interval, y: Interval) -> Interval:
     # a zero factor zeroes any value, so 0 * inf counts as 0
-    products = [0.0 if a == 0.0 or b == 0.0 else a * b for a in x for b in y]
-    return min(products), max(products)
+    products = [np.where((a == 0.0) | (b == 0.0), 0.0, a * b) for a in x for b in y]
+    return reduce(np.minimum, products), reduce(np.maximum, products)
+
+
+@_quiet
+def _add(x: Interval, y: Interval) -> Interval:
+    return x[0] + y[0], x[1] + y[1]
 
 
 def _exp(v: float) -> float:
@@ -134,25 +150,29 @@ def _exp(v: float) -> float:
 EXP_ULPS = 4
 
 
-def _exp_enclosure(lo: float, hi: float) -> Interval:
-    """``exp`` of the ends, each moved ``EXP_ULPS`` ulps outward (not below 0)."""
-    a, b = _exp(lo), _exp(hi)
+@_quiet
+def _exp_enclosure(lo: Number, hi: Number) -> Interval:
+    """``exp`` of the ends (libm's, one end at a time), each moved
+    ``EXP_ULPS`` ulps outward (not below 0)."""
+    a, b = (np.vectorize(_exp, otypes=[float])(end) for end in (lo, hi))
     for _ in range(EXP_ULPS):
-        a, b = math.nextafter(a, 0.0), math.nextafter(b, math.inf)
+        a, b = np.nextafter(a, 0.0), np.nextafter(b, math.inf)
     return a, b
 
 
 def _periodic(fn, peak: float):
     """Enclosure rule of ``fn``, a sine shifted to peak at ``peak`` mod 2 pi."""
 
-    def enclose(lo: float, hi: float) -> Interval:
-        if not hi - lo < 2 * math.pi:  # a full period, or an unbounded argument
-            return -1.0, 1.0
+    @_quiet
+    def enclose(lo: Number, hi: Number) -> Interval:
+        full = ~np.less(hi - lo, 2 * math.pi)  # a full period, or an unbounded argument
+        lo, hi = np.where(full, 0.0, lo), np.where(full, 0.0, hi)
         # the first peak and the first trough at or after lo
-        top = peak + 2 * math.pi * math.ceil((lo - peak) / (2 * math.pi))
-        bottom = top - math.pi if top - math.pi >= lo else top + math.pi
+        top = peak + 2 * math.pi * np.ceil((lo - peak) / (2 * math.pi))
+        bottom = np.where(top - math.pi >= lo, top - math.pi, top + math.pi)
         ends = (fn(lo), fn(hi))
-        return (-1.0 if bottom <= hi else min(ends), 1.0 if top <= hi else max(ends))
+        return (np.where(full | (bottom <= hi), -1.0, np.minimum(*ends))[()],
+                np.where(full | (top <= hi), 1.0, np.maximum(*ends))[()])
 
     return enclose
 
@@ -172,9 +192,10 @@ def _unary(name: str, fn, enclose_fn):
     return Node
 
 
-Sin = _unary("Sin", np.sin, _periodic(math.sin, math.pi / 2))
-Cos = _unary("Cos", np.cos, _periodic(math.cos, 0.0))
-Abs = _unary("Abs", np.abs, lambda lo, hi: (max(lo, -hi, 0.0), max(-lo, hi)))
+Sin = _unary("Sin", np.sin, _periodic(np.sin, math.pi / 2))
+Cos = _unary("Cos", np.cos, _periodic(np.cos, 0.0))
+Abs = _unary("Abs", np.abs, lambda lo, hi: (np.maximum(np.maximum(lo, -hi), 0.0),
+                                            np.maximum(-lo, hi)))
 Exp = _unary("Exp", np.exp, _exp_enclosure)
 Neg = _unary("Neg", np.negative, lambda lo, hi: (-hi, -lo))
 
@@ -203,7 +224,7 @@ class Affine(CoeffExpr):
         return self.slope * self.arg(t) + self.offset
 
     def enclose(self) -> Interval:
-        return Add(Scale(self.slope, self.arg), Const(self.offset)).enclose()
+        return _add(_mul((self.slope, self.slope), self.arg.enclose()), (self.offset, self.offset))
 
 
 @dataclass(frozen=True)
@@ -215,8 +236,7 @@ class Add(CoeffExpr):
         return self.left(t) + self.right(t)
 
     def enclose(self) -> Interval:
-        (a, b), (c, d) = self.left.enclose(), self.right.enclose()
-        return a + c, b + d
+        return _add(self.left.enclose(), self.right.enclose())
 
 
 @dataclass(frozen=True)
@@ -238,34 +258,38 @@ class Mul(CoeffExpr):
 def _shape(e: CoeffExpr) -> tuple:
     """The tree shape of ``e``: its node types and structure, numbers ignored.
 
-    Fields are read by name, as in :func:`_stack`: ``vars(e)`` would make
-    every node keep a ``__dict__``.
+    Only the sub-expression fields are walked (``_SUBEXPRS``); fields are read
+    by name, since ``vars(e)`` would make every node keep a ``__dict__``.
     """
-    kids = (getattr(e, name) for name in e.__match_args__)
-    return (type(e), *[_shape(v) for v in kids if isinstance(v, CoeffExpr)])
+    return (type(e), *[_shape(getattr(e, name)) for name in _SUBEXPRS[type(e)]])
 
 
 def _stack(group: Sequence[CoeffExpr]) -> CoeffExpr:
     """One tree of the group's common shape whose numbers are ``(len(group),
     1)`` columns over it."""
-    fields = ([getattr(e, name) for e in group] for name in group[0].__match_args__)
-    return type(group[0])(*(
-        _stack(vals) if isinstance(vals[0], CoeffExpr) else np.array(vals, dtype=float)[:, None]
-        for vals in fields))
+    cls = type(group[0])
+    names, subs = cls.__match_args__, _SUBEXPRS[cls]
+    return cls(*[np.array([getattr(e, name) for e in group], dtype=float)[:, None]
+                 for name in names[:len(names) - len(subs)]],
+               *[_stack([getattr(e, name) for e in group]) for name in subs])
 
 
 class ExprStack:
-    """Many expressions evaluated together, one numpy op per node per shape.
+    """Many expressions evaluated and enclosed together, one numpy op per
+    node per shape.
 
     Expressions of the same tree shape form a group, kept as one tree of the
-    same node classes whose numbers are columns over the group.  The nodes'
-    own ``__call__`` evaluates it on a row of times, so each op computes a
-    ``(group, times)`` array with the elementwise arithmetic of the single
-    trees, and every row equals ``expr(times)`` bit for bit.  Times run along
-    the rows because numpy loops innermost over the last axis: a group of two
-    over a block of 1,500 times runs two long loops this way, against 1,500
-    short ones the other way.  Each group spans the whole block it is given,
-    so a caller bounds its temporaries by the block length it asks for.
+    same node classes whose numbers are ``(group, 1)`` columns over the
+    group.  The nodes' own ``__call__`` evaluates it on a row of times, so
+    each op computes a ``(group, times)`` array with the elementwise
+    arithmetic of the single trees, and every row equals ``expr(times)`` bit
+    for bit.  Times run along the rows because numpy loops innermost over the
+    last axis: a group of two over a block of 1,500 times runs two long loops
+    this way, against 1,500 short ones the other way.  Each group spans the
+    whole block it is given, so a caller bounds its temporaries by the block
+    length it asks for.  The nodes' own ``enclose()`` likewise encloses a
+    group tree at once: its ends are columns over the group (or one number
+    for all of it) whose rows equal each ``expr.enclose()``.
     """
 
     def __init__(self, exprs: Sequence[CoeffExpr]):
@@ -298,6 +322,8 @@ _GRAMMAR = {
     "add": (Add, 0, 2), "mul": (Mul, 0, 2),
 }
 _KEYWORDS = {cls: word for word, (cls, _, _) in _GRAMMAR.items()}
+# node class: names of its sub-expression fields, which follow its numbers
+_SUBEXPRS = {cls: cls.__match_args__[nums:] for cls, nums, _ in _GRAMMAR.values()}
 _TOKEN = re.compile(r"[(),]|[^\s(),]+")
 
 
@@ -386,7 +412,8 @@ def parse_expr(text: str) -> CoeffExpr:
 
 @dataclass(frozen=True)
 class BoundPair:
-    """Envelope of a coefficient: sup and inf of |f| over the time scale.
+    """Envelope of a coefficient: sup and inf of |f| over the time scale
+    (columns over a group for :func:`bound_sup_inf` of a stacked tree).
 
     ``source`` records how the numbers were obtained: ``"enclosure"`` for
     :func:`bound_sup_inf`, ``"override"`` for user-supplied values.
@@ -401,7 +428,9 @@ def bound_sup_inf(expr: CoeffExpr) -> BoundPair:
     """sup/inf of ``|expr|`` over all t in R, from :meth:`CoeffExpr.enclose`.
 
     A sound envelope, exact when ``expr`` uses t once; the sup is ``inf``
-    for an unbounded coefficient.
+    for an unbounded coefficient.  Given a group tree of an
+    :class:`ExprStack`, it bounds the whole group at once: each number is
+    then a ``(group, 1)`` column, or one number for all of it.
     """
     inf_abs, sup_abs = Abs(expr).enclose()
     return BoundPair(sup_abs, inf_abs, source="enclosure")

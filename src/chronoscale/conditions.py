@@ -157,9 +157,9 @@ class BoundSet:
 
     def __post_init__(self):
         inf = {"alpha": self.alpha_inf, "c": self.c_inf}
-        bad = [key for key, name, idx in NetworkSpec.coefficient_keys(self.n)
-               if name in inf and not inf[name][idx] > 0.0]
-        if bad:
+        if not all(np.all(arr > 0.0) for arr in inf.values()):
+            bad = [key for key, name, idx in NetworkSpec.coefficient_keys(self.n)
+                   if name in inf and not inf[name][idx] > 0.0]
             raise ConditionsError(
                 f"decay-rate infima must be positive: {', '.join(bad)}")
 
@@ -187,36 +187,38 @@ class BoundSet:
 def compute_bounds(spec: NetworkSpec, ts: TimeScale | None = None) -> BoundSet:
     """Enclosed sup/inf envelopes (:func:`~chronoscale.coeffs.bound_sup_inf`).
 
-    Entries of ``spec.bound_overrides`` replace the enclosures; an unbounded
-    one without an override raises :class:`ConditionsError`.  When a time
-    scale is supplied, ``nu_sup`` is its graininess supremum over the whole
-    scale (:meth:`TimeScale.max_graininess`), sound for any horizon;
-    otherwise it is 0 (purely dense analysis).
+    Whenever some key lacks an override, every coefficient is enclosed one
+    expression shape at a time: ``bound_sup_inf`` runs once per group of the
+    spec's stacked coefficients, whose columns land in flat arrays in
+    ``coefficient_keys`` order.  Entries of ``spec.bound_overrides`` then
+    replace the enclosures; an unbounded one without an override raises
+    :class:`ConditionsError` naming the first such key.  When a time scale is
+    supplied, ``nu_sup`` is its graininess supremum over the whole scale
+    (:meth:`TimeScale.max_graininess`), sound for any horizon; otherwise it
+    is 0 (purely dense analysis).
     """
-    n = spec.n
-    sup: dict[str, np.ndarray] = {
-        name: np.zeros(n) for name in NetworkSpec.VECTOR_FIELDS
-    }
-    sup.update({name: np.zeros((n, n)) for name in NetworkSpec.MATRIX_FIELDS})
-    inf = {"alpha": np.zeros(n), "c": np.zeros(n)}
-    sources: dict[str, str] = {}
-
-    for (key, expr), (_, name, idx) in zip(spec.coefficient_items(),
-                                           NetworkSpec.coefficient_keys(n)):
-        pair = spec.bound_overrides.get(key)
-        if pair is None:
-            pair = bound_sup_inf(expr)
-            if math.isinf(pair.sup_abs):
-                raise ConditionsError(f"coefficient {key} = {to_text(expr)} is unbounded on R")
-        sources[key] = pair.source
-        sup[name][idx] = pair.sup_abs
-        if name in inf:
-            inf[name][idx] = pair.inf_abs
-
+    n, overrides = spec.n, spec.bound_overrides
+    keys = [key for key, _, _ in NetworkSpec.coefficient_keys(n)]
+    sup, inf = np.zeros(len(keys)), np.zeros(len(keys))
+    if len(overrides) < len(keys):
+        for cols, tree in spec._coefficient_stack.groups:
+            pair = bound_sup_inf(tree)
+            sup[cols], inf[cols] = np.ravel(pair.sup_abs), np.ravel(pair.inf_abs)
+    if overrides:
+        at = {key: k for k, key in enumerate(keys)}
+        for key, pair in overrides.items():
+            sup[at[key]], inf[at[key]] = pair.sup_abs, pair.inf_abs
+    unbounded = np.flatnonzero(np.isinf(sup))
+    if unbounded.size:
+        key = keys[unbounded[0]]
+        expr = dict(spec.coefficient_items())[key]
+        raise ConditionsError(f"coefficient {key} = {to_text(expr)} is unbounded on R")
+    sources = dict.fromkeys(keys, "enclosure") | dict.fromkeys(overrides, "override")
+    sup_fields, inf_fields = NetworkSpec.families(n, sup), NetworkSpec.families(n, inf)
     return BoundSet(
-        n=n, alpha_inf=inf["alpha"], c_inf=inf["c"], sources=sources,
+        n=n, alpha_inf=inf_fields["alpha"], c_inf=inf_fields["c"], sources=sources,
         nu_sup=ts.max_graininess() if ts is not None else 0.0,
-        **{f"{name}_sup": arr for name, arr in sup.items()})
+        **{f"{name}_sup": arr for name, arr in sup_fields.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
@@ -185,18 +185,17 @@ class NetworkSpec:
     DELAY_FIELDS = ("eta", "varsigma", "tau", "sigma_d", "zeta")
 
     @classmethod
-    def coefficient_keys(cls, n: int) -> Iterator[tuple[str, str, tuple[int, ...]]]:
-        """Yield ``(key, field, index)`` for every coefficient in file order.
+    @cache
+    def coefficient_keys(cls, n: int) -> tuple[tuple[str, str, tuple[int, ...]], ...]:
+        """``(key, field, index)`` of every coefficient in file order, built
+        once per ``n``.
 
         Keys are 1-based (``"D.2.1"``), indices 0-based (``(1, 0)``).
         """
-        for name in cls.VECTOR_FIELDS:
-            for i in range(n):
-                yield f"{name}.{i + 1}", name, (i,)
-        for name in cls.MATRIX_FIELDS:
-            for i in range(n):
-                for j in range(n):
-                    yield f"{name}.{i + 1}.{j + 1}", name, (i, j)
+        return (*((f"{name}.{i + 1}", name, (i,))
+                  for name in cls.VECTOR_FIELDS for i in range(n)),
+                *((f"{name}.{i + 1}.{j + 1}", name, (i, j))
+                  for name in cls.MATRIX_FIELDS for i in range(n) for j in range(n)))
 
     def coefficient_items(self) -> Iterator[tuple[str, CoeffExpr]]:
         """Yield ``(key, expression)`` for every coefficient, 1-based keys."""
@@ -217,7 +216,9 @@ class NetworkSpec:
     @cached_property
     def _coefficient_stack(self) -> ExprStack:
         """Every coefficient in ``coefficient_keys`` order, grouped by tree
-        shape; built on first use, once per spec."""
+        shape; built once per spec, on first use by ``compute_bounds``
+        (which encloses its groups) or :meth:`coeffs_on` (which evaluates
+        them)."""
         return ExprStack([expr for _, expr in self.coefficient_items()])
 
     def coeffs_on(self, times: np.ndarray) -> "CoeffTable":
@@ -229,14 +230,17 @@ class NetworkSpec:
         order, evaluated one expression shape at a time.
         """
         times = np.asarray(times, dtype=float)
-        table = self._coefficient_stack(times)
-        b, n, split = len(times), self.n, len(self.VECTOR_FIELDS) * self.n
-        vectors = table[:, :split].reshape(b, len(self.VECTOR_FIELDS), n)
-        matrices = table[:, split:].reshape(b, len(self.MATRIX_FIELDS), n, n)
-        return CoeffTable(
-            t=times,
-            **{name: vectors[:, m] for m, name in enumerate(self.VECTOR_FIELDS)},
-            **{name: matrices[:, m] for m, name in enumerate(self.MATRIX_FIELDS)})
+        return CoeffTable(t=times, **self.families(self.n, self._coefficient_stack(times)))
+
+    @classmethod
+    def families(cls, n: int, table: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of a ``(..., K)`` table in ``coefficient_keys`` order, one per
+        family: ``(..., n)`` for vectors and ``(..., n, n)`` for matrices."""
+        lead, split = table.shape[:-1], len(cls.VECTOR_FIELDS) * n
+        vectors = table[..., :split].reshape(*lead, len(cls.VECTOR_FIELDS), n)
+        matrices = table[..., split:].reshape(*lead, len(cls.MATRIX_FIELDS), n, n)
+        return {**{name: vectors[..., m, :] for m, name in enumerate(cls.VECTOR_FIELDS)},
+                **{name: matrices[..., m, :, :] for m, name in enumerate(cls.MATRIX_FIELDS)}}
 
 
 @dataclass(frozen=True)

@@ -158,15 +158,24 @@ class LatticePiece:
         """Largest node <= t (assumes start - tol <= t)."""
         return self.anchor + self._index(min(t, self.stop), math.floor) * self.spacing
 
+    def _span(self, lo: float, hi: float) -> tuple[int, int]:
+        """Indices of the first and last node in [lo, hi] (clipped to the
+        piece); the last is below the first when there is none."""
+        a, b = max(lo, self.start), min(hi, self.stop)
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise TimeScaleError(f"window [{lo!r}, {hi!r}] is unbounded on a lattice "
+                                 f"of spacing {self.spacing!r}")
+        return self._index(a, math.ceil), self._index(b, math.floor)
+
+    def count(self, lo: float, hi: float) -> int:
+        """How many nodes ``grid(lo, hi)`` holds, found without building it."""
+        k_lo, k_hi = self._span(lo, hi)
+        return max(0, k_hi - k_lo + 1)
+
     def grid(self, lo: float, hi: float) -> np.ndarray:
         """All nodes in [lo, hi] (clipped to the piece), at most ``MAX_NODES``."""
-        k_lo = self._index(max(lo, self.start), math.ceil)
-        k_hi = self._index(min(hi, self.stop), math.floor)
-        if k_hi < k_lo:
-            return np.empty(0)
-        if k_hi - k_lo >= MAX_NODES:
-            raise TimeScaleError(f"window [{lo!r}, {hi!r}] holds {k_hi - k_lo + 1} nodes at "
-                                 f"spacing {self.spacing!r}; a grid holds at most {MAX_NODES}")
+        _check_budget((self,), lo, hi)
+        k_lo, k_hi = self._span(lo, hi)
         return self.anchor + self.spacing * np.arange(k_lo, k_hi + 1, dtype=float)
 
 
@@ -196,6 +205,15 @@ class DensePiece:
         object.__setattr__(self, "step", step)
         object.__setattr__(self, "edges", LatticePiece(self.start, self.stop, step, self.start))
 
+    @property
+    def spacing(self) -> float:
+        return self.step
+
+    def count(self, lo: float, hi: float) -> int:
+        """How many panel edges lie in [lo, hi]; ``grid(lo, hi)`` holds at
+        most two more, the window's ends."""
+        return self.edges.count(lo, hi)
+
     def snap_down(self, t: float) -> float:
         return min(t, self.stop)
 
@@ -215,6 +233,18 @@ class DensePiece:
 
 
 Piece = LatticePiece | DensePiece
+
+
+def _check_budget(pieces: Sequence[Piece], lo: float, hi: float) -> None:
+    """Refuse, before anything is allocated, a window [lo, hi] in which
+    ``pieces`` hold more than ``MAX_NODES`` nodes together; the message names
+    the finest spacing among the pieces that hold any."""
+    counts = [(piece.count(lo, hi), piece.spacing) for piece in pieces]
+    total = sum(count for count, _ in counts)
+    if total > MAX_NODES:
+        finest = min(spacing for count, spacing in counts if count)
+        raise TimeScaleError(f"window [{lo!r}, {hi!r}] holds {total} nodes at spacing "
+                             f"{finest!r}; a grid holds at most {MAX_NODES}")
 
 
 # --------------------------------------------------------------------------
@@ -332,6 +362,7 @@ class TimeScale:
         """
         if b < a:
             raise TimeScaleError("grid window requires a <= b")
+        _check_budget(self.pieces, a, b)
         gs: list[np.ndarray] = []
         nus: list[np.ndarray] = []
         prev_stop: float | None = None

@@ -1,6 +1,6 @@
 """Tests for the coefficient expression language: evaluation, stacked
-evaluation, lossless text round-trips, interval enclosures and the sup/inf
-bounds built on them."""
+evaluation and enclosure, lossless text round-trips, interval enclosures and
+the sup/inf bounds built on them."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import enclosure_oracle
 from chronoscale.coeffs import (
     Abs,
     Add,
@@ -295,3 +296,35 @@ class TestStack:
         cols, tree = stack.groups[0]
         assert cols.tolist() == [0, 1, 2]
         assert tree.left.value.ravel().tolist() == [0.0, 0.5, 1.0]
+
+    @given(data=st.data(),
+           shapes=st.lists(st.sampled_from([T, Sin(T), Const(1.0)]) | _exprs(3),
+                           min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_every_row_encloses_as_the_scalar_rules(self, data, shapes):
+        # _exprs includes unbounded trees: t itself, exp of t, products of them
+        exprs = [_renumbered(data, e) for e in shapes
+                 for _ in range(data.draw(st.integers(1, 4)))]
+        _assert_enclosures_match_the_oracle(data.draw(st.permutations(exprs)))
+
+    @pytest.mark.parametrize("e", [
+        Scale(3.0, Exp(Exp(Exp(Const(3.0))))),  # both ends overflow to inf
+        Mul(Const(0.0), T),  # 0 * inf counts as 0
+        Neg(Exp(Add(Const(1e300), Abs(Const(-0.0))))),
+        Affine(math.inf, -0.0, Cos(Mul(Const(-math.inf), Scale(1e-300, T)))),
+        Sin(Affine(1e300, 0.5, Cos(T))),
+    ], ids=lambda e: to_text(e))
+    def test_extreme_ends_enclose_as_the_scalar_rules(self, e):
+        _assert_enclosures_match_the_oracle([e, e, Abs(e)])
+
+
+def _assert_enclosures_match_the_oracle(exprs):
+    """Each single tree's ``enclose()``, and each row of its stacked group's,
+    equals the scalar rules' enclosure (``==``: -0.0 and 0.0 count as equal)."""
+    for e in exprs:
+        assert e.enclose() == enclosure_oracle.enclose(e), to_text(e)
+    for cols, tree in ExprStack(exprs).groups:
+        lo, hi = (np.broadcast_to(end, (len(cols), 1))[:, 0] for end in tree.enclose())
+        for row, col in enumerate(cols):
+            e = exprs[col]
+            assert (lo[row], hi[row]) == enclosure_oracle.enclose(e), to_text(e)

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import enclosure_oracle
+import test_memory
 from chronoscale import benchmark
 from chronoscale.coeffs import Add, Affine, BoundPair, Const, Scale, Sin, TimeVar
 from chronoscale.conditions import (
@@ -111,6 +113,48 @@ def test_unbounded_coefficient_needs_an_override():
     b = compute_bounds(_one_neuron_spec(I=drifting, overrides={"I.1": BoundPair(1.0, 0.0)}))
     assert b.I_sup[0] == 1.0
     assert b.sources["I.1"] == "override"
+    # the first unbounded key in file order that lacks an override is named
+    spec = dataclasses.replace(_one_neuron_spec(I=drifting), D=((drifting,),))
+    with pytest.raises(ConditionsError, match=r"^coefficient I\.1 = affine 0.001 0 t is"):
+        compute_bounds(spec)
+    spec = dataclasses.replace(spec, bound_overrides={"I.1": BoundPair(1.0, 0.0)})
+    with pytest.raises(ConditionsError, match=r"^coefficient D\.1\.1 = affine 0.001 0 t is"):
+        compute_bounds(spec)
+
+
+def _without_half_the_overrides(spec):
+    kept = dict(list(spec.bound_overrides.items())[::2])
+    return dataclasses.replace(spec, bound_overrides=kept)
+
+
+@pytest.mark.parametrize("spec", [
+    *(test_memory.wide_tanh_spec(n, seed) for n in (2, 4, 8, 16) for seed in (0, 1)),
+    dataclasses.replace(benchmark.two_neuron_spec(), bound_overrides={}),
+    _without_half_the_overrides(benchmark.two_neuron_spec()),
+    benchmark.two_neuron_spec(),
+], ids=[*(f"wide-{n}-{seed}" for n in (2, 4, 8, 16) for seed in (0, 1)),
+        "reference-no-overrides", "reference-half-overrides", "reference"])
+def test_bounds_equal_the_scalar_enclosures_key_by_key(spec):
+    # every group of the stacked coefficients is enclosed at once; each entry
+    # equals the one-tree-at-a-time rules of the enclosure oracle
+    b, exprs = compute_bounds(spec), dict(spec.coefficient_items())
+    for key, name, idx in NetworkSpec.coefficient_keys(spec.n):
+        pair = spec.bound_overrides.get(key)
+        sup, inf = (pair.sup_abs, pair.inf_abs) if pair else enclosure_oracle.sup_inf(exprs[key])
+        assert getattr(b, f"{name}_sup")[idx] == sup, key
+        if name in ("alpha", "c"):
+            assert getattr(b, f"{name}_inf")[idx] == inf, key
+        assert b.sources[key] == ("override" if pair else "enclosure")
+    assert list(b.sources) == list(exprs)
+
+
+def test_a_fully_overridden_spec_encloses_nothing():
+    spec = benchmark.two_neuron_spec()
+    compute_bounds(spec)
+    assert "_coefficient_stack" not in vars(spec)
+    half = _without_half_the_overrides(spec)
+    compute_bounds(half)
+    assert "_coefficient_stack" in vars(half)
 
 
 def test_nu_sup_reflects_the_time_scale():

@@ -29,6 +29,11 @@ _WIDE_GAP = "fixed-point correction does not converge across a wide gap"
 # (id, [timescale] description, t_end, mark or None)
 CASES = [
     ("Z", {"kind": "Z"}, 200.0, None),
+    # either side of the graininess threshold 2/alpha+ = 2/0.9 = 2.22
+    ("2Z", {"kind": "Z", "spacing": "2"}, 40.0, None),
+    ("2.25Z", {"kind": "Z", "spacing": "2.25"}, 40.0,
+     _xfail(AssertionError, "certificate violated on 2.25Z: past 2/alpha+ = 2.22 the snapped "
+                            "leak's factor 1 - h*alpha no longer contracts")),
     ("4Z", {"kind": "Z", "spacing": "4"}, 40.0,
      _xfail(AssertionError, f"certificate violated on 4Z: {_SNAPPED_LEAK}")),
     ("6Z", {"kind": "Z", "spacing": "6"}, 60.0,

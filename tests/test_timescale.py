@@ -185,16 +185,32 @@ class TestStructure:
         assert lattice.grid(0.0, 0.5 * (MAX_NODES - 1)).size == MAX_NODES
         with pytest.raises(TimeScaleError, match=f"holds {MAX_NODES + 1} nodes at spacing 0.5"):
             lattice.grid(0.0, 0.5 * MAX_NODES)
-        # 2.6e10 panel edges would take 194 GiB; the refusal allocates nothing
+        # 2.6e10 panel edges would take 194 GiB; three pieces each within the
+        # budget hold 3,000,003 nodes together.  Each refusal allocates nothing.
         dense = TimeScale.real_interval(-2.0, 50.0, 2e-9)
+        union = TimeScale.union_of_intervals([(0, 10), (11, 21), (22, 32)], step=1e-5)
         tracemalloc.start()
         try:
             with pytest.raises(TimeScaleError, match=f"a grid holds at most {MAX_NODES}"):
                 dense.grid(-2.0, 50.0)
+            with pytest.raises(TimeScaleError, match=r"^window \[0, 32\] holds 3000003 nodes "
+                                                     r"at spacing 1e-05; a grid holds at most"):
+                union.grid(0, 32)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+        assert TimeScale.union_of_intervals([(0, 6), (7, 13)], step=1e-5).grid(0, 13).size \
+            == 1_200_002
+
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, 0.0), (0.0, math.inf),
+                                        (-math.inf, math.inf)])
+    def test_an_infinite_window_end_on_an_unbounded_lattice_is_refused(self, lo, hi):
+        with pytest.raises(TimeScaleError, match=rf"^window \[{lo}, {hi}\] is unbounded "
+                                                 r"on a lattice of spacing 1.0$"):
+            TimeScale.integer_lattice().grid(lo, hi)
+        # a bounded piece clips the window first
+        assert TimeScale([LatticePiece(0.0, 3.0)]).grid(lo, hi).size == (4 if hi > 0 else 1)
 
     def test_panels(self):
         # lattice nodes 1..3 are scattered; the gap to 5 is one scattered
