@@ -255,13 +255,22 @@ class Mul(CoeffExpr):
 # stacked evaluation
 # ---------------------------------------------------------------------------
 
-def _shape(e: CoeffExpr) -> tuple:
-    """The tree shape of ``e``: its node types and structure, numbers ignored.
+def _shape_key(e: CoeffExpr) -> tuple:
+    """The node classes of ``e`` in preorder, numbers ignored.
 
-    Only the sub-expression fields are walked (``_SUBEXPRS``); fields are read
-    by name, since ``vars(e)`` would make every node keep a ``__dict__``.
+    Each class has a fixed number of sub-expressions, so the key determines
+    the tree shape.  Only the sub-expression fields are walked
+    (``_SUBEXPRS``); fields are read by name, since ``vars(e)`` would make
+    every node keep a ``__dict__``.
     """
-    return (type(e), *[_shape(getattr(e, name)) for name in _SUBEXPRS[type(e)]])
+    key, todo = [], [e]
+    while todo:
+        node = todo.pop()
+        cls = type(node)
+        key.append(cls)
+        for name in _SUBEXPRS_LAST_FIRST[cls]:
+            todo.append(getattr(node, name))
+    return tuple(key)
 
 
 def _stack(group: Sequence[CoeffExpr]) -> CoeffExpr:
@@ -295,7 +304,7 @@ class ExprStack:
     def __init__(self, exprs: Sequence[CoeffExpr]):
         groups: dict[tuple, list[int]] = {}
         for col, e in enumerate(exprs):
-            groups.setdefault(_shape(e), []).append(col)
+            groups.setdefault(_shape_key(e), []).append(col)
         self.width = len(exprs)
         self.groups = [(np.array(cols), _stack([exprs[c] for c in cols]))
                        for cols in groups.values()]
@@ -324,6 +333,7 @@ _GRAMMAR = {
 _KEYWORDS = {cls: word for word, (cls, _, _) in _GRAMMAR.items()}
 # node class: names of its sub-expression fields, which follow its numbers
 _SUBEXPRS = {cls: cls.__match_args__[nums:] for cls, nums, _ in _GRAMMAR.values()}
+_SUBEXPRS_LAST_FIRST = {cls: names[::-1] for cls, names in _SUBEXPRS.items()}
 _TOKEN = re.compile(r"[(),]|[^\s(),]+")
 
 

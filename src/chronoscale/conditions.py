@@ -62,8 +62,10 @@ positive (``h_functions``): with ``nu = nu_sup`` and the beta-weighted slope
                     ( c_i+ varsigma_i+ e^{b varsigma_i+} + E_i+ L_i ).
 
 At ``b = 0`` their positivity is exactly the contraction condition, so a
-passing check guarantees a positive rate exists, and bisection finds the
-largest one (see :func:`find_lambda`).  The overshoot constant is
+passing check guarantees a positive rate exists.  The rates that keep every
+margin above ``POSITIVITY_MARGIN`` form an initial interval of the admissible
+ones, so a bracketing search finds the largest (see :func:`find_lambda`).
+The overshoot constant is
 
     M = max_i max{ alpha_i- / Pbar_i,  c_i- / Qbar_i }  (> 1 when kappa < 1),
 
@@ -470,13 +472,13 @@ def find_lambda(
     The admissible interval is [0, cap] with ``cap = min(alpha_inf, c_inf)``
     (shrunk below ``1/nu_sup`` on scales with positive graininess so the
     decay envelope stays positively regressive).  The rate is ``cap`` if the
-    minimum margin there exceeds ``POSITIVITY_MARGIN``; otherwise bisection
-    on [0, cap] pins the last rate where it does, to 1e-15.
+    minimum margin there exceeds ``POSITIVITY_MARGIN``; otherwise it is the
+    last rate where it does, to 1e-15, as bisection on [0, cap] pins it.
 
-    Bisection suffices because each family is strictly decreasing wherever
-    it is nonnegative.  H and Hbar are for every b, because W and the
-    exponential weights are nondecreasing.  Where Hstar >= 0, writing a+, a-
-    for alpha_sup, alpha_inf (a+ >= a- > cap >= b),
+    The search rests on one lemma: each family is strictly decreasing
+    wherever it is nonnegative.  H and Hbar are for every b, because W and
+    the exponential weights are nondecreasing.  Where Hstar >= 0, writing
+    a+, a- for alpha_sup, alpha_inf (a+ >= a- > cap >= b),
 
         (a+ e^{b nu} + a- - b)(W + B) <= a- - b,
 
@@ -488,6 +490,16 @@ def find_lambda(
     Hbarstar follows likewise.  So the rates where the minimum margin
     exceeds ``POSITIVITY_MARGIN`` form an initial interval of [0, cap].
 
+    That justifies both halves of the search.  A safeguarded Illinois
+    (modified regula falsi; Dowell & Jarratt, BIT 11, 1971) search first
+    brackets the interval's end between a passing rate ``a`` and a failing
+    rate ``z`` less than 1e-15 apart.  The bisection is then replayed: a mid
+    at most ``a`` passes and one at least ``z`` fails without evaluating
+    the margins.  Only mids within 1e-15 of the bracket evaluate them,
+    because rounding can make the minimum margin non-monotone over a few
+    ulps of the threshold.  So the certificate is the plain bisection's,
+    from about a dozen margin evaluations instead of 52.
+
     Raises :class:`InfeasibleError` when the margin functions are not all
     positive at 0+ (equivalently: the contraction check fails).
     """
@@ -497,22 +509,56 @@ def find_lambda(
         cap = min(cap, (1.0 - 1e-9) / b.nu_sup)
     cap *= 1.0 - 1e-12
 
-    def g(beta: float) -> float:
-        return h_functions(b, L, beta, include_delayed_feedback).min_value()
+    evaluated: dict[float, HValues] = {}
 
-    if g(0.0) <= 0.0:
+    def g(beta: float) -> float:
+        evaluated[beta] = h_functions(b, L, beta, include_delayed_feedback)
+        return evaluated[beta].min_value()
+
+    g0 = g(0.0)
+    if g0 <= 0.0:
         raise InfeasibleError(
             "margin functions are nonpositive at rate 0: the contraction "
             "check fails, no decay certificate exists"
         )
 
-    if g(cap) - POSITIVITY_MARGIN > 0.0:
+    g_cap = g(cap)
+    if g_cap - POSITIVITY_MARGIN > 0.0:
         lam = cap
+    elif g0 - POSITIVITY_MARGIN <= 0.0:
+        lam = 0.0  # no rate passes
     else:
+        # Illinois bracket: passes at ``a``, fails at ``z``; an end that
+        # moves again halves the other end's value, and every step lands at
+        # least 0.5e-15 inside.  The secant needs a finite negative value at
+        # z, and an end that has moved four times running (a margin far
+        # steeper past the threshold than before it) makes the step bisect.
+        a, fa, z, fz = 0.0, g0 - POSITIVITY_MARGIN, cap, g_cap - POSITIVITY_MARGIN
+        side = streak = 0
+        while z - a >= 1e-15:
+            if streak < 4 and -math.inf < fz < 0.0:
+                x = a + fa * (z - a) / (fa - fz)
+            else:
+                x = 0.5 * (a + z)
+            x = min(max(x, a + 0.5e-15), z - 0.5e-15)
+            if not a < x < z:  # no float strictly inside
+                break
+            fx = g(x) - POSITIVITY_MARGIN
+            moved = 1 if fx > 0.0 else -1
+            streak = streak + 1 if moved == side else 1
+            halve = 0.5 if streak > 1 else 1.0
+            if moved > 0:
+                a, fa, fz = x, fx, fz * halve
+            else:
+                z, fz, fa = x, fx, fa * halve
+            side = moved
+        # The bisection, replayed: a mid the bracket settles by the lemma
+        # skips g.  Rounding can make g non-monotone within a few ulps of
+        # the threshold, so mids within 1e-15 of the bracket evaluate it.
         lo, hi = 0.0, cap
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if g(mid) - POSITIVITY_MARGIN > 0.0:
+            if mid <= a - 1e-15 or (mid < z + 1e-15 and g(mid) - POSITIVITY_MARGIN > 0.0):
                 lo = mid
             else:
                 hi = mid
@@ -552,7 +598,7 @@ def find_lambda(
         nu_sup=b.nu_sup,
         cap=float(cap),
         include_delayed_feedback=include_delayed_feedback,
-        h_at_lambda=h_functions(b, L, float(lam), include_delayed_feedback),
+        h_at_lambda=evaluated.get(lam) or h_functions(b, L, lam, include_delayed_feedback),
         witness=witness,
     )
 

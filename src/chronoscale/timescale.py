@@ -332,13 +332,19 @@ class TimeScale:
     def snap_down(self, t: float) -> float:
         """The largest scale point <= t (tolerance ``POINT_TOL``).
 
-        Raises :class:`TimeScaleError` if t lies below the scale minimum.
+        Raises :class:`TimeScaleError` if t lies below the scale minimum, is
+        nan, or is infinite with no largest point below it (+inf on a scale
+        unbounded above, -inf on one unbounded below).
         """
+        if math.isnan(t):
+            raise TimeScaleError("time nan is not a point in time")
         i = self._index_at_or_before(t)
         if i < 0:
             raise TimeScaleError(
                 f"time {t!r} lies below the minimum of the time scale"
             )
+        if math.isinf(min(t, self.pieces[i].stop)):
+            raise TimeScaleError(f"no point of the time scale is the largest <= {t!r}")
         return self.pieces[i].snap_down(t)
 
     # -- grids ----------------------------------------------------------

@@ -297,6 +297,12 @@ class TestStack:
         assert cols.tolist() == [0, 1, 2]
         assert tree.left.value.ravel().tolist() == [0.0, 0.5, 1.0]
 
+    def test_groups_tell_apart_the_same_nodes_in_other_trees(self):
+        exprs = [Add(Sin(T), T), Add(T, Sin(T)), Sin(Add(T, T)), Add(Sin(T), T),
+                 Mul(Sin(T), T)]
+        stack = ExprStack(exprs)
+        assert [cols.tolist() for cols, _ in stack.groups] == [[0, 3], [1], [2], [4]]
+
     @given(data=st.data(),
            shapes=st.lists(st.sampled_from([T, Sin(T), Const(1.0)]) | _exprs(3),
                            min_size=1, max_size=5))

@@ -5,6 +5,7 @@ the override bound table (plain interval arithmetic on the column sums) and
 frozen here; the library must reproduce them exactly.
 """
 
+import contextlib
 import dataclasses
 import math
 
@@ -13,15 +14,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import bisection_oracle
 import enclosure_oracle
 import test_memory
-from chronoscale import benchmark
+from chronoscale import benchmark, conditions
 from chronoscale.coeffs import Add, Affine, BoundPair, Const, Scale, Sin, TimeVar
 from chronoscale.conditions import (
     DEFAULT_R_GRID,
     POSITIVITY_MARGIN,
     BoundSet,
     ConditionsError,
+    HValues,
     InfeasibleError,
     certify,
     check_H3,
@@ -399,6 +402,144 @@ def test_margins_fall_until_nonpositive_so_bisection_finds_the_rate(case):
     assert np.all(np.diff(mins[:stop + 1]) < 0.0)
     assert np.all(mins[betas > cert.lam] <= POSITIVITY_MARGIN)
     assert np.all(mins[betas <= cert.lam] > POSITIVITY_MARGIN)
+
+
+# ---------------------------------------------------------------------------
+# the rate search: a bracket first, then the bisection replayed from it
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def margin_calls(g=None):
+    """Record the rate of every ``conditions.h_functions`` call.
+
+    With ``g``, the margins are replaced by one neuron whose four families
+    all equal ``g(beta)``.
+    """
+    real, rates = conditions.h_functions, []
+
+    def recorded(b, L, beta, include_delayed_feedback=True):
+        rates.append(beta)
+        if g is None:
+            return real(b, L, beta, include_delayed_feedback)
+        v = np.array([g(beta)])
+        return HValues(beta=beta, h=v, h_bar=v, h_star=v, h_bar_star=v)
+
+    conditions.h_functions = recorded
+    try:
+        yield rates
+    finally:
+        conditions.h_functions = real
+
+
+@settings(max_examples=60, deadline=None)
+@given(feasible_bound_sets())
+def test_the_search_issues_the_bisection_certificate_in_few_margin_evaluations(case):
+    b, L_draw, feedback = case
+    with margin_calls() as rates:
+        cert = find_lambda(b, L_draw, include_delayed_feedback=feedback)
+    assert len(rates) <= 24  # plain bisection makes 52
+    assert_same(cert, bisection_oracle.find_lambda(b, L_draw, feedback))
+
+
+@pytest.fixture(scope="module")
+def synthetic_bounds():
+    """One neuron with cap 0.4 (1 - 1e-12); only ``cap`` and ``M`` read it."""
+    b = compute_bounds(_one_neuron_spec())
+    return dataclasses.replace(b, varsigma_sup=np.array([0.1]))
+
+
+def test_cap_passes_so_the_rate_is_cap_without_a_search(synthetic_bounds):
+    with margin_calls(lambda beta: 1.0 - beta) as rates:
+        cert = find_lambda(synthetic_bounds, (1.0,))
+    with margin_calls(lambda beta: 1.0 - beta):
+        assert_same(cert, bisection_oracle.find_lambda(synthetic_bounds, (1.0,)))
+    assert cert.lam == cert.cap
+    assert rates == [0.0, cert.cap]  # h_at_lambda is the margins at cap
+
+
+@pytest.mark.parametrize("at_zero", [5e-324, 0.5 * POSITIVITY_MARGIN, POSITIVITY_MARGIN])
+def test_a_rate_0_margin_within_the_positivity_margin_is_infeasible(synthetic_bounds,
+                                                                      at_zero):
+    messages = []
+    for search in (find_lambda, bisection_oracle.find_lambda):
+        with margin_calls(lambda beta: at_zero - beta), \
+                pytest.raises(InfeasibleError, match="no positive rate") as err:
+            search(synthetic_bounds, (1.0,))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("g, most", [
+    pytest.param(lambda beta: min(0.3 - 3.0 * beta, 0.1 - 0.2 * beta), 24, id="kink-below"),
+    pytest.param(lambda beta: min(0.2 - 2.0 * beta, 0.05 - 0.5 * beta), 24, id="kink-at"),
+    pytest.param(lambda beta: min(0.2 - 0.1 * beta, 0.39 - beta), 24, id="kink-above"),
+    # far steeper past the threshold than before it: secant steps alone creep
+    # up from 0 by 0.5e-15 (218 evaluations at -7e56, endless at -inf)
+    pytest.param(lambda beta: 1.0 - beta - 0.01 * math.exp(50.0 * beta), 40,
+                 id="exponential"),
+    pytest.param(lambda beta: 1.0 - beta - 1e-30 * math.exp(500.0 * beta), 40,
+                 id="exponential-7e56-at-cap"),
+    pytest.param(lambda beta: 0.1 - beta if beta < 0.2 else -math.inf, 24,
+                 id="overflowed"),
+    # within 1e-13 of the threshold, g rounds to it exactly on a band 8e-13
+    # wide, so the bracket bisects: plain bisection makes 53 evaluations
+    pytest.param(lambda beta: POSITIVITY_MARGIN + 1e-13 * (0.3 - beta) / 0.4, 56,
+                 id="flat"),
+])
+def test_the_search_matches_bisection_on_synthetic_margins(synthetic_bounds, g, most):
+    with margin_calls(g) as rates:
+        cert = find_lambda(synthetic_bounds, (1.0,))
+    with margin_calls(g):
+        assert_same(cert, bisection_oracle.find_lambda(synthetic_bounds, (1.0,)))
+    assert 0.0 < cert.lam < cert.cap
+    assert len(rates) <= most
+
+
+REFERENCE_CERTIFICATES = {
+    "R": """\
+lambda = 0.0459677845443
+M = 5.33901274754
+nu_sup = 0
+cap = 0.27
+include_delayed_feedback = False
+witness = maximal: lambda*1.01 = 0.0464274624 drives the minimum margin to -0.00046 <= 1e-09
+h.1 = 0.676248593554
+h.2 = 0.587838158331
+h_bar.1 = 0.0124108667826
+h_bar.2 = 1.00000055459e-09
+h_star.1 = 0.551412173633
+h_star.2 = 0.509765822118
+h_bar_star.1 = 0.117895489118
+h_bar_star.2 = 0.11111276207
+""",
+    "Z": """\
+lambda = 0.0453177246379
+M = 5.33901274754
+nu_sup = 1
+cap = 0.27
+include_delayed_feedback = False
+witness = maximal: lambda*1.01 = 0.0457709019 drives the minimum margin to -0.00046 <= 1e-09
+h.1 = 0.669150522101
+h.2 = 0.581739657135
+h_bar.1 = 0.0125224741133
+h_bar.2 = 1.00000038805e-09
+h_star.1 = 0.544957307118
+h_star.2 = 0.504900988347
+h_bar_star.1 = 0.115422061613
+h_bar_star.2 = 0.108709289938
+""",
+}
+
+
+@pytest.mark.parametrize("name, ts", [
+    ("R", TimeScale.real_interval(-2.0, 50.0, 0.01)),
+    ("Z", TimeScale.integer_lattice()),
+])
+def test_reference_certificates_are_pinned_as_text(name, ts):
+    # h_bar.2 binds: it moves in its 7th digit when lambda moves by 7e-17
+    _, cert = certify(benchmark.two_neuron_spec(), ts, (0.45,), include_delayed_feedback=False)
+    assert cert.to_text() == REFERENCE_CERTIFICATES[name]
 
 
 def test_infeasible_bounds_raise(bench_bounds):

@@ -93,6 +93,16 @@ class TestStructure:
         with pytest.raises(TimeScaleError):
             interval.snap_down(-0.5)
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_snap_down_refuses_times_without_a_largest_point_below(self, t):
+        for ts in (TimeScale.integer_lattice(), TimeScale.real_interval(0.0, 5.0),
+                   TimeScale.union_of_intervals([(0.0, 1.0), (2.0, 3.0)])):
+            if t == math.inf and ts.pieces[-1].stop < math.inf:
+                assert ts.snap_down(t) == ts.pieces[-1].stop  # the largest point
+                continue
+            with pytest.raises(TimeScaleError):
+                ts.snap_down(t)
+
     def test_grid_contents(self, union):
         g = union.grid(0.5, 2.5)
         assert g[0] == 0.5 and g[-1] == 2.5
