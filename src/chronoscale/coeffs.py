@@ -39,10 +39,9 @@ which encodes ``0.895 + 0.005 * sin(2.6458 * t)``.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -334,7 +333,6 @@ _KEYWORDS = {cls: word for word, (cls, _, _) in _GRAMMAR.items()}
 # node class: names of its sub-expression fields, which follow its numbers
 _SUBEXPRS = {cls: cls.__match_args__[nums:] for cls, nums, _ in _GRAMMAR.values()}
 _SUBEXPRS_LAST_FIRST = {cls: names[::-1] for cls, names in _SUBEXPRS.items()}
-_TOKEN = re.compile(r"[(),]|[^\s(),]+")
 
 
 def _num(x: float) -> str:
@@ -360,58 +358,57 @@ def to_text(e: CoeffExpr) -> str:
     return " ".join([word, *map(_num, fields[:nums]), *map(_arg_text, fields[nums:])])
 
 
-def _take(tokens: Iterator[str], text: str) -> str:
-    tok = next(tokens, None)
-    if tok is None:
-        raise ExprParseError(f"unexpected end of expression in {text!r}")
-    return tok
+def _tokens(text: str) -> list[str]:
+    """Each ``(``, ``)`` and ``,``, and each run of other non-space characters."""
+    return text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split()
 
 
-def _expect(tokens: Iterator[str], what: str, text: str) -> None:
-    tok = _take(tokens, text)
-    if tok != what:
-        raise ExprParseError(f"expected {what!r} but found {tok!r} in {text!r}")
-
-
-def _number(tokens: Iterator[str], text: str) -> float:
-    tok = _take(tokens, text)
-    try:
-        return float(tok)
-    except ValueError:
-        raise ExprParseError(f"expected a number, found {tok!r} in {text!r}") from None
-
-
-def _parse(tokens: Iterator[str], text: str) -> CoeffExpr:
-    tok = _take(tokens, text)
+def _parse(tokens: list[str], pos: int, text: str) -> tuple[CoeffExpr, int]:
+    """The expression at ``tokens[pos]`` and the position after it; running
+    off the tokens raises ``IndexError``, which :func:`parse_expr` reports."""
+    tok = tokens[pos]
+    pos += 1
     if tok == "(":
-        inner = _parse(tokens, text)
-        _expect(tokens, ")", text)
-        return inner
+        inner, pos = _parse(tokens, pos, text)
+        if tokens[pos] != ")":
+            raise ExprParseError(f"expected ')' but found {tokens[pos]!r} in {text!r}")
+        return inner, pos + 1
     if tok not in _GRAMMAR:
         try:  # a bare numeric literal is shorthand for a constant
-            return Const(float(tok))
+            return Const(float(tok)), pos
         except ValueError:
             raise ExprParseError(f"unknown token {tok!r} in {text!r}") from None
     cls, nums, subs = _GRAMMAR[tok]
-    fields = [_number(tokens, text) for _ in range(nums)]
-    if subs == 2:
-        _expect(tokens, "(", text)
-        fields.append(_parse(tokens, text))
-        _expect(tokens, ",", text)
-        fields.append(_parse(tokens, text))
-        _expect(tokens, ")", text)
-    elif subs:
-        fields.append(_parse(tokens, text))
-    return cls(*fields)
+    fields = []
+    for k in range(pos, pos + nums):
+        try:
+            fields.append(float(tokens[k]))
+        except ValueError:
+            raise ExprParseError(f"expected a number, found {tokens[k]!r} in {text!r}") from None
+    pos += nums
+    if subs == 1:
+        arg, pos = _parse(tokens, pos, text)
+        fields.append(arg)
+    elif subs == 2:  # "(" left "," right ")"
+        for sep in "(,)":
+            if tokens[pos] != sep:
+                raise ExprParseError(f"expected {sep!r} but found {tokens[pos]!r} in {text!r}")
+            if sep != ")":
+                arg, pos = _parse(tokens, pos + 1, text)
+                fields.append(arg)
+        pos += 1
+    return cls(*fields), pos
 
 
 def parse_expr(text: str) -> CoeffExpr:
     """Parse expression text; inverse of :func:`to_text`."""
-    tokens = iter(_TOKEN.findall(text))
-    expr = _parse(tokens, text)
-    rest = list(tokens)
-    if rest:
-        raise ExprParseError(f"trailing tokens {rest} in {text!r}")
+    tokens = _tokens(text)
+    try:
+        expr, pos = _parse(tokens, 0, text)
+    except IndexError:
+        raise ExprParseError(f"unexpected end of expression in {text!r}") from None
+    if pos < len(tokens):
+        raise ExprParseError(f"trailing tokens {tokens[pos:]} in {text!r}")
     return expr
 
 

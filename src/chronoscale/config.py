@@ -212,13 +212,14 @@ def _build_network(items: list[tuple[int, str, str]],
         else:
             lipschitz.append(activations[-1].lipschitz)
 
-    coeffs: dict[str, np.ndarray] = {}
+    coeffs = {name: np.empty((n,) * dims, dtype=object) for dims, names
+              in enumerate((NetworkSpec.VECTOR_FIELDS, NetworkSpec.MATRIX_FIELDS), 1)
+              for name in names}
     for key, name, idx in NetworkSpec.coefficient_keys(n):
         if key not in table:
             raise ConfigError(f"[network] is missing {key}")
         line_no, value = table.pop(key)
-        cells = coeffs.setdefault(name, np.empty((n,) * len(idx), dtype=object))
-        cells[idx] = _parse_expr_value(value, line_no, key)
+        coeffs[name][idx] = _parse_expr_value(value, line_no, key)
     _reject_stray(table, "network")
 
     overrides: dict[str, BoundPair] = {}

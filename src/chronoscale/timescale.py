@@ -146,9 +146,11 @@ class LatticePiece:
 
     def _index(self, t: float, rounding: Callable[[float], int]) -> int:
         """Index of the node at or below t (``math.floor``) or at or above it
-        (``math.ceil``); a node within ``POINT_TOL`` of t counts as either."""
-        shift = POINT_TOL if rounding is math.floor else -POINT_TOL
-        return rounding((t + shift - self.anchor) / self.spacing)
+        (``math.ceil``); the nearest node counts as either within ``POINT_TOL``
+        and one rounding of ``t - anchor``, which alone exceeds it past 2**23."""
+        d = t - self.anchor
+        k = round(d / self.spacing)
+        return k if abs(d - k * self.spacing) <= POINT_TOL + math.ulp(d) else rounding(d / self.spacing)
 
     @property
     def graininess(self) -> float:
@@ -575,7 +577,7 @@ class TimeScale:
     # -- misc ---------------------------------------------------------------
 
     def describe(self) -> str:
-        """One-line human description, used by the command-line tools."""
+        """One-line human description, as ``repr`` shows it."""
         parts = []
         for piece in self.pieces:
             if isinstance(piece, LatticePiece):

@@ -5,6 +5,7 @@ the sup/inf bounds built on them."""
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import enclosure_oracle
+import parse_oracle
 from chronoscale.coeffs import (
+    _GRAMMAR,
     Abs,
     Add,
     Affine,
@@ -30,6 +33,7 @@ from chronoscale.coeffs import (
     Sin,
     TimeVar,
     bound_sup_inf,
+    _tokens,
     parse_expr,
     to_text,
 )
@@ -122,6 +126,10 @@ class TestSerialisation:
             ("add(t, t", "unexpected end of expression in 'add(t, t'"),
             ("add t t", "expected '(' but found 't' in 'add t t'"),
             ("(t", "unexpected end of expression in '(t'"),
+            ("const", "unexpected end of expression in 'const'"),
+            ("affine 1", "unexpected end of expression in 'affine 1'"),
+            ("scale 2", "unexpected end of expression in 'scale 2'"),
+            ("add(t,", "unexpected end of expression in 'add(t,'"),
             ("frob 1 2", "unknown token 'frob' in 'frob 1 2'"),
             (")", "unknown token ')' in ')'"),
             ("const x", "expected a number, found 'x' in 'const x'"),
@@ -163,6 +171,46 @@ class TestSerialisation:
         again = parse_expr(to_text(e))
         assert again == e
         assert to_text(again) == to_text(e)  # also tells -0.0 from 0.0
+        assert parse_oracle.parse_expr(to_text(e)) == e
+
+
+def _outcome(parse, text: str) -> tuple[str, str]:
+    """The text of the tree ``parse`` makes of ``text``, or its error message."""
+    try:
+        return "tree", to_text(parse(text))
+    except ExprParseError as exc:
+        return "error", str(exc)
+
+
+# tokens spliced into expression texts: every keyword, the punctuation, a
+# number and a word that is neither
+_SPLICES = [*_GRAMMAR, "(", ")", ",", "0.5", "x"]
+# every character str.split() and the regex class \s treat as whitespace
+_SPACES = "".join(ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace())
+
+
+class TestParserOracle:
+    """``parse_expr`` against the regex tokenizer and iterator descent it
+    replaced (``parse_oracle``): same tokens, trees and messages."""
+
+    @given(e=_exprs(4))
+    @settings(max_examples=40, deadline=None)
+    def test_truncations_and_token_mutations_parse_alike(self, e):
+        text = to_text(e)
+        tokens = parse_oracle._TOKEN.findall(text)
+        texts = [text[:cut] for cut in range(len(text))]
+        for k in range(len(tokens) + 1):
+            texts.append(" ".join(tokens[:k] + tokens[k + 1:]))
+            for tok in _SPLICES:
+                texts.append(" ".join(tokens[:k] + [tok] + tokens[k + 1:]))
+                texts.append(" ".join(tokens[:k] + [tok] + tokens[k:]))
+        for mutated in texts:
+            assert _outcome(parse_expr, mutated) == _outcome(parse_oracle.parse_expr, mutated)
+
+    @given(st.text(st.sampled_from("(),0123456789.-+eEtxyz\u00e9\u200b" + _SPACES)))
+    @settings(max_examples=300, deadline=None)
+    def test_tokens_equal_the_regex_tokens(self, text):
+        assert _tokens(text) == parse_oracle._TOKEN.findall(text)
 
 
 class TestBounds:

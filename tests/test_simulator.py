@@ -388,9 +388,9 @@ def test_rows_that_are_never_stepped_do_not_raise_underflow():
 @pytest.mark.parametrize("chunk_bytes", [1, 10_000])
 @pytest.mark.parametrize("scale", ["Z", "R", "hybrid"])
 def test_chunking_never_changes_results(monkeypatch, scale, chunk_bytes):
-    # For two neurons a chunk budgets 1,800 bytes per grid point (table 352,
-    # located queries 512, plan 936): these budgets give chunks of 2 and 5
-    # grid points, against 291 by default, so chunks break every few steps.
+    # For two neurons a chunk budgets 1,864 bytes per grid point (table 352,
+    # located queries 512, plan 1,000): these budgets give chunks of 2 and 5
+    # grid points, against 281 by default, so chunks break every few steps.
     ts, t_end = {
         "Z": (TimeScale.integer_lattice(), 50.0),
         "R": (TimeScale.real_interval(-2.0, 20.0, 0.01), 20.0),

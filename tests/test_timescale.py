@@ -129,6 +129,21 @@ class TestStructure:
         piece = DensePiece(0.0, 1.0, step=0.03)
         assert (1.0 - 0.0) / piece.step == pytest.approx(round(1.0 / piece.step))
 
+    def test_large_times_keep_the_last_panel_edge(self):
+        # flooring (t + POINT_TOL - anchor) / spacing lost the addend here and
+        # ended the edge lattice one panel short of stop
+        piece = DensePiece(999999.8501261682, 5940888.57007114, 705841.2457064247)
+        assert piece.edges.stop == piece.stop
+        assert piece.edges.count(piece.start, piece.stop) == 8
+        rng = np.random.default_rng(16)
+        for _ in range(2000):
+            start, stop = sorted(rng.uniform(-1e7, 1e7, 2))
+            stop = start + (stop - start) * rng.choice([1.0, 1e-4])
+            panels = int(rng.integers(1, 200))
+            edges = DensePiece(start, stop, (stop - start) / panels).edges
+            assert edges.count(start, stop) == panels + 1
+            assert edges.stop == pytest.approx(stop, abs=1e-8)  # a few ulps of 2e7
+
     def test_mixed_lattice_and_interval(self):
         ts = TimeScale([LatticePiece(0.0, 3.0), DensePiece(5.0, 6.0, 0.01)])
         assert ts.backward_jump(5.0) == 3.0
