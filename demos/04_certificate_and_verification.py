@@ -64,10 +64,11 @@ def main():
     section("envelope check")
     report = verify_bound(traj_a, traj_b, hist_a, hist_b, cert, ts)
     print("  " + report.to_text().replace("\n", "\n  ").rstrip())
-    # On the unit lattice a certified rate lambda corresponds to a per-step
-    # decay factor 1/(1 + lambda), i.e. a continuous-time rate log(1+lambda).
+    # The envelope divides by the nabla exponential nexp_lambda, which on the
+    # unit lattice grows by 1/(1 - lambda) per step: the envelope decays by
+    # the factor 1 - lambda per step, a continuous-time rate -log(1 - lambda).
     print(f"  certified envelope rate on this lattice: "
-          f"{math.log1p(cert.lam):.6f}; empirical fit: {report.lambda_fit:.6f}")
+          f"{-math.log1p(-cert.lam):.6f}; empirical fit: {report.lambda_fit:.6f}")
     print("  (the certificate is a guaranteed floor; the realized decay is "
           "usually much faster)")
 

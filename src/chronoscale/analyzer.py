@@ -47,14 +47,13 @@ __all__ = [
 _IDENTICAL_TOL = 1e-12
 
 
-def decay_fit(times: Sequence[float], distances: Sequence[float],
-              burn_in: float | None = None) -> tuple[float, float]:
+def decay_fit(times: Sequence[float], distances: Sequence[float]) -> tuple[float, float]:
     """Fitted exponential decay rate and fit quality of a distance series.
 
-    Drops every sample earlier than ``times[0] + burn_in`` (default burn-in:
-    20% of the observed horizon), fits ``log d = a - rate * t`` by least
-    squares over the remaining distances above ``1e-12`` (those at or below
-    it are rounding noise), and returns ``(rate, r_squared)``.  If every
+    Drops the burn-in, every sample in the first 20% of the observed
+    horizon, fits ``log d = a - rate * t`` by least squares over the
+    remaining distances above ``1e-12`` (those at or below it are rounding
+    noise), and returns ``(rate, r_squared)``.  If every
     retained distance is below ``1e-12`` the pair has converged to numerical
     identity and the sentinel ``(inf, 1.0)`` is returned.  Requires at least
     10 distances above ``1e-12`` after burn-in otherwise.
@@ -65,9 +64,7 @@ def decay_fit(times: Sequence[float], distances: Sequence[float],
         raise ValueError("times and distances must be 1-d arrays of equal length")
     if len(t) == 0:
         raise ValueError("empty distance series")
-    if burn_in is None:
-        burn_in = 0.2 * (t[-1] - t[0])
-    keep = t >= t[0] + burn_in
+    keep = t >= t[0] + 0.2 * (t[-1] - t[0])
     t, d = t[keep], d[keep]
     if len(d) and np.max(d) < _IDENTICAL_TOL:
         return math.inf, 1.0

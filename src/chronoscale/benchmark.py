@@ -6,8 +6,6 @@ test suite, the demo scripts, and the ``example`` CLI command.  It carries:
 * :func:`two_neuron_spec` -- the model itself (all 44 time-varying
   coefficients, activations ``sin(u/2)`` with declared unit Lipschitz
   bounds, and a complete table of coefficient-bound overrides);
-* :data:`REFERENCE` -- the calibration targets the feasibility checker and
-  certificate search are expected to reproduce for this model;
 * :func:`history_pairs` -- ready-made pairs of initial segments for
   convergence experiments.
 
@@ -23,13 +21,6 @@ the override table, while simulations run the expressions as written.  All
 16 delay overrides sit below their enclosure of 1, and without them no radius
 passes (at ``r = 0.45``, ``kappa`` is 2.42 without delayed feedback and 2.62
 with it; the largest invariance ratio is 1.34): calibrated, not sound.
-
-Known quirks of the reference table (kept deliberately, and asserted against
-honest arithmetic in the tests): the second slope-family bound ``Pbar[1]``
-and the two contraction ratios derived from it, and the derived overshoot
-constant ``big_m``, are internally inconsistent with the table's own inputs
-by about ``1e-3``; the tests mark exactly those four cells as expected
-failures rather than loosening tolerances.
 """
 
 from __future__ import annotations
@@ -55,16 +46,10 @@ from .simulator import HistorySpec
 __all__ = [
     "two_neuron_spec",
     "history_pairs",
-    "REFERENCE",
-    "REFERENCE_TOL",
-    "LIPSCHITZ",
 ]
 
 _T = TimeVar()
 _PI = math.pi
-
-# declared activation data: f(u) = sin(u/2), declared Lipschitz bound 1
-LIPSCHITZ = (1.0, 1.0)
 
 
 def _osc(base: float, amp: float, freq: float, kind: str) -> Add:
@@ -141,45 +126,11 @@ def two_neuron_spec() -> NetworkSpec:
                  (_delay(6.0, _PI, "cos", -1.5 * _PI), _delay(4.0, 3.0 * _PI, "sin"))),
         zeta=((_delay(7.0, 2.0 * _PI, "sin"), _delay(5.0, 5.0 * _PI, "sin")),
               (_delay(4.0, _PI, "cos", 2.5 * _PI), _delay(5.0, _PI, "cos", 0.5 * _PI))),
+        # f(u) = sin(u/2), declared Lipschitz bound 1
         activations=(ACTIVATIONS["sin_half"], ACTIVATIONS["sin_half"]),
-        lipschitz=LIPSCHITZ,
+        lipschitz=(1.0, 1.0),
         bound_overrides=overrides,
     )
-
-
-# Calibration targets for the reference model, quoted to their published
-# precision (four decimals unless noted).  ``r_ratios`` lists, in order:
-# plain and amplified short-term solvability ratios for neurons 1 and 2,
-# then the plain long-term ratios, then the amplified long-term ratios.
-# ``kappa_ratios`` lists the contraction counterparts in the order: plain
-# short-term, amplified short-term, plain long-term, amplified long-term.
-REFERENCE = {
-    "r": 0.45,
-    "P": (0.2004, 0.2107),
-    "Q": (0.1097, 0.1208),
-    "Pbar": (0.1676, 0.1471),
-    "Qbar": (0.2216, 0.2240),
-    "r_ratios": (0.2252, 0.4031, 0.2702, 0.4269,
-                 0.3919, 0.4474, 0.2234, 0.2461),
-    "kappa_ratios": (0.1883, 0.1886, 0.3371, 0.2980,
-                     0.7914, 0.8296, 0.4511, 0.4563),
-    "max_r_ratio": 0.4474,
-    "kappa": 0.8296,
-    "big_m": 5.31,
-    "big_m_tol": 0.01,
-}
-
-# the published table rounds to 5e-4; the tests compare at this tolerance
-REFERENCE_TOL = 5e-4
-
-# reference-table cells that are inconsistent with the table's own inputs
-# (honest recomputation differs by ~1e-3; see the module docstring)
-INCONSISTENT_CELLS = {
-    "Pbar[1]": 0.1471,
-    "kappa_ratios[1]": 0.1886,
-    "kappa_ratios[3]": 0.2980,
-    "big_m": 5.31,
-}
 
 
 def history_pairs() -> dict[str, tuple[HistorySpec, HistorySpec]]:
@@ -190,10 +141,6 @@ def history_pairs() -> dict[str, tuple[HistorySpec, HistorySpec]]:
     use window 1.5, generously covering the model's delay reach.
     """
     zero = Const(0.0)
-
-    def const(v: float):
-        return Const(v)
-
     trig_a = HistorySpec(
         stm=(Scale(0.25, Cos(Scale(0.5, _T))),
              Add(Const(0.1), Scale(-0.2, Sin(_T)))),
@@ -206,23 +153,23 @@ def history_pairs() -> dict[str, tuple[HistorySpec, HistorySpec]]:
         window=1.5,
     )
     trig_b = HistorySpec(
-        stm=(const(-0.1), const(0.3)),
+        stm=(Const(-0.1), Const(0.3)),
         stm_slope=(zero, zero),
-        ltm=(const(0.1), const(-0.05)),
+        ltm=(Const(0.1), Const(-0.05)),
         ltm_slope=(zero, zero),
         window=1.5,
     )
     steady_a = HistorySpec(
-        stm=(const(0.2), const(-0.15)),
+        stm=(Const(0.2), Const(-0.15)),
         stm_slope=(zero, zero),
-        ltm=(const(0.25), const(0.1)),
+        ltm=(Const(0.25), Const(0.1)),
         ltm_slope=(zero, zero),
         window=1.5,
     )
     steady_b = HistorySpec(
-        stm=(const(-0.25), const(0.05)),
+        stm=(Const(-0.25), Const(0.05)),
         stm_slope=(zero, zero),
-        ltm=(const(-0.1), const(0.3)),
+        ltm=(Const(-0.1), Const(0.3)),
         ltm_slope=(zero, zero),
         window=1.5,
     )

@@ -66,6 +66,11 @@ terms and one for the lagged activations, written into one buffer that one
 whole-grid table alone would hold 1.7 MiB for a two-neuron dense run of
 5,000 steps.  A history lookup that reaches below the grid raises when a
 step uses its row, not when the row is compiled.
+
+A :class:`Trajectory` keeps the engine's ``(2n, N)`` blocks ``Y`` and
+``dY``; a history is evaluated into such blocks once, for the history fill
+and for :func:`history_norm`, and one sup norm over both blocks gives both
+:func:`history_norm` and :func:`distance_series`.
 """
 
 from __future__ import annotations
@@ -200,25 +205,31 @@ class Trajectory:
     """A committed simulation run with derivative traces.
 
     ``times`` spans the filled history segment plus the live segment;
-    ``start_index`` marks the start time within ``times``.  State arrays are
-    shaped ``(n, len(times))``.  ``dx``/``ds`` hold the nabla-derivative
-    traces (declared slopes over the history segment, scheme derivatives
-    afterwards).  Backward panel slopes are not stored: :meth:`slope`
-    derives them from the states.
+    ``start_index`` marks the start time within ``times``.  ``Y`` holds the
+    states and ``dY`` their nabla-derivative traces (declared slopes over
+    the history segment, scheme derivatives afterwards), each shaped
+    ``(2n, len(times))`` with the short-term rows ``0..n-1`` above the
+    long-term rows ``n..2n-1``, the engine's own layout; ``x``, ``s``,
+    ``dx`` and ``ds`` are views of their halves.  Backward panel slopes are
+    not stored: :meth:`slope` derives them from the states.
     """
 
     ts: TimeScale
     times: np.ndarray
     start_index: int
-    x: np.ndarray
-    s: np.ndarray
-    dx: np.ndarray
-    ds: np.ndarray
+    Y: np.ndarray
+    dY: np.ndarray
     _panel_dense: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.x.shape[0]
+        return self.Y.shape[0] // 2
+
+    # the blocks' halves, as read-only views
+    x = property(lambda self: self.Y[:self.n])
+    s = property(lambda self: self.Y[self.n:])
+    dx = property(lambda self: self.dY[:self.n])
+    ds = property(lambda self: self.dY[self.n:])
 
     @property
     def live_times(self) -> np.ndarray:
@@ -241,8 +252,7 @@ class Trajectory:
         n..2n-1 long-term)."""
         if not 0 <= index < 2 * self.n:
             raise IndexError(f"state index {index} is outside 0..{2 * self.n - 1}")
-        row = index % self.n
-        return (self.x[row], self.dx[row]) if index < self.n else (self.s[row], self.ds[row])
+        return self.Y[index], self.dY[index]
 
     def value(self, index: int, u: float | np.ndarray) -> float | np.ndarray:
         """State ``index`` (0..n-1 short-term, n..2n-1 long-term) at the time
@@ -280,7 +290,7 @@ class Trajectory:
         return ",".join(cols)
 
     def to_csv(self, target: str | IO[str]) -> None:
-        data = np.column_stack([self.times, self.x.T, self.s.T, self.dx.T, self.ds.T])
+        data = np.column_stack([self.times, self.Y.T, self.dY.T])
         np.savetxt(target, data, delimiter=",", header=self.csv_header(),
                    comments="", fmt="%.12g")
 
@@ -398,10 +408,7 @@ class _Engine:
 
         # fill the history segment from the declared callables
         rel = times[:k0 + 1] - times[k0]
-        for row, fn in enumerate(history.stm + history.ltm):
-            self.Y[row, :k0 + 1] = _eval_on(fn, rel)
-        for row, fn in enumerate(history.stm_slope + history.ltm_slope):
-            self.dY[row, :k0 + 1] = _eval_on(fn, rel)
+        self.Y[:, :k0 + 1], self.dY[:, :k0 + 1] = _history_blocks(history, rel)
         self.V[:, 0] = self.f(np.concatenate((self.Y[:n, 0], self.dY[:n, 0])))
         for start in range(1, k0 + 1, self.chunk_len):  # the masses a chunk at a time
             masses = self._masses(start, min(start + self.chunk_len, k0 + 1))
@@ -600,13 +607,9 @@ class _Engine:
                 self._step_dense(k)
             else:
                 self._step_scattered(k)
-        n = self.n
-        # copies, so that the trajectory does not keep G's other rows alive
-        return Trajectory(
-            ts=self.ts, times=self.times, start_index=self.k0,
-            x=self.Y[:n].copy(), s=self.Y[n:].copy(), dx=self.dY[:n], ds=self.dY[n:],
-            _panel_dense=self.dense,
-        )
+        # a copy, so that the trajectory does not keep G's other rows alive
+        return Trajectory(ts=self.ts, times=self.times, start_index=self.k0,
+                          Y=self.Y.copy(), dY=self.dY, _panel_dense=self.dense)
 
 
 def simulate(spec: NetworkSpec, history: HistorySpec, ts: TimeScale,
@@ -626,6 +629,23 @@ def simulate(spec: NetworkSpec, history: HistorySpec, ts: TimeScale,
 # ---------------------------------------------------------------------------
 
 
+def _history_blocks(history: HistorySpec, rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks ``Y`` and ``dY`` of ``history``'s states and declared
+    slopes at the relative times ``rel``, laid out as a trajectory's."""
+    return (np.array([_eval_on(fn, rel) for fn in history.stm + history.ltm]),
+            np.array([_eval_on(fn, rel) for fn in history.stm_slope + history.ltm_slope]))
+
+
+def _sup_gap(a: tuple[np.ndarray, np.ndarray],
+             b: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Per column, the largest absolute gap between the value blocks and
+    the slope blocks of ``a = (Y, dY)`` and ``b`` (0 for blocks without
+    rows): the norm in which the stability theorem bounds the distance
+    between two solutions."""
+    return np.maximum(np.abs(a[0] - b[0]).max(axis=0, initial=0.0),
+                      np.abs(a[1] - b[1]).max(axis=0, initial=0.0))
+
+
 def history_norm(hist_a: HistorySpec, hist_b: HistorySpec, ts: TimeScale,
                  t0: float = 0.0) -> float:
     """Sup distance between two history specifications.
@@ -640,15 +660,7 @@ def history_norm(hist_a: HistorySpec, hist_b: HistorySpec, ts: TimeScale,
     if len(grid) == 0:
         raise ValueError("no scale points fall in the history window")
     rel = grid - t0
-    best = 0.0
-    for i in range(hist_a.n):
-        for fa, fb in ((hist_a.stm[i], hist_b.stm[i]),
-                       (hist_a.stm_slope[i], hist_b.stm_slope[i]),
-                       (hist_a.ltm[i], hist_b.ltm[i]),
-                       (hist_a.ltm_slope[i], hist_b.ltm_slope[i])):
-            gaps = np.abs(_eval_on(fa, rel) - _eval_on(fb, rel))
-            best = max(best, float(gaps.max()))
-    return best
+    return float(_sup_gap(_history_blocks(hist_a, rel), _history_blocks(hist_b, rel)).max())
 
 
 def distance_series(traj_a: Trajectory, traj_b: Trajectory) -> tuple[np.ndarray, np.ndarray]:
@@ -664,9 +676,5 @@ def distance_series(traj_a: Trajectory, traj_b: Trajectory) -> tuple[np.ndarray,
     if traj_a.start_index != traj_b.start_index:
         raise ValueError("trajectories do not share a start index")
     k0 = traj_a.start_index
-    stacks = []
-    for arr_a, arr_b in ((traj_a.x, traj_b.x), (traj_a.s, traj_b.s),
-                         (traj_a.dx, traj_b.dx), (traj_a.ds, traj_b.ds)):
-        stacks.append(np.abs(arr_a[:, k0:] - arr_b[:, k0:]))
-    dist = np.max(np.vstack(stacks), axis=0)
+    dist = _sup_gap((traj_a.Y[:, k0:], traj_a.dY[:, k0:]), (traj_b.Y[:, k0:], traj_b.dY[:, k0:]))
     return traj_a.times[k0:].copy(), dist

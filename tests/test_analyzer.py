@@ -97,9 +97,10 @@ def test_decay_fit_ignores_rounding_noise():
 
 
 def test_decay_fit_burn_in_drops_transient():
+    # the transient fills the first 20% of the horizon, which the burn-in drops
     t = np.linspace(0.0, 20.0, 201)
-    d = np.where(t < 5.0, 1.0, np.exp(-0.3 * t))
-    rate, r2 = decay_fit(t, d, burn_in=5.0)
+    d = np.where(t < 4.0, 1.0, np.exp(-0.3 * t))
+    rate, r2 = decay_fit(t, d)
     assert rate == pytest.approx(0.3, abs=1e-9)
     assert r2 == pytest.approx(1.0, abs=1e-12)
 
@@ -249,9 +250,9 @@ def series_run(ts, t_end, f):
     """A one-neuron run on the grid of ``ts`` over [0, t_end] whose
     short-term state is ``f`` and whose other series are zero."""
     times, _, dense = ts.panels(0.0, t_end)
-    x = f(times)[None, :]
-    zero = np.zeros_like(x)
-    return Trajectory(ts=ts, times=times, start_index=0, x=x, s=zero, dx=zero, ds=zero,
+    Y = np.zeros((2, len(times)))
+    Y[0] = f(times)
+    return Trajectory(ts=ts, times=times, start_index=0, Y=Y, dY=np.zeros_like(Y),
                       _panel_dense=dense)
 
 

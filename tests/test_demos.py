@@ -21,6 +21,7 @@ _MARKERS = {
     "02_feasibility_check.py": ["kappa", "feasible: yes", "feasible: no"],
     "03_simulation.py": ["integer lattice", "dense grid", "CSV export"],
     "04_certificate_and_verification.py": ["lambda = ", "violated false",
+                                           "rate on this lattice: 0.046377",
                                            "t,distance,bound,margin"],
     "05_almost_periodicity.py": ["translation-number scan", "hits",
                                  "max_gap"],

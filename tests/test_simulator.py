@@ -523,6 +523,9 @@ def test_csv_export_layout():
 def test_history_norm_zero_for_identical_segments():
     hist, _ = history_pairs()["trig"]
     assert history_norm(hist, hist, TimeScale.integer_lattice()) == 0.0
+    # a sup over no component series is 0
+    empty = HistorySpec(stm=(), stm_slope=(), ltm=(), ltm_slope=(), window=1.0)
+    assert history_norm(empty, empty, TimeScale.integer_lattice()) == 0.0
 
 
 def test_history_norm_sees_constant_offsets_and_slopes():
@@ -553,6 +556,41 @@ def test_history_norm_accepts_scalar_only_callables():
     for ts in (TimeScale.integer_lattice(), TimeScale.real_interval(-2.0, 5.0, 0.1)):
         assert history_norm(plain, other, ts) == history_norm(const, other, ts)
         assert history_norm(plain, other, ts) == pytest.approx(0.7, abs=1e-12)
+
+
+@pytest.mark.parametrize("pair", ["trig", "steady"])
+@pytest.mark.parametrize("ts", [
+    pytest.param(TimeScale.integer_lattice(), id="Z"),
+    pytest.param(TimeScale.real_interval(-2.0, 20.0, 0.01), id="R"),
+    pytest.param(test_golden.HYBRID, id="hybrid"),
+])
+def test_history_norm_is_the_sup_gap_of_the_runs_history_columns(ts, pair):
+    # Both sides of the certified inequality come from one evaluation of the
+    # histories and one norm: gap_0 is the norm of the runs' own history
+    # columns, and distance(t0) is that norm at their last column.
+    ha, hb = history_pairs()[pair]
+    ta, tb = (simulate(two_neuron_spec(), h, ts, t_end=1.0) for h in (ha, hb))
+    head = slice(None, ta.start_index + 1)
+    gaps = simulator._sup_gap((ta.Y[:, head], ta.dY[:, head]), (tb.Y[:, head], tb.dY[:, head]))
+    assert history_norm(ha, hb, ts) == float(gaps.max())
+    assert distance_series(ta, tb)[1][0] == gaps[-1]
+    # the norm family by family, as the four state arrays hold it
+    per_family = max(float(np.abs(fa[:, head] - fb[:, head]).max())
+                     for fa, fb in ((ta.x, tb.x), (ta.s, tb.s), (ta.dx, tb.dx), (ta.ds, tb.ds)))
+    assert history_norm(ha, hb, ts) == per_family
+
+
+def test_trajectory_state_arrays_are_views_of_its_blocks():
+    traj = simulate(two_neuron_spec(), history_pairs()["trig"][0], TimeScale.integer_lattice(),
+                    t_end=5.0)
+    n = traj.n
+    assert traj.Y.shape == traj.dY.shape == (2 * n, len(traj.times))
+    for name, block, rows in (("x", traj.Y, slice(None, n)), ("s", traj.Y, slice(n, None)),
+                              ("dx", traj.dY, slice(None, n)), ("ds", traj.dY, slice(n, None))):
+        view = getattr(traj, name)
+        assert view.base is block and np.array_equal(view, block[rows])
+        with pytest.raises(AttributeError):
+            setattr(traj, name, view)
 
 
 def test_history_window_below_the_scale_minimum_is_clipped_by_the_scale():

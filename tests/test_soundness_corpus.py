@@ -40,6 +40,12 @@ CASES = [
      _xfail(AssertionError, f"certificate violated on 6Z: {_SNAPPED_LEAK}")),
     ("8Z", {"kind": "Z", "spacing": "8"}, 40.0,
      _xfail(StepFailureError, f"certified on 8Z, then a step fails at t = 8: {_SNAPPED_LEAK}")),
+    # either side of the dense step's threshold, which lies between 3 and 3.25
+    ("R-h3", {"kind": "R", "start": "-3", "stop": "60", "step": "3"}, 60.0, None),
+    ("R-h3.25", {"kind": "R", "start": "-3.25", "stop": "61.75", "step": "3.25"}, 61.75,
+     _xfail(AssertionError, "certificate violated on R with step 3.25: nu_sup = 0 on R, so "
+                            "the certificate cannot see the dense step's threshold, which "
+                            "lies between 3 and 3.25")),
     ("gap-2", {"kind": "union", "intervals": "-3,30;32,60"}, 60.0, None),
     ("gap-5", {"kind": "union", "intervals": "-3,30;35,60"}, 60.0,
      _xfail(StepFailureError, f"a step fails at t = 35: {_WIDE_GAP}")),
