@@ -112,9 +112,6 @@ class StabilityReport:
     def n_points(self) -> int:
         return len(self.times)
 
-    def margins(self) -> np.ndarray:
-        return self.bounds - self.distances
-
     def to_text(self) -> str:
         lines = [
             f"lambda {self.lam!r}",
@@ -180,7 +177,7 @@ def verify_bound(traj_a: Trajectory, traj_b: Trajectory,
 def write_stability_csv(report: StabilityReport, target: str | IO[str]) -> None:
     """Write ``t,distance,bound,margin`` rows for external plotting."""
     data = np.column_stack([report.times, report.distances, report.bounds,
-                            report.margins()])
+                            report.bounds - report.distances])
     np.savetxt(target, data, delimiter=",", header="t,distance,bound,margin",
                comments="", fmt="%.12g")
 

@@ -388,9 +388,6 @@ class HValues:
             min(self.h.min(), self.h_bar.min(), self.h_star.min(), self.h_bar_star.min())
         )
 
-    def all_positive(self) -> bool:
-        return self.min_value() > 0.0
-
 
 def h_functions(
     b: BoundSet,

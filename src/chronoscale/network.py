@@ -59,7 +59,6 @@ __all__ = [
     "Activation",
     "ACTIVATIONS",
     "NetworkSpec",
-    "CoeffTable",
     "rhs",
 ]
 
@@ -207,11 +206,9 @@ class NetworkSpec:
 
     # -- coefficient tables -----------------------------------------------
 
-    def coeffs_at(self, t: float) -> "CoeffTable":
+    def coeffs_at(self, t: float) -> dict[str, np.ndarray]:
         """Every coefficient at one time: the one-row case of :meth:`coeffs_on`."""
-        row = self.coeffs_on(np.array([t]))
-        return CoeffTable(t=t, **{name: getattr(row, name)[0]
-                                  for name in self.VECTOR_FIELDS + self.MATRIX_FIELDS})
+        return self.families(self.n, self._coefficient_stack(np.array([t], dtype=float))[0])
 
     @cached_property
     def _coefficient_stack(self) -> ExprStack:
@@ -221,16 +218,14 @@ class NetworkSpec:
         them)."""
         return ExprStack([expr for _, expr in self.coefficient_items()])
 
-    def coeffs_on(self, times: np.ndarray) -> "CoeffTable":
+    def coeffs_on(self, times: np.ndarray) -> dict[str, np.ndarray]:
         """Evaluate every coefficient at each of ``times`` at once.
 
-        Every field of the returned table gains a leading axis of
-        ``len(times)``: vectors are ``(B, n)`` and matrices ``(B, n, n)``.
-        The fields are views of one ``(B, K)`` table in ``coefficient_keys``
-        order, evaluated one expression shape at a time.
+        Returns :meth:`families` of one ``(B, K)`` table in
+        ``coefficient_keys`` order, evaluated one expression shape at a
+        time: vectors are ``(B, n)`` and matrices ``(B, n, n)``.
         """
-        times = np.asarray(times, dtype=float)
-        return CoeffTable(t=times, **self.families(self.n, self._coefficient_stack(times)))
+        return self.families(self.n, self._coefficient_stack(np.asarray(times, dtype=float)))
 
     @classmethod
     def families(cls, n: int, table: np.ndarray) -> dict[str, np.ndarray]:
@@ -241,32 +236,6 @@ class NetworkSpec:
         matrices = table[..., split:].reshape(*lead, len(cls.MATRIX_FIELDS), n, n)
         return {**{name: vectors[..., m, :] for m, name in enumerate(cls.VECTOR_FIELDS)},
                 **{name: matrices[..., m, :, :] for m, name in enumerate(cls.MATRIX_FIELDS)}}
-
-
-@dataclass(frozen=True)
-class CoeffTable:
-    """All coefficient values of a :class:`NetworkSpec` at one instant.
-
-    A table from :meth:`NetworkSpec.coeffs_on` holds them at an array of
-    instants ``t`` instead, with a leading time axis on every field.
-    """
-
-    t: float | np.ndarray
-    alpha: np.ndarray
-    c: np.ndarray
-    B: np.ndarray
-    E: np.ndarray
-    I: np.ndarray
-    J: np.ndarray
-    eta: np.ndarray
-    varsigma: np.ndarray
-    D: np.ndarray
-    Dtau: np.ndarray
-    Dbar: np.ndarray
-    Dtil: np.ndarray
-    tau: np.ndarray
-    sigma_d: np.ndarray
-    zeta: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -293,19 +262,19 @@ def rhs(spec: NetworkSpec, state: "Trajectory", ts: TimeScale, t: float) -> np.n
     fns = [a.fn for a in spec.activations]
     fx = np.array([fns[j](state.value(j, t)) for j in range(n)])
     s = np.array([state.value(n + i, t) for i in range(n)])
-    x_leak = np.array([state.value(i, t - tbl.eta[i]) for i in range(n)])
-    s_leak = np.array([state.value(n + i, t - tbl.varsigma[i]) for i in range(n)])
-    f_lag = np.column_stack([fns[j](state.value(j, t - tbl.tau[:, j])) for j in range(n)])
+    x_leak = np.array([state.value(i, t - tbl["eta"][i]) for i in range(n)])
+    s_leak = np.array([state.value(n + i, t - tbl["varsigma"][i]) for i in range(n)])
+    f_lag = np.column_stack([fns[j](state.value(j, t - tbl["tau"][:, j])) for j in range(n)])
     spread, neutral = np.empty((n, n)), np.empty((n, n))
     for i in range(n):
         for j in range(n):
             f = fns[j]
             spread[i, j] = ts.nabla_integral(
-                lambda u: f(state.value(j, u)), ts.snap_down(t - tbl.sigma_d[i, j]), t)
-            g = ts.grid(ts.snap_down(t - tbl.zeta[i, j]), t)
+                lambda u: f(state.value(j, u)), ts.snap_down(t - tbl["sigma_d"][i, j]), t)
+            g = ts.grid(ts.snap_down(t - tbl["zeta"][i, j]), t)
             neutral[i, j] = np.sum(np.diff(g) * f(state.slope(j, g[1:]))) if len(g) > 1 else 0.0
-    stm = (-tbl.alpha * x_leak + tbl.D @ fx + (tbl.Dtau * f_lag).sum(axis=1)
-           + (tbl.Dbar * spread).sum(axis=1) + (tbl.Dtil * neutral).sum(axis=1)
-           + tbl.B * s + tbl.I)
-    ltm = -tbl.c * s_leak + tbl.E * fx + tbl.J
+    stm = (-tbl["alpha"] * x_leak + tbl["D"] @ fx + (tbl["Dtau"] * f_lag).sum(axis=1)
+           + (tbl["Dbar"] * spread).sum(axis=1) + (tbl["Dtil"] * neutral).sum(axis=1)
+           + tbl["B"] * s + tbl["I"])
+    ltm = -tbl["c"] * s_leak + tbl["E"] * fx + tbl["J"]
     return np.concatenate((stm, ltm))

@@ -82,7 +82,7 @@ from typing import Callable, IO
 import numpy as np
 
 from .network import FieldError, NetworkSpec
-from .timescale import POINT_TOL, TimeScale, _eval_on
+from .timescale import POINT_TOL, TimeScale, TimeScaleError, _eval_on
 
 __all__ = [
     "SimulationError",
@@ -350,12 +350,16 @@ class _Engine:
 
         times, self.width, self.dense = ts.panels(t0 - history.window, t_end)
         if len(times) < 2:
-            raise SimulationError("the time scale holds too few points in range")
+            raise TimeScaleError("the time scale holds too few points in range")
         k0 = int(np.argmin(np.abs(times - t0)))
         if abs(times[k0] - t0) > POINT_TOL:
-            raise SimulationError(f"start time {t0!r} is not a point of the time scale")
+            k = int(np.searchsorted(times, t0))
+            if not ts.contains(t0) or not 0 < k < len(times):
+                raise TimeScaleError(f"start time {t0!r} is not a point of the time scale")
+            raise TimeScaleError(f"start time {t0!r} lies inside the panel "
+                                 f"({times[k - 1]:g}, {times[k]:g}) of the run's grid")
         if k0 == len(times) - 1:
-            raise SimulationError("no live points fall in (t0, t_end]")
+            raise TimeScaleError("no live points fall in (t0, t_end]")
         self.times, self.k0 = times, k0
 
         N = len(times)
@@ -485,15 +489,16 @@ class _Engine:
         stop = min(start + self.chunk_len, N)
         tbl, rows = self.spec.coeffs_on(self.times[start:stop]), stop - start
 
-        def put(out, *fields):
-            return np.concatenate([f.reshape(rows, -1) for f in fields], axis=1, out=out)
+        def put(out, *names):
+            return np.concatenate([tbl[name].reshape(rows, -1) for name in names],
+                                  axis=1, out=out)
 
         # query columns: leaks up to L, spread windows up to S, neutral
         # windows up to E, lags after
         L, S, E = 2 * n, 2 * n + nn, 2 * n + 2 * nn
         k = np.arange(start, stop)[:, None]
         t = self.times[k]
-        u = put(np.empty((rows, E + nn)), tbl.eta, tbl.varsigma, tbl.sigma_d, tbl.zeta, tbl.tau)
+        u = put(np.empty((rows, E + nn)), "eta", "varsigma", "sigma_d", "zeta", "tau")
         at = _Located(self.times, self.dense, np.minimum(np.subtract(t, u, out=u), t, out=u))
         del u  # the query times, not needed once located
 
@@ -505,10 +510,10 @@ class _Engine:
         idx += self.row_offsets
 
         w = np.empty(idx.shape)
-        leak, lam = put(w[:, :L], tbl.alpha, tbl.c), at.lam[:, :L]
+        leak, lam = put(w[:, :L], "alpha", "c"), at.lam[:, :L]
         w[:, E:E + L] = -leak * lam
         leak *= lam - 1.0
-        cw = put(w[:, -2 * nn:], tbl.Dbar, tbl.Dtil)
+        cw = put(w[:, -2 * nn:], "Dbar", "Dtil")
         cw *= at.lo[:, L:E] < k  # windows of zero width are closed
         w[:, L:E] = -cw
         # the window starts' partial-panel weights: a * V[lo] + b * V[hi]
@@ -519,10 +524,10 @@ class _Engine:
         b[:, :nn] -= a
         w[:, E + L:2 * E] = -cw * b
         w[:, 2 * E:2 * E + nn] = -cw[:, :nn] * a
-        put(w[:, 2 * E + nn:-2 * nn], tbl.B, tbl.E, tbl.I, tbl.J, tbl.D)
+        put(w[:, 2 * E + nn:-2 * nn], "B", "E", "I", "J", "D")
         self.chunk = (at.reach, idx, w, at.lo[:, E:] + self.lag_rows,
                       at.hi[:, E:] + self.lag_rows, 1.0 - at.lam[:, E:],
-                      at.lam[:, E:].copy(), tbl.Dtau.reshape(rows, nn).copy(),
+                      at.lam[:, E:].copy(), tbl["Dtau"].reshape(rows, nn).copy(),
                       *self._masses(start, stop))
         self.chunk_start, self.chunk_end = start, stop
 
@@ -650,16 +655,19 @@ def history_norm(hist_a: HistorySpec, hist_b: HistorySpec, ts: TimeScale,
                  t0: float = 0.0) -> float:
     """Sup distance between two history specifications.
 
-    The supremum runs over every scale point of ``[t0 - window, t0]`` and
-    over all ``4 n`` component series: both state families and both declared
-    derivative families, each evaluated once over the window.
+    Each history is evaluated once on the scale points of its own window
+    ``[t0 - window, t0]``, and the two windows must hold the same points.
+    The supremum runs over those points and over all ``4 n`` component
+    series: both state families and both declared derivative families.
     """
     if hist_a.n != hist_b.n:
         raise ValueError("histories must have the same width")
-    grid = ts.grid(t0 - max(hist_a.window, hist_b.window), t0)
-    if len(grid) == 0:
+    grid_a, grid_b = (ts.grid(t0 - h.window, t0) for h in (hist_a, hist_b))
+    if grid_a.shape != grid_b.shape or not np.allclose(grid_a, grid_b, atol=POINT_TOL, rtol=0.0):
+        raise ValueError("history windows do not span the same scale points")
+    if len(grid_a) == 0:
         raise ValueError("no scale points fall in the history window")
-    rel = grid - t0
+    rel = grid_a - t0
     return float(_sup_gap(_history_blocks(hist_a, rel), _history_blocks(hist_b, rel)).max())
 
 

@@ -316,7 +316,7 @@ def test_margin_functions_at_rate_0_equal_contraction_deficits(bench_bounds):
     hv = h_functions(bench_bounds, L, 0.0, include_delayed_feedback=False)
     # at rate 0 the long-term margins reduce to c_inf - Qbar
     assert hv.h_bar == pytest.approx([0.28 - QBAR1, 0.27 - QBAR2], rel=1e-9)
-    assert hv.all_positive()
+    assert hv.min_value() > 0.0
     assert hv.min_value() > 0
 
 
@@ -328,7 +328,7 @@ def test_certificate_frozen_values_lattice(bench_bounds):
     assert cert.big_m == pytest.approx(5.339013, abs=1e-5)
     assert cert.big_m > 1.0
     assert cert.lam > 0.0
-    assert cert.h_at_lambda.all_positive()
+    assert cert.h_at_lambda.min_value() > 0.0
     assert cert.witness  # non-empty maximality explanation
     assert cert.nu_sup == 1.0
     assert cert.lam < cert.cap == pytest.approx(0.27)

@@ -673,6 +673,24 @@ def test_malformed_quadrature_step_is_a_time_scale_error(command, h, bench_cfg, 
         f"time-scale error: quadrature step must be finite and exceed 1e-09, got {float(h)}"]
 
 
+@pytest.mark.parametrize("flags, edit, message", [
+    (["--timescale", "R", "--h", "3.25"], None,
+     "start time 0.0 lies inside the panel (-1.5, 1.2) of the run's grid"),
+    ([], ("\nt0 = 0.0\n", "\nt0 = 0.5\n"), "start time 0.5 is not a point of the time scale"),
+], ids=["R-panel", "Z-off-lattice"])
+def test_a_start_time_off_the_run_grid_is_a_time_scale_error(flags, edit, message, bench_cfg,
+                                                             capsys):
+    # no step is taken, so this is malformed run input, not a stepping failure
+    if edit:
+        text = bench_cfg.read_text()
+        assert edit[0] in text
+        bench_cfg.write_text(text.replace(*edit))
+    assert main(["simulate", str(bench_cfg), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"time-scale error: {message}"]
+
+
 @pytest.mark.parametrize("flags, line", [(["--timescale", "R", "--h", "2e-9"], ""),
                                          ([], "spacing = 2e-9\n")], ids=["R", "Z"])
 def test_a_run_past_the_node_budget_is_a_time_scale_error(flags, line, bench_cfg, capsys):

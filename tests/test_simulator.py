@@ -17,14 +17,13 @@ from chronoscale.network import ACTIVATIONS, NetworkSpec, rhs
 from chronoscale.simulator import (
     HistorySpec,
     HistoryUnderflowError,
-    SimulationError,
     StepFailureError,
     Trajectory,
     distance_series,
     history_norm,
     simulate,
 )
-from chronoscale.timescale import LatticePiece, TimeScale
+from chronoscale.timescale import LatticePiece, TimeScale, TimeScaleError
 
 
 def scalar_spec(**over):
@@ -425,9 +424,23 @@ def test_rejects_bad_arguments():
 
 
 def test_start_time_must_sit_on_the_scale():
-    with pytest.raises(SimulationError, match="not a point"):
+    # refused before any step: a time-scale error, not a stepping failure
+    with pytest.raises(TimeScaleError, match="0.25 is not a point of the time scale"):
         simulate(scalar_spec(), flat_history(), TimeScale.integer_lattice(),
                  t_end=5.0, t0=0.25)
+
+
+@pytest.mark.parametrize("ts, message", [
+    # 0.0 is a point of R, but the run's grid, whose panel edges sit at
+    # -2 + 1.5 k, steps over it
+    (TimeScale.real_interval(-2.0, 10.0, 1.5),
+     r"start time 0.0 lies inside the panel \(-0.5, 1\) of the run's grid"),
+    (TimeScale([LatticePiece(-1.0, 0.0, 1.0)]), r"no live points fall in \(t0, t_end\]"),
+    (TimeScale([LatticePiece(-1.0, -1.0, 1.0)]), "the time scale holds too few points in range"),
+], ids=["R-panel", "no-live-points", "one-point"])
+def test_refusals_before_any_step_are_time_scale_errors(ts, message):
+    with pytest.raises(TimeScaleError, match=message):
+        simulate(scalar_spec(), flat_history(), ts, t_end=5.0)
 
 
 def test_history_component_lengths_must_agree():
@@ -556,6 +569,23 @@ def test_history_norm_accepts_scalar_only_callables():
     for ts in (TimeScale.integer_lattice(), TimeScale.real_interval(-2.0, 5.0, 0.1)):
         assert history_norm(plain, other, ts) == history_norm(const, other, ts)
         assert history_norm(plain, other, ts) == pytest.approx(0.7, abs=1e-12)
+
+
+def test_history_norm_reads_each_history_on_its_own_window():
+    # hb keeps window 1.0 and a state that is only its own on [-1, 0]: below
+    # -1 it is data no run with this history fills or reads
+    ha, hb = history_pairs()["trig"]
+    short = dataclasses.replace(hb, window=1.0,
+                                stm=(lambda s: -0.1 - 10.0 * min(0.0, s + 1.0), *hb.stm[1:]))
+    aligned = dataclasses.replace(ha, window=1.0)
+    dense = TimeScale.real_interval(-2.0, 10.0, 0.01)
+    with pytest.raises(ValueError, match="history windows do not span the same scale points"):
+        history_norm(ha, short, dense)
+    assert history_norm(aligned, short, dense) == pytest.approx(0.35, abs=1e-12)
+    # on Z both windows span the nodes -1 and 0
+    lattice = TimeScale.integer_lattice()
+    assert history_norm(ha, short, lattice) == history_norm(aligned, short, lattice)
+    assert history_norm(ha, short, lattice) == pytest.approx(0.35, abs=1e-12)
 
 
 @pytest.mark.parametrize("pair", ["trig", "steady"])

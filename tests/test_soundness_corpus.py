@@ -1,18 +1,23 @@
 """Soundness corpus: every issued certificate must hold on the run it certifies.
 
-One table of cases, each the reference model with its ``trig`` history pair,
-the radius ``r = 0.45`` and ``include_delayed_feedback=False`` (the settings
-of ``chronoscale example``) on one time scale, spelled as a ``[timescale]``
-description.  Certificates come from ``certify``, as the CLI's do.  The
-property is the one the certificate promises: either no certificate is
-issued, or both histories simulate and ``verify_bound`` finds no violation.  A case that breaks it today is a strict expected failure whose
-reason is the finding, so a change that mends it has to flip the mark.
+One table of cases, each the reference model (or a variant of it) with its
+``trig`` history pair, the radius ``r = 0.45`` and
+``include_delayed_feedback=False`` (the settings of ``chronoscale example``)
+on one time scale, spelled as a ``[timescale]`` description.  Certificates
+come from ``certify``, as the CLI's do.  The property is the one the
+certificate promises: either no certificate is issued, or both histories
+simulate and ``verify_bound`` finds no violation.  A case that breaks it
+today is a strict expected failure whose reason is the finding, so a change
+that mends it has to flip the mark.
 """
+
+import dataclasses
 
 import pytest
 
 from chronoscale.analyzer import verify_bound
 from chronoscale.benchmark import history_pairs, two_neuron_spec
+from chronoscale.coeffs import BoundPair, Const
 from chronoscale.conditions import ConditionsError, certify
 from chronoscale.config import build_timescale
 from chronoscale.simulator import StepFailureError, simulate
@@ -26,39 +31,54 @@ _SNAPPED_LEAK = ("t - eta(t) snaps down to rho(t) on a lattice, so the realised 
                  "delay is the spacing while the bounds use eta+ = 0.06")
 _WIDE_GAP = "fixed-point correction does not converge across a wide gap"
 
-# (id, [timescale] description, t_end, mark or None)
+
+def _without_leak_delay():
+    """The reference model with ``eta.i = const 0`` and ``[bounds] eta.i = 0 0``."""
+    spec = two_neuron_spec()
+    zero = {f"eta.{i + 1}": BoundPair(0.0, 0.0) for i in range(spec.n)}
+    return dataclasses.replace(spec, eta=(Const(0.0),) * spec.n,
+                               bound_overrides={**spec.bound_overrides, **zero})
+
+
+# (id, model (None: the reference model), [timescale] description, t_end,
+# mark or None)
 CASES = [
-    ("Z", {"kind": "Z"}, 200.0, None),
+    ("Z", None, {"kind": "Z"}, 200.0, None),
+    ("eta0-Z", _without_leak_delay(), {"kind": "Z"}, 200.0,
+     _xfail(StepFailureError, "certified with eta = 0 on Z (lambda = 0.0453), then the step "
+                              "to t = 1 fails: the fixed-point iteration contracts by about "
+                              "0.83 per pass (nu * alpha ~ 0.9), so four passes cannot halve "
+                              "its residual")),
     # either side of the graininess threshold 2/alpha+ = 2/0.9 = 2.22
-    ("2Z", {"kind": "Z", "spacing": "2"}, 40.0, None),
-    ("2.25Z", {"kind": "Z", "spacing": "2.25"}, 40.0,
+    ("2Z", None, {"kind": "Z", "spacing": "2"}, 40.0, None),
+    ("2.25Z", None, {"kind": "Z", "spacing": "2.25"}, 40.0,
      _xfail(AssertionError, "certificate violated on 2.25Z: past 2/alpha+ = 2.22 the snapped "
                             "leak's factor 1 - h*alpha no longer contracts")),
-    ("4Z", {"kind": "Z", "spacing": "4"}, 40.0,
+    ("4Z", None, {"kind": "Z", "spacing": "4"}, 40.0,
      _xfail(AssertionError, f"certificate violated on 4Z: {_SNAPPED_LEAK}")),
-    ("6Z", {"kind": "Z", "spacing": "6"}, 60.0,
+    ("6Z", None, {"kind": "Z", "spacing": "6"}, 60.0,
      _xfail(AssertionError, f"certificate violated on 6Z: {_SNAPPED_LEAK}")),
-    ("8Z", {"kind": "Z", "spacing": "8"}, 40.0,
+    ("8Z", None, {"kind": "Z", "spacing": "8"}, 40.0,
      _xfail(StepFailureError, f"certified on 8Z, then a step fails at t = 8: {_SNAPPED_LEAK}")),
     # either side of the dense step's threshold, which lies between 3 and 3.25
-    ("R-h3", {"kind": "R", "start": "-3", "stop": "60", "step": "3"}, 60.0, None),
-    ("R-h3.25", {"kind": "R", "start": "-3.25", "stop": "61.75", "step": "3.25"}, 61.75,
+    ("R-h3", None, {"kind": "R", "start": "-3", "stop": "60", "step": "3"}, 60.0, None),
+    ("R-h3.25", None, {"kind": "R", "start": "-3.25", "stop": "61.75", "step": "3.25"}, 61.75,
      _xfail(AssertionError, "certificate violated on R with step 3.25: nu_sup = 0 on R, so "
                             "the certificate cannot see the dense step's threshold, which "
                             "lies between 3 and 3.25")),
-    ("gap-2", {"kind": "union", "intervals": "-3,30;32,60"}, 60.0, None),
-    ("gap-5", {"kind": "union", "intervals": "-3,30;35,60"}, 60.0,
+    ("gap-2", None, {"kind": "union", "intervals": "-3,30;32,60"}, 60.0, None),
+    ("gap-5", None, {"kind": "union", "intervals": "-3,30;35,60"}, 60.0,
      _xfail(StepFailureError, f"a step fails at t = 35: {_WIDE_GAP}")),
-    ("gap-20", {"kind": "union", "intervals": "-3,110;130,140"}, 140.0,
+    ("gap-20", None, {"kind": "union", "intervals": "-3,110;130,140"}, 140.0,
      _xfail(StepFailureError, f"a step fails at t = 130: {_WIDE_GAP}")),
 ]
 
 
-@pytest.mark.parametrize("desc, t_end", [
-    pytest.param(desc, t_end, id=case_id, marks=mark or ())
-    for case_id, desc, t_end, mark in CASES])
-def test_certificate_is_refused_or_holds(desc, t_end):
-    spec = two_neuron_spec()
+@pytest.mark.parametrize("model, desc, t_end", [
+    pytest.param(model, desc, t_end, id=case_id, marks=mark or ())
+    for case_id, model, desc, t_end, mark in CASES])
+def test_certificate_is_refused_or_holds(model, desc, t_end):
+    spec = model or two_neuron_spec()
     hist_a, hist_b = history_pairs()["trig"]
     ts = build_timescale(desc)
     try:
