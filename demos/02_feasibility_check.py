@@ -11,6 +11,8 @@ Walks through the two-part contraction argument the library automates:
 Run:  python3 demos/02_feasibility_check.py
 """
 
+import dataclasses
+
 from chronoscale import activation_offsets, check_H3, compute_bounds, search_r
 from chronoscale.benchmark import two_neuron_spec
 from chronoscale.conditions import DEFAULT_R_GRID
@@ -34,7 +36,7 @@ def main():
     print(f"  ... ({len(lines) - 9} more coefficient rows)")
     print(lines[-1])
     print(f"  delay reach theta = {bounds.theta():g}")
-    print(f"  decay cap min(alpha_inf, c_inf) = {bounds.decay_cap():g}")
+    print(f"  decay cap min(alpha-, c-) = {bounds.decay_cap():g}")
 
     section("two-part check at radius r = 0.45")
     report = check_H3(bounds, lip, f0, r=0.45,
@@ -48,10 +50,9 @@ def main():
     print(f"  grid 0.10, 0.15, ..., 1.00  ->  smallest feasible r = {best}")
 
     section("a failing configuration: coupling weights doubled")
-    doubled = dict(bounds.__dict__)
-    for key in ("D_sup", "Dtau_sup", "Dbar_sup", "Dtil_sup", "B_sup", "E_sup"):
-        doubled[key] = 2.0 * doubled[key]
-    stressed = type(bounds)(**doubled)
+    coupling = ("D", "Dtau", "Dbar", "Dtil", "B", "E")
+    stressed = dataclasses.replace(
+        bounds, sup=bounds.sup | {name: 2.0 * bounds.sup[name] for name in coupling})
     bad = check_H3(stressed, lip, f0, r=0.45,
                    include_delayed_feedback=False)
     print(f"  kappa = {bad.kappa:.4f} (needs < 1)   "

@@ -1,9 +1,11 @@
 """Solvability (contraction) checks and the exponential-decay certificate.
 
-Everything here works on a :class:`BoundSet`: per-coefficient envelopes
-(sup/inf of absolute values) plus the supremum ``nu_sup`` of the time scale's
-backward graininess.  Bounds are enclosures of a model's expressions over all
-t in R (:func:`compute_bounds`), with user overrides taking precedence.
+Everything here works on a :class:`BoundSet`: per-family tables of the
+coefficient envelopes (sup/inf of absolute values; ``x_i+`` below is
+``sup["x"][i]`` and ``x_i-`` is ``inf["x"][i]``) plus the supremum
+``nu_sup`` of the time scale's backward graininess.  Bounds are enclosures
+of a model's expressions over all t in R (:func:`compute_bounds`), with user
+overrides taking precedence.
 
 Solvability check
 -----------------
@@ -84,7 +86,7 @@ once one of them passes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -125,63 +127,51 @@ class InfeasibleError(ConditionsError):
 # ---------------------------------------------------------------------------
 
 
+_DECAY_RATES = ("alpha", "c")  # the families whose infima the conditions read
+
+
 @dataclass(frozen=True)
 class BoundSet:
     """Coefficient envelopes of one model plus the scale's graininess sup.
 
-    ``<family>_sup`` holds sup|coefficient| (arrays over neurons / neuron
-    pairs); ``alpha_inf``/``c_inf`` hold the infima of the decay rates.
-    Every ``BoundSet`` has positive decay-rate infima: construction raises
-    :class:`ConditionsError` naming each nonpositive key.  ``sources`` maps
-    coefficient keys to "enclosure" or "override" for reporting.
+    ``sup`` and ``inf`` map each coefficient family to sup|coefficient| and
+    inf|coefficient| (arrays over neurons / neuron pairs); from
+    :func:`compute_bounds` they are the :meth:`NetworkSpec.families` views of
+    two flat tables.  Only the decay rates' infima are read.  Every
+    ``BoundSet`` has positive decay-rate infima: construction raises
+    :class:`ConditionsError` naming each nonpositive key.  ``overridden``
+    holds the keys whose bounds came from overrides, for reporting.
     """
 
     n: int
-    alpha_sup: np.ndarray
-    alpha_inf: np.ndarray
-    c_sup: np.ndarray
-    c_inf: np.ndarray
-    B_sup: np.ndarray
-    E_sup: np.ndarray
-    I_sup: np.ndarray
-    J_sup: np.ndarray
-    eta_sup: np.ndarray
-    varsigma_sup: np.ndarray
-    D_sup: np.ndarray
-    Dtau_sup: np.ndarray
-    Dbar_sup: np.ndarray
-    Dtil_sup: np.ndarray
-    tau_sup: np.ndarray
-    sigma_d_sup: np.ndarray
-    zeta_sup: np.ndarray
+    sup: dict[str, np.ndarray]
+    inf: dict[str, np.ndarray]
     nu_sup: float = 0.0
-    sources: dict[str, str] = field(default_factory=dict)
+    overridden: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        inf = {"alpha": self.alpha_inf, "c": self.c_inf}
-        if not all(np.all(arr > 0.0) for arr in inf.values()):
+        if not all(np.all(self.inf[name] > 0.0) for name in _DECAY_RATES):
             bad = [key for key, name, idx in NetworkSpec.coefficient_keys(self.n)
-                   if name in inf and not inf[name][idx] > 0.0]
+                   if name in _DECAY_RATES and not self.inf[name][idx] > 0.0]
             raise ConditionsError(
                 f"decay-rate infima must be positive: {', '.join(bad)}")
 
     def theta(self) -> float:
         """Largest delay bound: how much history the dynamics can reach."""
-        return float(max(getattr(self, name + "_sup").max()
-                         for name in NetworkSpec.DELAY_FIELDS))
+        return float(max(self.sup[name].max() for name in NetworkSpec.DELAY_FIELDS))
 
     def decay_cap(self) -> float:
         """min over neurons of the decay-rate infima: the rate search ceiling."""
-        return float(min(self.alpha_inf.min(), self.c_inf.min()))
+        return float(min(self.inf[name].min() for name in _DECAY_RATES))
 
     def summary_lines(self) -> list[str]:
         """Human-readable dump of every envelope, tagged by provenance."""
         out = ["coefficient bounds:"]
         for key, name, idx in NetworkSpec.coefficient_keys(self.n):
-            line = f"  {key}: sup = {getattr(self, name + '_sup')[idx]:.6g}"
-            if name in ("alpha", "c"):
-                line += f", inf = {getattr(self, name + '_inf')[idx]:.6g}"
-            out.append(line + f"  [{self.sources[key]}]")
+            line = f"  {key}: sup = {self.sup[name][idx]:.6g}"
+            if name in _DECAY_RATES:
+                line += f", inf = {self.inf[name][idx]:.6g}"
+            out.append(line + ("  [override]" if key in self.overridden else "  [enclosure]"))
         out.append(f"  graininess sup = {self.nu_sup:.6g}")
         return out
 
@@ -191,11 +181,12 @@ def compute_bounds(spec: NetworkSpec, ts: TimeScale | None = None) -> BoundSet:
 
     Whenever some key lacks an override, every coefficient is enclosed one
     expression shape at a time: ``bound_sup_inf`` runs once per group of the
-    spec's stacked coefficients, whose columns land in flat arrays in
-    ``coefficient_keys`` order.  Entries of ``spec.bound_overrides`` then
-    replace the enclosures; an unbounded one without an override raises
-    :class:`ConditionsError` naming the first such key.  When a time scale is
-    supplied, ``nu_sup`` is its graininess supremum over the whole scale
+    spec's stacked coefficients, whose columns land in flat ``sup``/``inf``
+    tables in ``coefficient_keys`` order.  Entries of ``spec.bound_overrides``
+    then replace the enclosures; an unbounded one without an override raises
+    :class:`ConditionsError` naming the first such key.  The bound set holds
+    the tables' family views.  When a time scale is supplied, ``nu_sup`` is
+    its graininess supremum over the whole scale
     (:meth:`TimeScale.max_graininess`), sound for any horizon; otherwise it
     is 0 (purely dense analysis).
     """
@@ -215,12 +206,9 @@ def compute_bounds(spec: NetworkSpec, ts: TimeScale | None = None) -> BoundSet:
         key = keys[unbounded[0]]
         expr = dict(spec.coefficient_items())[key]
         raise ConditionsError(f"coefficient {key} = {to_text(expr)} is unbounded on R")
-    sources = dict.fromkeys(keys, "enclosure") | dict.fromkeys(overrides, "override")
-    sup_fields, inf_fields = NetworkSpec.families(n, sup), NetworkSpec.families(n, inf)
-    return BoundSet(
-        n=n, alpha_inf=inf_fields["alpha"], c_inf=inf_fields["c"], sources=sources,
-        nu_sup=ts.max_graininess() if ts is not None else 0.0,
-        **{f"{name}_sup": arr for name, arr in sup_fields.items()})
+    return BoundSet(n=n, sup=NetworkSpec.families(n, sup), inf=NetworkSpec.families(n, inf),
+                    nu_sup=ts.max_graininess() if ts is not None else 0.0,
+                    overridden=frozenset(overrides))
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +223,12 @@ def _slope_sums(
     beta: float = 0.0,
 ) -> np.ndarray:
     """The per-neuron slope sum W_i(beta); beta = 0 gives the plain sum."""
-    leak = b.alpha_sup * b.eta_sup * np.exp(beta * b.eta_sup)
-    inst = b.D_sup @ L
-    lagged = (b.Dtau_sup * np.exp(beta * b.tau_sup)) @ L
-    spread = (b.Dbar_sup * b.sigma_d_sup * np.exp(beta * b.sigma_d_sup)) @ L
-    neutral = (b.Dtil_sup * b.zeta_sup * np.exp(beta * b.zeta_sup)) @ L
+    sup = b.sup
+    leak = sup["alpha"] * sup["eta"] * np.exp(beta * sup["eta"])
+    inst = sup["D"] @ L
+    lagged = (sup["Dtau"] * np.exp(beta * sup["tau"])) @ L
+    spread = (sup["Dbar"] * sup["sigma_d"] * np.exp(beta * sup["sigma_d"])) @ L
+    neutral = (sup["Dtil"] * sup["zeta"] * np.exp(beta * sup["zeta"])) @ L
     total = leak + inst + spread + neutral
     if include_delayed_feedback:
         total = total + lagged
@@ -252,9 +241,9 @@ def compute_PQbar(
     include_delayed_feedback: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Contraction-side numerators (Pbar, Qbar); see the module docstring."""
-    L = np.asarray(L, dtype=float)
-    Pbar = _slope_sums(b, L, include_delayed_feedback) + b.B_sup
-    Qbar = b.c_sup * b.varsigma_sup + b.E_sup * L
+    L, sup = np.asarray(L, dtype=float), b.sup
+    Pbar = _slope_sums(b, L, include_delayed_feedback) + sup["B"]
+    Qbar = sup["c"] * sup["varsigma"] + sup["E"] * L
     return Pbar, Qbar
 
 
@@ -321,20 +310,20 @@ def check_H3(b: BoundSet, L: Sequence[float], f0: Sequence[float], r: float,
     term (the module docstring's P_i and Q_i); the reduced-tabulation flag
     applies only to the contraction side.
     """
-    L = np.asarray(L, dtype=float)
+    L, sup, inf = np.asarray(L, dtype=float), b.sup, b.inf
     lr = L * r + np.asarray(f0, dtype=float)
-    P = (b.alpha_sup * b.eta_sup * r + b.D_sup @ lr + b.Dtau_sup @ lr
-         + (b.Dbar_sup * b.sigma_d_sup) @ lr + (b.Dtil_sup * b.zeta_sup) @ lr
-         + b.B_sup * r + b.I_sup)
-    Q = b.c_sup * b.varsigma_sup * r + b.E_sup * lr + b.J_sup
+    P = (sup["alpha"] * sup["eta"] * r + sup["D"] @ lr + sup["Dtau"] @ lr
+         + (sup["Dbar"] * sup["sigma_d"]) @ lr + (sup["Dtil"] * sup["zeta"]) @ lr
+         + sup["B"] * r + sup["I"])
+    Q = sup["c"] * sup["varsigma"] * r + sup["E"] * lr + sup["J"]
     Pbar, Qbar = compute_PQbar(b, L, include_delayed_feedback)
 
-    amp_alpha = 1.0 + b.alpha_sup / b.alpha_inf
-    amp_c = 1.0 + b.c_sup / b.c_inf
-    r_ratios = np.concatenate([np.stack([P / b.alpha_inf, amp_alpha * P], axis=1).reshape(-1),
-                               Q / b.c_inf, amp_c * Q])
-    kappa_ratios = np.concatenate([Pbar / b.alpha_inf, amp_alpha * Pbar,
-                                   Qbar / b.c_inf, amp_c * Qbar])
+    amp_alpha = 1.0 + sup["alpha"] / inf["alpha"]
+    amp_c = 1.0 + sup["c"] / inf["c"]
+    r_ratios = np.concatenate([np.stack([P / inf["alpha"], amp_alpha * P], axis=1).reshape(-1),
+                               Q / inf["c"], amp_c * Q])
+    kappa_ratios = np.concatenate([Pbar / inf["alpha"], amp_alpha * Pbar,
+                                   Qbar / inf["c"], amp_c * Qbar])
     max_r_expr, kappa = float(r_ratios.max()), float(kappa_ratios.max())
     return H3Report(r=r, P=P, Q=Q, Pbar=Pbar, Qbar=Qbar,
                     r_ratios=r_ratios, kappa_ratios=kappa_ratios,
@@ -396,19 +385,19 @@ def h_functions(
     include_delayed_feedback: bool = True,
 ) -> HValues:
     """Evaluate H, Hbar, Hstar, Hbarstar at rate ``beta``; module docstring."""
-    L = np.asarray(L, dtype=float)
+    L, sup, inf = np.asarray(L, dtype=float), b.sup, b.inf
     e_nu = math.exp(beta * b.nu_sup)
     W = _slope_sums(b, L, include_delayed_feedback, beta=beta)
     # Weighted LTM leakage term; note e^{beta*nu_sup} multiplies only this
     # term in h_bar (the coupling E+L stays unweighted), while h_bar_star
     # applies no e^{beta*nu_sup} inside its second factor at all.
-    ltm_leak = b.c_sup * b.varsigma_sup * np.exp(beta * b.varsigma_sup)
-    ltm_core = ltm_leak + b.E_sup * L
+    ltm_leak = sup["c"] * sup["varsigma"] * np.exp(beta * sup["varsigma"])
+    ltm_core = ltm_leak + sup["E"] * L
 
-    h = b.alpha_inf - beta - (e_nu * W + b.B_sup)
-    h_bar = b.c_inf - beta - (e_nu * ltm_leak + b.E_sup * L)
-    h_star = b.alpha_inf - beta - (b.alpha_sup * e_nu + b.alpha_inf - beta) * (W + b.B_sup)
-    h_bar_star = b.c_inf - beta - (b.c_sup * e_nu + b.c_inf - beta) * ltm_core
+    h = inf["alpha"] - beta - (e_nu * W + sup["B"])
+    h_bar = inf["c"] - beta - (e_nu * ltm_leak + sup["E"] * L)
+    h_star = inf["alpha"] - beta - (sup["alpha"] * e_nu + inf["alpha"] - beta) * (W + sup["B"])
+    h_bar_star = inf["c"] - beta - (sup["c"] * e_nu + inf["c"] - beta) * ltm_core
     return HValues(beta=beta, h=h, h_bar=h_bar, h_star=h_star, h_bar_star=h_bar_star)
 
 
@@ -466,7 +455,7 @@ def find_lambda(
 ) -> Certificate:
     """Largest decay rate with all four margin families positive, plus M.
 
-    The admissible interval is [0, cap] with ``cap = min(alpha_inf, c_inf)``
+    The admissible interval is [0, cap] with ``cap = min(alpha-, c-)``
     (shrunk below ``1/nu_sup`` on scales with positive graininess so the
     decay envelope stays positively regressive).  The rate is ``cap`` if the
     minimum margin there exceeds ``POSITIVITY_MARGIN``; otherwise it is the
@@ -475,7 +464,7 @@ def find_lambda(
     The search rests on one lemma: each family is strictly decreasing
     wherever it is nonnegative.  H and Hbar are for every b, because W and
     the exponential weights are nondecreasing.  Where Hstar >= 0, writing
-    a+, a- for alpha_sup, alpha_inf (a+ >= a- > cap >= b),
+    a+, a- for alpha_i+, alpha_i- (a+ >= a- > cap >= b),
 
         (a+ e^{b nu} + a- - b)(W + B) <= a- - b,
 
@@ -588,7 +577,7 @@ def find_lambda(
             )
 
     Pbar, Qbar = compute_PQbar(b, L, include_delayed_feedback)
-    big_m = float(max((b.alpha_inf / Pbar).max(), (b.c_inf / Qbar).max()))
+    big_m = float(max((b.inf["alpha"] / Pbar).max(), (b.inf["c"] / Qbar).max()))
     return Certificate(
         lam=float(lam),
         big_m=big_m,

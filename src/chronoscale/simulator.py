@@ -598,10 +598,15 @@ class _Engine:
             y_live = y_next
         if (self.corrector_iters >= 2 and last_gap > 0.5 * first_gap
                 and last_gap > 1e-9 * (1.0 + float(abs(y_live).max()))):
+            # the residual's mean ratio per pass tells divergence from a
+            # contraction too slow to halve it
+            ratio = (last_gap / first_gap) ** (1.0 / (self.corrector_iters - 1))
+            verdict = ("the implicit update diverges at this gap size" if ratio >= 1.0 else
+                       f"it contracts too slowly for {self.corrector_iters} corrector passes")
             raise StepFailureError(
                 t, f"fixed-point iteration did not contract "
-                   f"(residual {last_gap:.3e} from initial {first_gap:.3e}); "
-                   f"the implicit update appears divergent at this gap size")
+                   f"(residual {last_gap:.3e} from initial {first_gap:.3e}, ratio "
+                   f"{ratio:.3g} per pass); {verdict}")
         self._write(y_live)
         self.dY[:, k] = (y_live - y_prev) / w
         self.prev_rhs = None

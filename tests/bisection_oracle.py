@@ -73,7 +73,7 @@ def find_lambda(b, L, include_delayed_feedback=True):
             )
 
     Pbar, Qbar = compute_PQbar(b, L, include_delayed_feedback)
-    big_m = float(max((b.alpha_inf / Pbar).max(), (b.c_inf / Qbar).max()))
+    big_m = float(max((b.inf["alpha"] / Pbar).max(), (b.inf["c"] / Qbar).max()))
     return Certificate(
         lam=float(lam),
         big_m=big_m,

@@ -39,7 +39,7 @@ from chronoscale.timescale import DensePiece, LatticePiece, TimeScale
 L = (1.0, 1.0)
 F0 = (0.0, 0.0)
 
-# hand arithmetic on the override table (B_sup = 1/(pi e^{2pi})):
+# hand arithmetic on the override table (B+ = 1/(pi e^{2pi})):
 B_SUP = 1.0 / (math.pi * math.exp(2.0 * math.pi))
 # leak 0.9*0.06 + instant+distributed+neutral column sums + coupling
 PBAR1_RED = 0.9 * 0.06 + (0.05 + 0.05 * 0.08 + 0.05 * 0.06) \
@@ -67,22 +67,77 @@ def bench_report(bench_bounds):
 
 def test_overrides_land_in_boundset(bench_bounds):
     b = bench_bounds
-    assert b.alpha_sup == pytest.approx([0.9, 0.8], abs=0)
-    assert b.alpha_inf == pytest.approx([0.89, 0.78], abs=0)
-    assert b.c_inf == pytest.approx([0.28, 0.27], abs=0)
-    assert b.B_sup == pytest.approx([B_SUP, B_SUP], rel=1e-12)
-    assert np.all(b.D_sup == 0.05) and np.all(b.Dtau_sup == 0.05)
-    assert b.sigma_d_sup == pytest.approx(np.array([[0.08, 0.07], [0.04, 0.02]]), abs=0)
-    assert b.zeta_sup == pytest.approx(np.array([[0.06, 0.05], [0.02, 0.03]]), abs=0)
-    assert b.sources["alpha.1"] == "override"
+    assert b.sup["alpha"] == pytest.approx([0.9, 0.8], abs=0)
+    assert b.inf["alpha"] == pytest.approx([0.89, 0.78], abs=0)
+    assert b.inf["c"] == pytest.approx([0.28, 0.27], abs=0)
+    assert b.sup["B"] == pytest.approx([B_SUP, B_SUP], rel=1e-12)
+    assert np.all(b.sup["D"] == 0.05) and np.all(b.sup["Dtau"] == 0.05)
+    assert b.sup["sigma_d"] == pytest.approx(np.array([[0.08, 0.07], [0.04, 0.02]]), abs=0)
+    assert b.sup["zeta"] == pytest.approx(np.array([[0.06, 0.05], [0.02, 0.03]]), abs=0)
+    assert b.overridden == frozenset(benchmark.two_neuron_spec().bound_overrides)
     assert b.decay_cap() == pytest.approx(0.27, abs=0)
     assert b.theta() == pytest.approx(0.08, abs=0)
 
 
-def test_summary_lines_tag_provenance(bench_bounds):
-    text = "\n".join(bench_bounds.summary_lines())
-    assert "alpha.1" in text and "[override]" in text
-    assert "graininess sup" in text
+def test_a_bound_set_has_five_fields():
+    assert [f.name for f in dataclasses.fields(BoundSet)] == [
+        "n", "sup", "inf", "nu_sup", "overridden"]
+
+
+# the reference model's bound table on Z, pinned byte for byte
+REFERENCE_SUMMARY_Z = """\
+coefficient bounds:
+  alpha.1: sup = 0.9, inf = 0.89  [override]
+  alpha.2: sup = 0.8, inf = 0.78  [override]
+  c.1: sup = 0.29, inf = 0.28  [override]
+  c.2: sup = 0.28, inf = 0.27  [override]
+  B.1: sup = 0.000594425  [override]
+  B.2: sup = 0.000594425  [override]
+  E.1: sup = 0.21  [override]
+  E.2: sup = 0.21  [override]
+  I.1: sup = 0.08  [override]
+  I.2: sup = 0.1  [override]
+  J.1: sup = 0.01  [override]
+  J.2: sup = 0.02  [override]
+  eta.1: sup = 0.06  [override]
+  eta.2: sup = 0.05  [override]
+  varsigma.1: sup = 0.04  [override]
+  varsigma.2: sup = 0.05  [override]
+  D.1.1: sup = 0.05  [override]
+  D.1.2: sup = 0.05  [override]
+  D.2.1: sup = 0.05  [override]
+  D.2.2: sup = 0.05  [override]
+  Dtau.1.1: sup = 0.05  [override]
+  Dtau.1.2: sup = 0.05  [override]
+  Dtau.2.1: sup = 0.05  [override]
+  Dtau.2.2: sup = 0.05  [override]
+  Dbar.1.1: sup = 0.05  [override]
+  Dbar.1.2: sup = 0.05  [override]
+  Dbar.2.1: sup = 0.05  [override]
+  Dbar.2.2: sup = 0.05  [override]
+  Dtil.1.1: sup = 0.05  [override]
+  Dtil.1.2: sup = 0.05  [override]
+  Dtil.2.1: sup = 0.05  [override]
+  Dtil.2.2: sup = 0.05  [override]
+  tau.1.1: sup = 0.05  [override]
+  tau.1.2: sup = 0.05  [override]
+  tau.2.1: sup = 0.05  [override]
+  tau.2.2: sup = 0.05  [override]
+  sigma_d.1.1: sup = 0.08  [override]
+  sigma_d.1.2: sup = 0.07  [override]
+  sigma_d.2.1: sup = 0.04  [override]
+  sigma_d.2.2: sup = 0.02  [override]
+  zeta.1.1: sup = 0.06  [override]
+  zeta.1.2: sup = 0.05  [override]
+  zeta.2.1: sup = 0.02  [override]
+  zeta.2.2: sup = 0.03  [override]
+  graininess sup = 1
+"""
+
+
+def test_summary_lines_tag_provenance():
+    b = compute_bounds(benchmark.two_neuron_spec(), TimeScale.integer_lattice())
+    assert "\n".join(b.summary_lines()) + "\n" == REFERENCE_SUMMARY_Z
 
 
 def _one_neuron_spec(I=Const(0.0), overrides=None):
@@ -103,10 +158,10 @@ def _one_neuron_spec(I=Const(0.0), overrides=None):
 
 def test_enclosed_bounds_are_exact_envelopes():
     b = compute_bounds(_one_neuron_spec())
-    assert b.alpha_sup[0] == pytest.approx(0.6, abs=1e-15)
-    assert b.alpha_inf[0] == pytest.approx(0.4, abs=1e-15)
-    assert b.D_sup[0, 0] == pytest.approx(0.2, abs=1e-15)
-    assert b.sources["alpha.1"] == "enclosure"
+    assert b.sup["alpha"][0] == pytest.approx(0.6, abs=1e-15)
+    assert b.inf["alpha"][0] == pytest.approx(0.4, abs=1e-15)
+    assert b.sup["D"][0, 0] == pytest.approx(0.2, abs=1e-15)
+    assert b.overridden == frozenset()
 
 
 def test_unbounded_coefficient_needs_an_override():
@@ -114,8 +169,8 @@ def test_unbounded_coefficient_needs_an_override():
     with pytest.raises(ConditionsError, match=r"coefficient I\.1 .* unbounded"):
         compute_bounds(_one_neuron_spec(I=drifting))
     b = compute_bounds(_one_neuron_spec(I=drifting, overrides={"I.1": BoundPair(1.0, 0.0)}))
-    assert b.I_sup[0] == 1.0
-    assert b.sources["I.1"] == "override"
+    assert b.sup["I"][0] == 1.0
+    assert b.overridden == {"I.1"}
     # the first unbounded key in file order that lacks an override is named
     spec = dataclasses.replace(_one_neuron_spec(I=drifting), D=((drifting,),))
     with pytest.raises(ConditionsError, match=r"^coefficient I\.1 = affine 0.001 0 t is"):
@@ -144,11 +199,16 @@ def test_bounds_equal_the_scalar_enclosures_key_by_key(spec):
     for key, name, idx in NetworkSpec.coefficient_keys(spec.n):
         pair = spec.bound_overrides.get(key)
         sup, inf = (pair.sup_abs, pair.inf_abs) if pair else enclosure_oracle.sup_inf(exprs[key])
-        assert getattr(b, f"{name}_sup")[idx] == sup, key
+        assert b.sup[name][idx] == sup, key
         if name in ("alpha", "c"):
-            assert getattr(b, f"{name}_inf")[idx] == inf, key
-        assert b.sources[key] == ("override" if pair else "enclosure")
-    assert list(b.sources) == list(exprs)
+            assert b.inf[name][idx] == inf, key
+    assert b.overridden == frozenset(spec.bound_overrides)
+    # each side is one flat table in key order, viewed once per family
+    for table in (b.sup, b.inf):
+        assert list(table) == [*NetworkSpec.VECTOR_FIELDS, *NetworkSpec.MATRIX_FIELDS]
+        base = table["alpha"].base
+        assert base.shape == (len(exprs),)
+        assert all(view.base is base for view in table.values())
 
 
 def test_a_fully_overridden_spec_encloses_nothing():
@@ -191,7 +251,7 @@ def test_benchmark_column_sums(bench_report):
     rep = bench_report
     assert rep.Pbar == pytest.approx([PBAR1_RED, PBAR2_RED], rel=1e-12)
     assert rep.Qbar == pytest.approx([QBAR1, QBAR2], rel=1e-12)
-    # with f(0)=0 and unit Lipschitz: P = r*(Pbar + delayed column) + I_sup
+    # with f(0)=0 and unit Lipschitz: P = r*(Pbar + delayed column) + I+
     assert rep.P[0] == pytest.approx(0.45 * (PBAR1_RED + 0.1) + 0.08, rel=1e-12)
     assert rep.P[1] == pytest.approx(0.45 * (PBAR2_RED + 0.1) + 0.10, rel=1e-12)
     assert rep.Q[0] == pytest.approx(0.45 * QBAR1 + 0.01, rel=1e-12)
@@ -314,7 +374,7 @@ def test_certify_gates_on_the_absolute_activation_offset():
 
 def test_margin_functions_at_rate_0_equal_contraction_deficits(bench_bounds):
     hv = h_functions(bench_bounds, L, 0.0, include_delayed_feedback=False)
-    # at rate 0 the long-term margins reduce to c_inf - Qbar
+    # at rate 0 the long-term margins reduce to c- - Qbar
     assert hv.h_bar == pytest.approx([0.28 - QBAR1, 0.27 - QBAR2], rel=1e-9)
     assert hv.min_value() > 0.0
     assert hv.min_value() > 0
@@ -365,8 +425,7 @@ def feasible_bound_sets(draw):
     nu_sup = draw(st.one_of(st.just(0.0),
                             st.floats(0.0, 3.0, exclude_min=True)))
     feedback = draw(st.booleans())
-    alpha_inf = rng.uniform(0.5, 3.0, n)
-    c_inf = rng.uniform(0.5, 3.0, n)
+    inf = {"alpha": rng.uniform(0.5, 3.0, n), "c": rng.uniform(0.5, 3.0, n)}
 
     def vec(hi):
         return rng.uniform(0.0, hi, n)
@@ -374,16 +433,13 @@ def feasible_bound_sets(draw):
     def mat(hi):
         return rng.uniform(0.0, hi, (n, n))
 
-    alpha_sup = alpha_inf * rng.uniform(1.0, 2.0, n)
-    c_sup = c_inf * rng.uniform(1.0, 2.0, n)
-    b = BoundSet(
-        n=n, alpha_sup=alpha_sup, alpha_inf=alpha_inf, c_sup=c_sup, c_inf=c_inf,
-        B_sup=vec(weight), E_sup=vec(weight), I_sup=vec(weight), J_sup=vec(weight),
-        eta_sup=vec(0.1) / alpha_sup, varsigma_sup=vec(0.1) / c_sup,
-        D_sup=mat(weight / n), Dtau_sup=mat(weight / n),
-        Dbar_sup=mat(weight / n), Dtil_sup=mat(weight / n),
-        tau_sup=mat(2.0), sigma_d_sup=mat(2.0), zeta_sup=mat(2.0), nu_sup=nu_sup,
-    )
+    sup = {name: inf[name] * rng.uniform(1.0, 2.0, n) for name in inf}
+    sup |= {"B": vec(weight), "E": vec(weight), "I": vec(weight), "J": vec(weight),
+            "eta": vec(0.1) / sup["alpha"], "varsigma": vec(0.1) / sup["c"],
+            "D": mat(weight / n), "Dtau": mat(weight / n),
+            "Dbar": mat(weight / n), "Dtil": mat(weight / n),
+            "tau": mat(2.0), "sigma_d": mat(2.0), "zeta": mat(2.0)}
+    b = BoundSet(n=n, sup=sup, inf=inf, nu_sup=nu_sup)
     L_draw = rng.uniform(0.5, 1.5, n)
     assume(h_functions(b, L_draw, 0.0, feedback).min_value() > POSITIVITY_MARGIN)
     return b, L_draw, feedback
@@ -446,7 +502,7 @@ def test_the_search_issues_the_bisection_certificate_in_few_margin_evaluations(c
 def synthetic_bounds():
     """One neuron with cap 0.4 (1 - 1e-12); only ``cap`` and ``M`` read it."""
     b = compute_bounds(_one_neuron_spec())
-    return dataclasses.replace(b, varsigma_sup=np.array([0.1]))
+    return dataclasses.replace(b, sup=b.sup | {"varsigma": np.array([0.1])})
 
 
 def test_cap_passes_so_the_rate_is_cap_without_a_search(synthetic_bounds):

@@ -97,7 +97,7 @@ def test_serialize_parse_roundtrip_is_bit_identical(spec, hist, desc, run):
     for key, expr in spec.coefficient_items():
         name, *pos = key.split(".")
         pair = spec.bound_overrides.get(key) or bound_sup_inf(expr)
-        assert getattr(bounds, f"{name}_sup")[tuple(int(p) - 1 for p in pos)] == pair.sup_abs
+        assert bounds.sup[name][tuple(int(p) - 1 for p in pos)] == pair.sup_abs
         if not spec.bound_overrides:
             assert pair.sup_abs == abs(expr(0.0))
     listed = [line.split(":")[0].strip() for line in bounds.summary_lines()[1:-1]]

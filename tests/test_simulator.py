@@ -10,6 +10,7 @@ import pytest
 import lattice_oracle
 import test_golden
 import test_memory
+import test_soundness_corpus
 from chronoscale import simulator
 from chronoscale.benchmark import history_pairs, two_neuron_spec
 from chronoscale.coeffs import Affine, Const, Exp, Scale, TimeVar
@@ -325,8 +326,13 @@ def test_short_term_state_ignores_long_term_when_uncoupled():
     # coefficient mass stays below one; alpha = 2.5 forces divergence
     (scalar_spec(alpha=(Const(2.5),)), TimeScale.integer_lattice(),
      "fixed-point iteration did not contract (residual 3.906e+01 from initial "
-     "2.500e+00); the implicit update appears divergent at this gap size", 1.0),
-], ids=["predictor", "state", "fixed-point", "contraction"])
+     "2.500e+00, ratio 2.5 per pass); the implicit update diverges at this gap size", 1.0),
+    # alpha = 0.9 contracts by 0.9 per pass: four passes shrink the residual
+    # by 0.729, not the half the check asks for
+    (scalar_spec(alpha=(Const(0.9),)), TimeScale.integer_lattice(),
+     "fixed-point iteration did not contract (residual 6.561e-01 from initial "
+     "9.000e-01, ratio 0.9 per pass); it contracts too slowly for 4 corrector passes", 1.0),
+], ids=["predictor", "state", "fixed-point", "contraction", "slow-contraction"])
 def test_step_failures_name_their_check_and_time(spec, ts, message, t):
     # RuntimeWarnings are errors here, so the checks must see inf and nan
     # iterates without numpy warning on them first
@@ -334,6 +340,18 @@ def test_step_failures_name_their_check_and_time(spec, ts, message, t):
         simulate(spec, flat_history(x0=1.0), ts, t_end=5.0)
     assert exc.value.t == pytest.approx(t, abs=1e-12)
     assert str(exc.value) == f"step to t={exc.value.t!r} failed: {message}"
+
+
+def test_the_reference_model_without_leak_delay_contracts_too_slowly_on_Z():
+    # the soundness corpus's eta0-Z case: the iteration converges, at about
+    # 0.83 per pass, so the refusal must not call it divergent
+    spec = test_soundness_corpus._without_leak_delay()
+    with pytest.raises(StepFailureError) as exc:
+        simulate(spec, history_pairs()["trig"][0], TimeScale.integer_lattice(), t_end=200.0)
+    assert str(exc.value) == (
+        "step to t=1.0 failed: fixed-point iteration did not contract (residual 9.529e-02 "
+        "from initial 1.642e-01, ratio 0.834 per pass); it contracts too slowly for 4 "
+        "corrector passes")
 
 
 def test_prefix_integrals_are_running_sums_of_panel_masses():
