@@ -28,6 +28,7 @@ from chronoscale import (
     write_stability_csv,
 )
 from chronoscale.benchmark import history_pairs, two_neuron_spec
+from chronoscale.conditions import MARGIN_FAMILIES
 
 
 def section(title):
@@ -46,10 +47,9 @@ def main():
     print(f"  admissible-rate cap = {cert.cap:.6f}  "
           f"(graininess sup = {cert.nu_sup:g})")
     print(f"  witness: {cert.witness}")
-    hv = cert.h_at_lambda
-    print(f"  margin families at lambda: min h = {hv.h.min():.3e}, "
-          f"min h_bar = {hv.h_bar.min():.3e}, min h_star = {hv.h_star.min():.3e}, "
-          f"min h_bar_star = {hv.h_bar_star.min():.3e}")
+    mins = ", ".join(f"min {name} = {row.min():.3e}"
+                     for name, row in zip(MARGIN_FAMILIES, cert.h_at_lambda))
+    print(f"  margin families at lambda: {mins}")
 
     section("two runs from different histories")
     hist_a, hist_b = history_pairs()["trig"]

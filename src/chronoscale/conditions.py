@@ -106,7 +106,7 @@ __all__ = [
     "search_r",
     "DEFAULT_R_GRID",
     "activation_offsets",
-    "HValues",
+    "MARGIN_FAMILIES",
     "h_functions",
     "Certificate",
     "find_lambda",
@@ -362,20 +362,7 @@ def activation_offsets(spec: NetworkSpec) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HValues:
-    """The four margin-function families evaluated at one rate ``beta``."""
-
-    beta: float
-    h: np.ndarray
-    h_bar: np.ndarray
-    h_star: np.ndarray
-    h_bar_star: np.ndarray
-
-    def min_value(self) -> float:
-        return float(
-            min(self.h.min(), self.h_bar.min(), self.h_star.min(), self.h_bar_star.min())
-        )
+MARGIN_FAMILIES = ("h", "h_bar", "h_star", "h_bar_star")  # the rows of a margin table
 
 
 def h_functions(
@@ -383,22 +370,23 @@ def h_functions(
     L: Sequence[float],
     beta: float,
     include_delayed_feedback: bool = True,
-) -> HValues:
-    """Evaluate H, Hbar, Hstar, Hbarstar at rate ``beta``; module docstring."""
+) -> np.ndarray:
+    """The margin table at rate ``beta``: a ``(4, n)`` array whose rows are
+    H, Hbar, Hstar, Hbarstar in ``MARGIN_FAMILIES`` order; module docstring."""
     L, sup, inf = np.asarray(L, dtype=float), b.sup, b.inf
     e_nu = math.exp(beta * b.nu_sup)
     W = _slope_sums(b, L, include_delayed_feedback, beta=beta)
     # Weighted LTM leakage term; note e^{beta*nu_sup} multiplies only this
-    # term in h_bar (the coupling E+L stays unweighted), while h_bar_star
+    # term in Hbar (the coupling E+L stays unweighted), while Hbarstar
     # applies no e^{beta*nu_sup} inside its second factor at all.
     ltm_leak = sup["c"] * sup["varsigma"] * np.exp(beta * sup["varsigma"])
     ltm_core = ltm_leak + sup["E"] * L
-
-    h = inf["alpha"] - beta - (e_nu * W + sup["B"])
-    h_bar = inf["c"] - beta - (e_nu * ltm_leak + sup["E"] * L)
-    h_star = inf["alpha"] - beta - (sup["alpha"] * e_nu + inf["alpha"] - beta) * (W + sup["B"])
-    h_bar_star = inf["c"] - beta - (sup["c"] * e_nu + inf["c"] - beta) * ltm_core
-    return HValues(beta=beta, h=h, h_bar=h_bar, h_star=h_star, h_bar_star=h_bar_star)
+    return np.array([
+        inf["alpha"] - beta - (e_nu * W + sup["B"]),
+        inf["c"] - beta - (e_nu * ltm_leak + sup["E"] * L),
+        inf["alpha"] - beta - (sup["alpha"] * e_nu + inf["alpha"] - beta) * (W + sup["B"]),
+        inf["c"] - beta - (sup["c"] * e_nu + inf["c"] - beta) * ltm_core,
+    ])
 
 
 @dataclass(frozen=True)
@@ -421,7 +409,7 @@ class Certificate:
     nu_sup: float
     cap: float
     include_delayed_feedback: bool
-    h_at_lambda: HValues
+    h_at_lambda: np.ndarray  # the margin table at lam (h_functions)
     witness: str
 
     def to_text(self) -> str:
@@ -433,14 +421,8 @@ class Certificate:
             f"include_delayed_feedback = {self.include_delayed_feedback}",
             f"witness = {self.witness}",
         ]
-        hv = self.h_at_lambda
-        for name, arr in (
-            ("h", hv.h),
-            ("h_bar", hv.h_bar),
-            ("h_star", hv.h_star),
-            ("h_bar_star", hv.h_bar_star),
-        ):
-            for i, v in enumerate(arr):
+        for name, row in zip(MARGIN_FAMILIES, self.h_at_lambda):
+            for i, v in enumerate(row):
                 lines.append(f"{name}.{i + 1} = {v:.12g}")
         return "\n".join(lines) + "\n"
 
@@ -495,11 +477,11 @@ def find_lambda(
         cap = min(cap, (1.0 - 1e-9) / b.nu_sup)
     cap *= 1.0 - 1e-12
 
-    evaluated: dict[float, HValues] = {}
+    evaluated: dict[float, np.ndarray] = {}
 
     def g(beta: float) -> float:
-        evaluated[beta] = h_functions(b, L, beta, include_delayed_feedback)
-        return evaluated[beta].min_value()
+        evaluated[beta] = table = h_functions(b, L, beta, include_delayed_feedback)
+        return float(table.min())
 
     g0 = g(0.0)
     if g0 <= 0.0:
@@ -584,7 +566,8 @@ def find_lambda(
         nu_sup=b.nu_sup,
         cap=float(cap),
         include_delayed_feedback=include_delayed_feedback,
-        h_at_lambda=evaluated.get(lam) or h_functions(b, L, lam, include_delayed_feedback),
+        h_at_lambda=(evaluated[lam] if lam in evaluated
+                     else h_functions(b, L, lam, include_delayed_feedback)),
         witness=witness,
     )
 

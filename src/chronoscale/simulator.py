@@ -561,8 +561,6 @@ class _Engine:
     def _step_dense(self, k: int) -> None:
         w = self.width[k]
         if self.prev_rhs is None:
-            if k - 1 == 0:
-                raise SimulationError("cannot evaluate the dynamics at the grid start")
             self.prev_rhs = self._rhs(self._plan(k - 1)[0])
         plan, left, right = self._plan(k)
         self._open(k, left, right)

@@ -26,7 +26,7 @@ def find_lambda(b, L, include_delayed_feedback=True):
     cap *= 1.0 - 1e-12
 
     def g(beta: float) -> float:
-        return conditions.h_functions(b, L, beta, include_delayed_feedback).min_value()
+        return conditions.h_functions(b, L, beta, include_delayed_feedback).min()
 
     if g(0.0) <= 0.0:
         raise InfeasibleError(

@@ -332,7 +332,7 @@ def test_certificate_well_posedness(stability_experiment):
     for cert in certs.values():
         assert cert.lam > 0.0
         assert cert.big_m > 1.0
-        assert cert.h_at_lambda.min_value() > 0.0
+        assert cert.h_at_lambda.min() > 0.0
         assert cert.witness
 
 

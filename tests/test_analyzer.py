@@ -161,6 +161,14 @@ def test_verify_bound_identical_histories_never_violate():
     assert report.lambda_fit == math.inf
 
 
+def test_verify_bound_refuses_a_scale_other_than_the_runs():
+    # the runs step on Z; the envelope would be laid on the points of 0.5 Z
+    _, ha, hb, ta, tb = leak_pair(t_end=10.0)
+    with pytest.raises(ValueError, match="envelope grid does not match the trajectory grid"):
+        verify_bound(ta, tb, ha, hb, stub_cert(0.2, 2.0),
+                     TimeScale.real_interval(-2.0, 10.0, 0.5))
+
+
 def test_verify_bound_rejects_inadmissible_rate():
     # 1 - nu * lam <= 0 on the unit lattice when lam >= 1
     ts, ha, hb, ta, tb = leak_pair(t_end=10.0)

@@ -21,10 +21,10 @@ from chronoscale import benchmark, conditions
 from chronoscale.coeffs import Add, Affine, BoundPair, Const, Scale, Sin, TimeVar
 from chronoscale.conditions import (
     DEFAULT_R_GRID,
+    MARGIN_FAMILIES,
     POSITIVITY_MARGIN,
     BoundSet,
     ConditionsError,
-    HValues,
     InfeasibleError,
     certify,
     check_H3,
@@ -375,9 +375,10 @@ def test_certify_gates_on_the_absolute_activation_offset():
 def test_margin_functions_at_rate_0_equal_contraction_deficits(bench_bounds):
     hv = h_functions(bench_bounds, L, 0.0, include_delayed_feedback=False)
     # at rate 0 the long-term margins reduce to c- - Qbar
-    assert hv.h_bar == pytest.approx([0.28 - QBAR1, 0.27 - QBAR2], rel=1e-9)
-    assert hv.min_value() > 0.0
-    assert hv.min_value() > 0
+    assert hv[MARGIN_FAMILIES.index("h_bar")] == pytest.approx([0.28 - QBAR1, 0.27 - QBAR2],
+                                                               rel=1e-9)
+    assert hv.min() > 0.0
+    assert hv.min() > 0
 
 
 def test_certificate_frozen_values_lattice(bench_bounds):
@@ -388,7 +389,7 @@ def test_certificate_frozen_values_lattice(bench_bounds):
     assert cert.big_m == pytest.approx(5.339013, abs=1e-5)
     assert cert.big_m > 1.0
     assert cert.lam > 0.0
-    assert cert.h_at_lambda.min_value() > 0.0
+    assert cert.h_at_lambda.min() > 0.0
     assert cert.witness  # non-empty maximality explanation
     assert cert.nu_sup == 1.0
     assert cert.lam < cert.cap == pytest.approx(0.27)
@@ -441,7 +442,7 @@ def feasible_bound_sets(draw):
             "tau": mat(2.0), "sigma_d": mat(2.0), "zeta": mat(2.0)}
     b = BoundSet(n=n, sup=sup, inf=inf, nu_sup=nu_sup)
     L_draw = rng.uniform(0.5, 1.5, n)
-    assume(h_functions(b, L_draw, 0.0, feedback).min_value() > POSITIVITY_MARGIN)
+    assume(h_functions(b, L_draw, 0.0, feedback).min() > POSITIVITY_MARGIN)
     return b, L_draw, feedback
 
 
@@ -451,7 +452,7 @@ def test_margins_fall_until_nonpositive_so_bisection_finds_the_rate(case):
     b, L_draw, feedback = case
     cert = find_lambda(b, L_draw, include_delayed_feedback=feedback)
     betas = np.linspace(0.0, cert.cap, 512)
-    mins = np.array([h_functions(b, L_draw, float(beta), feedback).min_value()
+    mins = np.array([h_functions(b, L_draw, float(beta), feedback).min()
                      for beta in betas])
     nonpositive = np.flatnonzero(mins <= 0.0)
     stop = nonpositive[0] if nonpositive.size else len(mins) - 1
@@ -478,8 +479,7 @@ def margin_calls(g=None):
         rates.append(beta)
         if g is None:
             return real(b, L, beta, include_delayed_feedback)
-        v = np.array([g(beta)])
-        return HValues(beta=beta, h=v, h_bar=v, h_star=v, h_bar_star=v)
+        return np.full((4, 1), g(beta))
 
     conditions.h_functions = recorded
     try:

@@ -383,6 +383,28 @@ def test_delay_reaching_past_history_raises():
                  t_end=3.0)
 
 
+def test_a_dense_run_steps_from_a_one_point_history():
+    # Every delay is 0 and the window is 0, so the history is the single
+    # point t0 = 0 at the grid start: x' = -x and S' = -S/2 from 1.
+    zero = ((Const(0.0),),)
+    spec = scalar_spec(alpha=(Const(1.0),), varsigma=(Const(0.0),), c=(Const(0.5),),
+                       tau=zero, sigma_d=zero, zeta=zero)
+    traj = simulate(spec, flat_history(x0=1.0, s0=1.0, window=0.0),
+                    TimeScale.real_interval(0.0, 1.0, 0.01), t_end=1.0)
+    assert traj.start_index == 0
+    k = live_index(traj, 1.0)
+    assert traj.x[0, k] == pytest.approx(math.exp(-1.0), abs=1e-5)
+    assert traj.s[0, k] == pytest.approx(math.exp(-0.5), abs=1e-5)
+
+
+def test_a_delay_below_a_one_point_history_names_the_underflow():
+    # tau = 1 looks up x at 0 - 1 from the grid start, below the window 0
+    with pytest.raises(HistoryUnderflowError,
+                       match=r"lookup at t=-1\.0 reaches below the recorded range"):
+        simulate(scalar_spec(), flat_history(window=0.0),
+                 TimeScale.real_interval(0.0, 1.0, 0.01), t_end=1.0)
+
+
 def test_rows_that_are_never_stepped_do_not_raise_underflow():
     # On the lattice the first step is scattered, so the start row's plan is
     # never used: tau = 5 exp(-10 t) reaches t - tau = -5 there, below the
@@ -606,6 +628,19 @@ def test_history_norm_reads_each_history_on_its_own_window():
     assert history_norm(ha, short, lattice) == pytest.approx(0.35, abs=1e-12)
 
 
+def test_history_norm_refuses_histories_of_different_widths():
+    two = history_pairs()["trig"][0]
+    with pytest.raises(ValueError, match="histories must have the same width"):
+        history_norm(flat_history(), two, TimeScale.integer_lattice())
+
+
+def test_history_norm_refuses_a_window_without_scale_points():
+    # [0.5 - 0.2, 0.5] holds no integer
+    hist = flat_history(window=0.2)
+    with pytest.raises(ValueError, match="no scale points fall in the history window"):
+        history_norm(hist, hist, TimeScale.integer_lattice(), t0=0.5)
+
+
 @pytest.mark.parametrize("pair", ["trig", "steady"])
 @pytest.mark.parametrize("ts", [
     pytest.param(TimeScale.integer_lattice(), id="Z"),
@@ -680,4 +715,17 @@ def test_distance_requires_shared_grid():
     a = simulate(spec, hist, TimeScale.integer_lattice(), t_end=5.0)
     b = simulate(spec, hist, TimeScale.integer_lattice(), t_end=6.0)
     with pytest.raises(ValueError, match="grid"):
+        distance_series(a, b)
+
+
+def test_distance_requires_a_shared_start_index():
+    # both runs cover R(-2, 10, 0.01) from -1.5 to 10, but start at t0 = 0
+    # and at t0 = 0.5
+    spec = scalar_spec()
+    ts = TimeScale.real_interval(-2.0, 10.0, 0.01)
+    a = simulate(spec, flat_history(window=1.5), ts, t_end=10.0, t0=0.0)
+    b = simulate(spec, flat_history(window=2.0), ts, t_end=10.0, t0=0.5)
+    np.testing.assert_array_equal(a.times, b.times)
+    assert a.start_index != b.start_index
+    with pytest.raises(ValueError, match="trajectories do not share a start index"):
         distance_series(a, b)

@@ -1,9 +1,13 @@
 """Soundness corpus: every issued certificate must hold on the run it certifies.
 
-One table of cases, each the reference model (or a variant of it) with its
-``trig`` history pair, the radius ``r = 0.45`` and
-``include_delayed_feedback=False`` (the settings of ``chronoscale example``)
-on one time scale, spelled as a ``[timescale]`` description.  Certificates
+One table of cases, each a model with the reference model's ``trig``
+history pair, the radius ``r = 0.45`` and ``include_delayed_feedback=False``
+(the settings of ``chronoscale example``) on one time scale, spelled as a
+``[timescale]`` description.  The models are the reference model, a variant
+of it, and three seeded two-neuron ``wide-net`` networks read from
+``tests/data`` (written once by ``serialize_config`` from the benchmark's
+``wide_net_spec(2, v)``, so that the corpus does not move when that
+generator does).  Certificates
 come from ``certify``, as the CLI's do.  The property is the one the
 certificate promises: either no certificate is issued, or both histories
 simulate and ``verify_bound`` finds no violation.  A case that breaks it
@@ -12,6 +16,7 @@ that mends it has to flip the mark.
 """
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +24,7 @@ from chronoscale.analyzer import verify_bound
 from chronoscale.benchmark import history_pairs, two_neuron_spec
 from chronoscale.coeffs import BoundPair, Const
 from chronoscale.conditions import ConditionsError, certify
-from chronoscale.config import build_timescale
+from chronoscale.config import build_timescale, parse_config
 from chronoscale.simulator import StepFailureError, simulate
 
 
@@ -38,6 +43,12 @@ def _without_leak_delay():
     zero = {f"eta.{i + 1}": BoundPair(0.0, 0.0) for i in range(spec.n)}
     return dataclasses.replace(spec, eta=(Const(0.0),) * spec.n,
                                bound_overrides={**spec.bound_overrides, **zero})
+
+
+def _wide_net(variant):
+    """The seeded two-neuron ``wide-net`` network ``variant``."""
+    path = Path(__file__).parent / "data" / f"wide-net-n2-v{variant}.cfg"
+    return parse_config(path.read_text(encoding="utf-8")).spec
 
 
 # (id, model (None: the reference model), [timescale] description, t_end,
@@ -71,6 +82,11 @@ CASES = [
      _xfail(StepFailureError, f"a step fails at t = 35: {_WIDE_GAP}")),
     ("gap-20", None, {"kind": "union", "intervals": "-3,110;130,140"}, 140.0,
      _xfail(StepFailureError, f"a step fails at t = 130: {_WIDE_GAP}")),
+    # seeded networks with leak delays 0.05 +- 0.01 and no overrides; the
+    # certified rates are 0.475, 0.535 and 0.579, the fitted 0.325, 0.237, 0.140
+    *((f"wide-Z-v{v}", _wide_net(v), {"kind": "Z"}, 60.0,
+       _xfail(AssertionError, f"certificate violated on Z: {_SNAPPED_LEAK}"))
+      for v in range(3)),
 ]
 
 
