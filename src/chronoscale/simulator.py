@@ -49,8 +49,9 @@ delayed query times and window starts are located with one vectorised
 activations is linear in the columns, so a plan row is a sparse linear map:
 flat indices into the buffer, a weight per index that folds in the
 coefficient, the interpolation or partial-panel weight and the sign of a
-prefix difference, and the output entry of each term, plus the lagged
-lookups' indices, weights and coefficients.  A chunk also holds each grid
+prefix difference, and the output entry of each term.  The two ends of each
+lagged lookup, with their interpolation weights, are terms of the same map,
+and the lags' coefficients sit beside it.  A chunk also holds each grid
 point's panel masses: the weights that the integrands' samples at the
 panel's two ends, ``V[k-1]`` and ``V[k]``, carry in its integral.  A step
 picks its plan row and *opens* its grid column once: the part of the prefix
@@ -59,13 +60,14 @@ left mass times ``V[k-1]``, is formed then.  Every state the step tries
 (predictor, each corrector pass, the commit) is then one *live-column
 write*: the state, its integrand samples ``f`` and the opened prefix plus
 the right mass times them, so that queries landing in the live panel read
-it like committed values.  The right-hand side is one gather for the linear
-terms and one for the lagged activations, written into one buffer that one
-``bincount`` sums.  Table, located queries and plan of a chunk stay within
-``CHUNK_BYTES`` (0.5 MiB), so the working set is flat in the grid length; a
-whole-grid table alone would hold 1.7 MiB for a two-neuron dense run of
-5,000 steps.  A history lookup that reaches below the grid raises when a
-step uses its row, not when the row is compiled.
+it like committed values.  The right-hand side is one gather and one
+multiply into one buffer; the two ends of each lag are summed in place and
+activated there, and one ``bincount`` sums the buffer.  Table, located
+queries and plan of a chunk stay within ``CHUNK_BYTES`` (0.5 MiB), so the
+working set is flat in the grid length; a whole-grid table alone would hold
+1.7 MiB for a two-neuron dense run of 5,000 steps.  A history lookup that
+reaches below the grid raises when a step uses its row, not when the row is
+compiled.
 
 A :class:`Trajectory` keeps the engine's ``(2n, N)`` blocks ``Y`` and
 ``dY``; a history is evaluated into such blocks once, for the history fill
@@ -383,30 +385,33 @@ class _Engine:
         # of V's rows 2n + j and 3n + j, and tau_ij looks up x_j.
         nn = n * n
         pairs_i, pairs_j = np.repeat(neurons, n), np.tile(neurons, n)
-        self.lag_rows = pairs_j * N
         leaks, windows = np.arange(2 * n), np.concatenate((pairs_j, n + pairs_j))
         pairs2 = np.tile(pairs_i, 2)
-        # The linear terms of a plan row, in order: Y and F at the leaks' and
+        # The terms of a plan row, in order: Y and F at the leaks' and
         # windows' lo; Y and V at their hi; V at the spread windows' lo; then
         # at column k, S_i (B), f(x_i) (E), the ones (I, J), f(x_j) (D) and
-        # F at the windows' end.  Each reads G's row g and adds to entry out;
-        # the lagged activations follow them in out.
+        # F at the windows' end; last x_j at the lags' lo and at their hi.
+        # Each reads G's row g.  The linear terms add to entry out; the lags'
+        # two ends are summed into the first end's slots, which then hold
+        # the lagged activations and add to the out entries after them.
         g = np.concatenate((leaks, 4 * n + windows, leaks, 2 * n + windows, 2 * n + pairs_j,
                             n + neurons, 2 * n + neurons, np.full(2 * n, 6 * n),
-                            2 * n + pairs_j, 4 * n + windows))
+                            2 * n + pairs_j, 4 * n + windows, pairs_j, pairs_j))
         self.out = np.concatenate((leaks, pairs2, leaks, pairs2, pairs_i,
                                    neurons, n + neurons, neurons, n + neurons,
                                    pairs_i, pairs2, pairs_i))
         self.row_offsets = g * N
-        # _rhs writes every term into one buffer, which one bincount sums
-        self.terms = np.empty(len(self.out))
-        self.linear, self.lagged = self.terms[:len(g)], self.terms[len(g):]
+        # _rhs writes every term into one buffer, whose part up to the lags'
+        # hi one bincount sums
+        self.terms = np.empty(len(g))
+        self.summed = self.terms[:len(self.out)]
+        self.lag_lo, self.lag_hi = self.terms[-2 * nn:-nn], self.terms[-nn:]
         # A compile holds the chunk's table, the four arrays of its located
-        # queries and its plan: idx and w, five arrays of the lags, the
-        # reach and the two panel masses.
+        # queries and its plan: idx and w, whose terms include the lags'
+        # ends, the lags' coefficients, the reach and the two panel masses.
         table_row = 8 * (len(spec.VECTOR_FIELDS) * n + len(spec.MATRIX_FIELDS) * nn)
         located_row = 32 * (2 * n + 3 * nn)
-        plan_row = 16 * len(g) + 40 * nn + 8 + 32 * n
+        plan_row = 16 * len(g) + 8 * nn + 8 + 32 * n
         self.chunk_len = max(2, CHUNK_BYTES // (table_row + located_row + plan_row))
         self.chunk, self.chunk_start, self.chunk_end = None, 0, 0
 
@@ -473,12 +478,16 @@ class _Engine:
         coefficient, the interpolation weights, a window's open mask (0 on
         windows of zero width), its start's partial-panel weights and the
         sign of the prefix difference: the integral over ``(u, t]`` is
-        ``F[k] - F[lo] - a * V[lo] - b * V[hi]``.  The lagged lookups keep
-        their own indices ``tlo``/``thi`` and weights ``1 - lam``/``lam``,
-        and their coefficients ``Dtau``.  One ``_Located`` covers the
-        ``(rows, queries)`` array of the chunk.  Queries are clamped to
-        their row's ``t`` and read columns up to its grid point, so those
-        that land in the live panel read the live column.
+        ``F[k] - F[lo] - a * V[lo] - b * V[hi]``.  The lagged lookups'
+        ends are the last ``2 n^2`` terms, ``x_j`` at their ``lo`` and
+        ``hi`` with weights ``1 - lam`` and ``lam``; :meth:`_rhs` sums each
+        pair before the activation, and their coefficients ``Dtau`` stay
+        apart.  One ``_Located`` covers the ``(rows, queries)`` array of
+        the chunk.  Queries are clamped to their row's ``t`` and read
+        columns up to its grid point, so those that land in the live panel
+        read the live column.  The chunk records its first row with a query
+        below the grid, so that :meth:`_plan` checks the reach of that row
+        and the rows after it only.
 
         The terms whose index falls in column ``k`` are exactly those that
         read the live column, the map an implicit (Newton) scattered step
@@ -502,18 +511,22 @@ class _Engine:
         at = _Located(self.times, self.dense, np.minimum(np.subtract(t, u, out=u), t, out=u))
         del u  # the query times, not needed once located
 
+        # term columns: linear terms up to T, the lags' lo and hi after
+        T = len(self.out) - nn
         idx = np.empty((rows, len(self.row_offsets)), dtype=np.intp)
         idx[:, :E] = at.lo[:, :E]
         idx[:, E:2 * E] = at.hi[:, :E]
         idx[:, 2 * E:2 * E + nn] = at.lo[:, L:S]
-        idx[:, 2 * E + nn:] = k
+        idx[:, 2 * E + nn:T] = k
+        idx[:, T:T + nn] = at.lo[:, E:]
+        idx[:, T + nn:] = at.hi[:, E:]
         idx += self.row_offsets
 
         w = np.empty(idx.shape)
         leak, lam = put(w[:, :L], "alpha", "c"), at.lam[:, :L]
         w[:, E:E + L] = -leak * lam
         leak *= lam - 1.0
-        cw = put(w[:, -2 * nn:], "Dbar", "Dtil")
+        cw = put(w[:, T - 2 * nn:T], "Dbar", "Dtil")
         cw *= at.lo[:, L:E] < k  # windows of zero width are closed
         w[:, L:E] = -cw
         # the window starts' partial-panel weights: a * V[lo] + b * V[hi]
@@ -524,10 +537,13 @@ class _Engine:
         b[:, :nn] -= a
         w[:, E + L:2 * E] = -cw * b
         w[:, 2 * E:2 * E + nn] = -cw[:, :nn] * a
-        put(w[:, 2 * E + nn:-2 * nn], "B", "E", "I", "J", "D")
-        self.chunk = (at.reach, idx, w, at.lo[:, E:] + self.lag_rows,
-                      at.hi[:, E:] + self.lag_rows, 1.0 - at.lam[:, E:],
-                      at.lam[:, E:].copy(), tbl["Dtau"].reshape(rows, nn).copy(),
+        put(w[:, 2 * E + nn:T - 2 * nn], "B", "E", "I", "J", "D")
+        np.subtract(1.0, at.lam[:, E:], out=w[:, T:T + nn])
+        w[:, T + nn:] = at.lam[:, E:]
+        # the first row with a query below the grid (rows if none)
+        below = at.reach < np.inf
+        first_below = int(below.argmax()) if below.any() else rows
+        self.chunk = (first_below, at.reach, idx, w, tbl["Dtau"].reshape(rows, nn).copy(),
                       *self._masses(start, stop))
         self.chunk_start, self.chunk_end = start, stop
 
@@ -543,18 +559,20 @@ class _Engine:
         if not self.chunk_start <= k < self.chunk_end:
             self._compile(k)
         r = k - self.chunk_start
-        reach, idx, w, tlo, thi, wl, wh, dtau, left, right = self.chunk
-        _check_reach(reach[r], self.times[0])
-        return (idx[r], w[r], tlo[r], thi[r], wl[r], wh[r], dtau[r]), left[r], right[r]
+        first_below, reach, idx, w, dtau, left, right = self.chunk
+        if r >= first_below:
+            _check_reach(reach[r], self.times[0])
+        return (idx[r], w[r], dtau[r]), left[r], right[r]
 
     def _rhs(self, plan: tuple) -> np.ndarray:
         """Both layers' right-hand sides at the grid point of ``plan``, whose
         column must be written: the linear terms plus the lagged activations."""
-        idx, w, tlo, thi, wl, wh, dtau = plan
-        Gf = self.Gf
-        np.multiply(w, Gf[idx], out=self.linear)
-        np.multiply(dtau, self.f_lag(wl * Gf[tlo] + wh * Gf[thi]), out=self.lagged)
-        return np.bincount(self.out, self.terms, 2 * self.n)
+        idx, w, dtau = plan
+        np.multiply(w, self.Gf[idx], out=self.terms)
+        lag = self.lag_lo
+        lag += self.lag_hi
+        np.multiply(dtau, self.f_lag(lag), out=lag)
+        return np.bincount(self.out, self.summed, 2 * self.n)
 
     # -- stepping ----------------------------------------------------------
 

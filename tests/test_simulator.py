@@ -374,9 +374,18 @@ def test_single_corrector_pass_skips_divergence_check():
     assert np.all(np.isfinite(traj.x))
 
 
-def test_delay_reaching_past_history_raises():
+# Chunk budgets that give the smallest chunks (two grid points), chunks of a
+# few points and the default ones: a chunk records its first row that
+# reaches below the grid, and that row must raise when a step uses it,
+# wherever chunks break.
+CHUNK_BUDGETS = [1, 10_000, pytest.param(simulator.CHUNK_BYTES, id="default")]
+
+
+@pytest.mark.parametrize("chunk_bytes", CHUNK_BUDGETS)
+def test_delay_reaching_past_history_raises(monkeypatch, chunk_bytes):
     # The first stepped row, t = 1, looks up x at 1 - 5 = -4; the history
     # reaches back to -1.
+    monkeypatch.setattr(simulator, "CHUNK_BYTES", chunk_bytes)
     spec = scalar_spec(tau=((Const(5.0),),))
     with pytest.raises(HistoryUnderflowError, match=r"lookup at t=-4\.0 reaches below"):
         simulate(spec, flat_history(window=1.5), TimeScale.integer_lattice(),
@@ -405,7 +414,9 @@ def test_a_delay_below_a_one_point_history_names_the_underflow():
                  TimeScale.real_interval(0.0, 1.0, 0.01), t_end=1.0)
 
 
-def test_rows_that_are_never_stepped_do_not_raise_underflow():
+@pytest.mark.parametrize("chunk_bytes", CHUNK_BUDGETS)
+def test_rows_that_are_never_stepped_do_not_raise_underflow(monkeypatch, chunk_bytes):
+    monkeypatch.setattr(simulator, "CHUNK_BYTES", chunk_bytes)
     # On the lattice the first step is scattered, so the start row's plan is
     # never used: tau = 5 exp(-10 t) reaches t - tau = -5 there, below the
     # history's -1, but only 2.3e-4 back from t = 1.
@@ -424,23 +435,39 @@ def test_rows_that_are_never_stepped_do_not_raise_underflow():
                  TimeScale.real_interval(-5.0, 1.0, 0.01), t_end=1.0)
 
 
+def _assert_chunking_keeps_bits(monkeypatch, spec, hist, scale, chunk_bytes):
+    ts, t_end = {
+        "Z": (TimeScale.integer_lattice(), 50.0),
+        "R": (TimeScale.real_interval(-2.0, 20.0, 0.01), 20.0),
+        "hybrid": (test_golden.HYBRID, 120.0),
+    }[scale]
+    default = simulate(spec, hist, ts, t_end)
+    monkeypatch.setattr(simulator, "CHUNK_BYTES", chunk_bytes)
+    chunked = simulate(spec, hist, ts, t_end)
+    for name in ("times", "x", "s", "dx", "ds"):
+        assert np.array_equal(getattr(chunked, name), getattr(default, name)), name
+
+
 @pytest.mark.parametrize("chunk_bytes", [1, 10_000])
 @pytest.mark.parametrize("scale", ["Z", "R", "hybrid"])
 def test_chunking_never_changes_results(monkeypatch, scale, chunk_bytes):
     # For two neurons a chunk budgets 1,864 bytes per grid point (table 352,
     # located queries 512, plan 1,000): these budgets give chunks of 2 and 5
     # grid points, against 281 by default, so chunks break every few steps.
-    ts, t_end = {
-        "Z": (TimeScale.integer_lattice(), 50.0),
-        "R": (TimeScale.real_interval(-2.0, 20.0, 0.01), 20.0),
-        "hybrid": (test_golden.HYBRID, 120.0),
-    }[scale]
     hist, _ = history_pairs()["trig"]
-    default = simulate(two_neuron_spec(), hist, ts, t_end)
-    monkeypatch.setattr(simulator, "CHUNK_BYTES", chunk_bytes)
-    chunked = simulate(two_neuron_spec(), hist, ts, t_end)
-    for name in ("times", "x", "s", "dx", "ds"):
-        assert np.array_equal(getattr(chunked, name), getattr(default, name)), name
+    _assert_chunking_keeps_bits(monkeypatch, two_neuron_spec(), hist, scale, chunk_bytes)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 10_000])
+@pytest.mark.parametrize("scale", ["Z", "R", "hybrid"])
+def test_chunking_never_changes_results_with_per_neuron_activations(monkeypatch, scale,
+                                                                    chunk_bytes):
+    # The lags' two ends ride the plan's one gather, and the lagged
+    # activation splits their sums per neuron: tanh, sin_half and identity.
+    # Three neurons budget 3,752 bytes per grid point: both budgets give
+    # chunks of 2 grid points, against 139 by default.
+    _assert_chunking_keeps_bits(monkeypatch, _three_activation_spec(),
+                                _three_neuron_history(), scale, chunk_bytes)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,9 @@ def _xfail(raises, reason):
 _SNAPPED_LEAK = ("t - eta(t) snaps down to rho(t) on a lattice, so the realised leak "
                  "delay is the spacing while the bounds use eta+ = 0.06")
 _WIDE_GAP = "fixed-point correction does not converge across a wide gap"
+_DENSE_LEAK = ("nu_sup = 0 on R, so the certificate cannot see the leak map of the dense "
+               "step (Heun's step, with the leak query t - eta(t) interpolated in the live "
+               "panel), which does not decay at this step")
 
 
 def _without_leak_delay():
@@ -60,8 +63,15 @@ CASES = [
                               "to t = 1 fails: the fixed-point iteration contracts by about "
                               "0.83 per pass (nu * alpha ~ 0.9), so four passes cannot halve "
                               "its residual")),
-    # either side of the graininess threshold 2/alpha+ = 2/0.9 = 2.22
+    # 2Z and 2.25Z bracket the sign of the snapped leak's factor 1 - h*alpha
+    # at 2/alpha+ = 2/0.9 = 2.22, not the verdict: that turns between 2.125Z
+    # and 2.2Z, where the factor still contracts
     ("2Z", None, {"kind": "Z", "spacing": "2"}, 40.0, None),
+    ("2.125Z", None, {"kind": "Z", "spacing": "2.125"}, 40.375, None),
+    ("2.2Z", None, {"kind": "Z", "spacing": "2.2"}, 39.6,
+     _xfail(AssertionError, "certificate violated on 2.2Z (lambda = 0.0445), below "
+                            "2/alpha+ = 2.22: the snapped leak's factor 1 - h*alpha still "
+                            "contracts, but the run decays more slowly than certified")),
     ("2.25Z", None, {"kind": "Z", "spacing": "2.25"}, 40.0,
      _xfail(AssertionError, "certificate violated on 2.25Z: past 2/alpha+ = 2.22 the snapped "
                             "leak's factor 1 - h*alpha no longer contracts")),
@@ -71,12 +81,16 @@ CASES = [
      _xfail(AssertionError, f"certificate violated on 6Z: {_SNAPPED_LEAK}")),
     ("8Z", None, {"kind": "Z", "spacing": "8"}, 40.0,
      _xfail(StepFailureError, f"certified on 8Z, then a step fails at t = 8: {_SNAPPED_LEAK}")),
-    # either side of the dense step's threshold, which lies between 3 and 3.25
+    # The dense verdict is not monotone in the step, and the dense step has
+    # no threshold: R-h3 holds because every grid time of R(-3, 60, 3) is an
+    # integer, and there all four leak delays equal 1.
+    ("R-h2.5", None, {"kind": "R", "start": "-2.5", "stop": "60", "step": "2.5"}, 60.0, None),
+    ("R-h2.75", None, {"kind": "R", "start": "-2.75", "stop": "60.5", "step": "2.75"}, 60.5,
+     _xfail(AssertionError, f"certificate violated on R with step 2.75 (lambda = 0.0460): "
+                            f"{_DENSE_LEAK}")),
     ("R-h3", None, {"kind": "R", "start": "-3", "stop": "60", "step": "3"}, 60.0, None),
     ("R-h3.25", None, {"kind": "R", "start": "-3.25", "stop": "61.75", "step": "3.25"}, 61.75,
-     _xfail(AssertionError, "certificate violated on R with step 3.25: nu_sup = 0 on R, so "
-                            "the certificate cannot see the dense step's threshold, which "
-                            "lies between 3 and 3.25")),
+     _xfail(AssertionError, f"certificate violated on R with step 3.25: {_DENSE_LEAK}")),
     ("gap-2", None, {"kind": "union", "intervals": "-3,30;32,60"}, 60.0, None),
     ("gap-5", None, {"kind": "union", "intervals": "-3,30;35,60"}, 60.0,
      _xfail(StepFailureError, f"a step fails at t = 35: {_WIDE_GAP}")),
