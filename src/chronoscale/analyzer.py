@@ -140,7 +140,7 @@ def verify_bound(traj_a: Trajectory, traj_b: Trajectory,
 
         distance(t) <= M * gap0 / nexp_lambda(t, t0),
 
-    where ``gap0`` is the sup distance between the two supplied histories;
+    where ``gap0`` is :func:`history_norm` of the two supplied histories;
     the right side is ``M * nexp_{circleminus lambda}(t, t0) * gap0`` by the
     group identity nexp_{circleminus p} = 1 / nexp_p (Bohner & Peterson,
     2001).  A point violates the bound when the distance exceeds the
@@ -249,7 +249,7 @@ def scan_translation_numbers(traj: Trajectory, index: int, epsilon: float,
         window = (float(t[0]), float(t[-1]) - hi)
         if window[1] <= window[0]:
             raise ValueError("series too short for this shift range")
-    series = traj._series(index)[0]
+    series = traj._series(index)
     base_t = t[(t >= window[0]) & (t <= window[1])]
     if not len(base_t):
         raise ValueError("no samples fall inside the window")

@@ -21,9 +21,9 @@ headers.  ``#`` starts a comment; blank lines are ignored.  Sections:
     :class:`NetworkSpec`.
 
 ``[history]`` (optional)
-    ``window`` plus expressions ``phi.i`` / ``phi_nabla.i`` (short-term
-    state and slope) and ``psi.i`` / ``psi_nabla.i`` (long-term), evaluated
-    at relative times ``s <= 0``.
+    ``window`` plus expressions ``phi.i`` / ``psi.i`` (short-/long-term
+    state at relative times ``s <= 0``) and ``phi_nabla.i`` / ``psi_nabla.i``
+    (declared slopes: required and round-tripped, but not read).
 
 ``[timescale]`` (optional)
     ``kind`` and the keys its row of :data:`TIMESCALE_KINDS` reads; any

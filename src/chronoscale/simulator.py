@@ -177,9 +177,9 @@ class HistorySpec:
     """Initial data on ``[-window, 0]`` relative to the start time.
 
     ``stm[i]``/``ltm[i]`` give the short/long-term state of neuron ``i`` at a
-    relative time ``s <= 0``; the ``*_slope`` entries give the corresponding
-    nabla derivatives.  Entries may be plain callables or coefficient
-    expressions.
+    relative time ``s <= 0``; entries may be plain callables or coefficient
+    expressions.  The ``*_slope`` entries are round-tripped but not read: a
+    history's slopes are its states' backward quotients (:func:`_history_blocks`).
     """
 
     stm: tuple[ScalarFn, ...]
@@ -208,12 +208,12 @@ class Trajectory:
 
     ``times`` spans the filled history segment plus the live segment;
     ``start_index`` marks the start time within ``times``.  ``Y`` holds the
-    states and ``dY`` their nabla-derivative traces (declared slopes over
+    states and ``dY`` their nabla-derivative traces (backward quotients over
     the history segment, scheme derivatives afterwards), each shaped
     ``(2n, len(times))`` with the short-term rows ``0..n-1`` above the
     long-term rows ``n..2n-1``, the engine's own layout; ``x``, ``s``,
-    ``dx`` and ``ds`` are views of their halves.  Backward panel slopes are
-    not stored: :meth:`slope` derives them from the states.
+    ``dx`` and ``ds`` are views of their halves.  :meth:`slope` derives the
+    backward panel slopes at any time from the states.
     """
 
     ts: TimeScale
@@ -249,35 +249,27 @@ class Trajectory:
         _check_reach(at.reach, self.times[0])
         return at
 
-    def _series(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """States and derivative trace of state ``index`` (0..n-1 short-term,
-        n..2n-1 long-term)."""
+    def _series(self, index: int) -> np.ndarray:
+        """States of state ``index`` (0..n-1 short-term, n..2n-1 long-term)."""
         if not 0 <= index < 2 * self.n:
             raise IndexError(f"state index {index} is outside 0..{2 * self.n - 1}")
-        return self.Y[index], self.dY[index]
+        return self.Y[index]
 
     def value(self, index: int, u: float | np.ndarray) -> float | np.ndarray:
         """State ``index`` (0..n-1 short-term, n..2n-1 long-term) at the time
         or array of times ``u``; an array in gives an array of its shape out."""
-        out = self._locate(u).value(self._series(index)[0]).reshape(np.shape(u))
+        out = self._locate(u).value(self._series(index)).reshape(np.shape(u))
         return out if out.ndim else float(out)
 
     def slope(self, index: int, u: float | np.ndarray) -> float | np.ndarray:
         """Backward panel slope of state ``index`` at the time or array of
-        times ``u``.
-
-        This is the nabla-natural derivative of the committed polyline: at a
-        grid point, the quotient over the panel ending there (the declared
-        history slope at the very first point); between grid points, the
-        quotient of the panel containing the query.
-        """
-        states, declared = self._series(index)
-        times = self.times
-        k = self._locate(u).hi
-        first = k == 0
-        prev = k - 1 + first  # the first point has no panel; 1 keeps its width nonzero
-        quotient = (states[k] - states[prev]) / (times[k] - times[prev] + first)
-        out = np.where(first, declared[0], quotient).reshape(np.shape(u))
+        times ``u``, the nabla-natural derivative of the committed polyline:
+        at a grid point, the quotient over the panel ending there (the first
+        panel at the first point, the rule of a history's ``dY``); between
+        grid points, the quotient of the panel holding the query."""
+        states, times = self._series(index), self.times
+        k = np.maximum(self._locate(u).hi, 1)
+        out = ((states[k] - states[k - 1]) / (times[k] - times[k - 1])).reshape(np.shape(u))
         return out if out.ndim else float(out)
 
     # -- export ----------------------------------------------------------
@@ -415,9 +407,9 @@ class _Engine:
         self.chunk_len = max(2, CHUNK_BYTES // (table_row + located_row + plan_row))
         self.chunk, self.chunk_start, self.chunk_end = None, 0, 0
 
-        # fill the history segment from the declared callables
-        rel = times[:k0 + 1] - times[k0]
-        self.Y[:, :k0 + 1], self.dY[:, :k0 + 1] = _history_blocks(history, rel)
+        # fill the history segment: its states and their backward quotients
+        self.Y[:, :k0 + 1], self.dY[:, :k0 + 1] = _history_blocks(history, times[:k0 + 1],
+                                                                  times[k0])
         self.V[:, 0] = self.f(np.concatenate((self.Y[:n, 0], self.dY[:n, 0])))
         for start in range(1, k0 + 1, self.chunk_len):  # the masses a chunk at a time
             masses = self._masses(start, min(start + self.chunk_len, k0 + 1))
@@ -655,11 +647,18 @@ def simulate(spec: NetworkSpec, history: HistorySpec, ts: TimeScale,
 # ---------------------------------------------------------------------------
 
 
-def _history_blocks(history: HistorySpec, rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The blocks ``Y`` and ``dY`` of ``history``'s states and declared
-    slopes at the relative times ``rel``, laid out as a trajectory's."""
-    return (np.array([_eval_on(fn, rel) for fn in history.stm + history.ltm]),
-            np.array([_eval_on(fn, rel) for fn in history.stm_slope + history.ltm_slope]))
+def _history_blocks(history: HistorySpec, times: np.ndarray,
+                    t0: float) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks ``Y`` and ``dY`` of ``history`` on the grid ``times`` up to
+    the start time ``t0``: the states, and their backward quotients, the
+    slopes the stepper reads.  The first point takes the first panel's
+    quotient; a one-point history has no panel, and its slope is 0."""
+    rel = times - t0
+    Y = np.array([_eval_on(fn, rel) for fn in history.stm + history.ltm]).reshape(-1, len(rel))
+    dY = np.zeros_like(Y)
+    dY[:, 1:] = np.diff(Y) / np.diff(times)
+    dY[:, 0] = dY[:, min(1, len(times) - 1)]
+    return Y, dY
 
 
 def _sup_gap(a: tuple[np.ndarray, np.ndarray],
@@ -679,7 +678,7 @@ def history_norm(hist_a: HistorySpec, hist_b: HistorySpec, ts: TimeScale,
     Each history is evaluated once on the scale points of its own window
     ``[t0 - window, t0]``, and the two windows must hold the same points.
     The supremum runs over those points and over all ``4 n`` component
-    series: both state families and both declared derivative families.
+    series: both state families and their slopes (:func:`_history_blocks`).
     """
     if hist_a.n != hist_b.n:
         raise ValueError("histories must have the same width")
@@ -688,8 +687,8 @@ def history_norm(hist_a: HistorySpec, hist_b: HistorySpec, ts: TimeScale,
         raise ValueError("history windows do not span the same scale points")
     if len(grid_a) == 0:
         raise ValueError("no scale points fall in the history window")
-    rel = grid_a - t0
-    return float(_sup_gap(_history_blocks(hist_a, rel), _history_blocks(hist_b, rel)).max())
+    return float(_sup_gap(_history_blocks(hist_a, grid_a, t0),
+                          _history_blocks(hist_b, grid_a, t0)).max())
 
 
 def distance_series(traj_a: Trajectory, traj_b: Trajectory) -> tuple[np.ndarray, np.ndarray]:

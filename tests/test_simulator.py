@@ -13,7 +13,7 @@ import test_memory
 import test_soundness_corpus
 from chronoscale import simulator
 from chronoscale.benchmark import history_pairs, two_neuron_spec
-from chronoscale.coeffs import Affine, Const, Exp, Scale, TimeVar
+from chronoscale.coeffs import Add, Affine, Const, Exp, Scale, TimeVar
 from chronoscale.network import ACTIVATIONS, NetworkSpec, rhs
 from chronoscale.simulator import (
     HistorySpec,
@@ -544,7 +544,7 @@ def test_array_lookups_equal_scalar_lookups_on_hybrid_scale():
     hist, _ = history_pairs()["trig"]
     traj = simulate(two_neuron_spec(), hist, test_golden.HYBRID, t_end=40.0)
     first = float(traj.times[0])
-    # the first history point (declared slope), a dense interior point, a
+    # the first history point (first panel's quotient), a dense interior point, a
     # point inside a scattered panel, two points in gaps, a lattice point
     u = np.array([first, 25.003, 10.02, 20.3, 30.5, 12.0])
     for index in range(2 * traj.n):
@@ -608,33 +608,45 @@ def test_history_norm_zero_for_identical_segments():
     assert history_norm(empty, empty, TimeScale.integer_lattice()) == 0.0
 
 
+def ramp_history(x0=0.2, rate=0.7, s0=0.1, window=1.0):
+    """A short-term state through ``x0`` at t0 with slope ``rate``, a
+    constant long-term one, and declared slopes of 0."""
+    zero = Const(0.0)
+    return HistorySpec(stm=(Add(Const(x0), Scale(rate, TimeVar())),), stm_slope=(zero,),
+                       ltm=(Const(s0),), ltm_slope=(zero,), window=window)
+
+
 def test_history_norm_sees_constant_offsets_and_slopes():
     ts = TimeScale.integer_lattice()
     a = flat_history(x0=0.2, s0=0.1)
     b = flat_history(x0=-0.3, s0=0.1)
     assert history_norm(a, b, ts) == pytest.approx(0.5, abs=1e-12)
-    c = HistorySpec(stm=(Const(0.2),), stm_slope=(Const(0.7),),
-                    ltm=(Const(0.1),), ltm_slope=(Const(0.0),), window=1.0)
-    assert history_norm(a, c, ts) == pytest.approx(0.7, abs=1e-12)
+    # on [-0.5, 0] the ramp is within 0.35 of a, and its quotients are 0.7
+    quarter = TimeScale.integer_lattice(spacing=0.25)
+    short = dataclasses.replace(a, window=0.5)
+    assert history_norm(short, ramp_history(window=0.5), quarter) == pytest.approx(0.7, abs=1e-12)
+    # a declared slope is not a slope of the states
+    declared = dataclasses.replace(a, stm_slope=(Const(0.7),))
+    assert history_norm(a, declared, ts) == 0.0
 
 
 def test_history_norm_accepts_scalar_only_callables():
     # one callable rejects arrays, the other ignores their shape; both are
-    # evaluated point by point and give the norm of the Const version
-    def rejects_arrays(v):
-        return lambda r: v + 0.0 * math.cos(r)
+    # evaluated point by point and give the norm of the expression version
+    def rejects_arrays(v, rate=0.0):
+        return lambda r: v + rate * r + 0.0 * math.cos(r)
 
     def ignores_shape(v):
         return lambda r: v
 
-    const = HistorySpec(stm=(Const(0.2),), stm_slope=(Const(0.7),),
-                        ltm=(Const(0.1),), ltm_slope=(Const(0.0),), window=1.0)
-    plain = HistorySpec(stm=(ignores_shape(0.2),), stm_slope=(rejects_arrays(0.7),),
-                        ltm=(rejects_arrays(0.1),), ltm_slope=(ignores_shape(0.0),),
+    const = ramp_history()
+    plain = HistorySpec(stm=(rejects_arrays(0.2, 0.7),), stm_slope=(ignores_shape(0.0),),
+                        ltm=(ignores_shape(0.1),), ltm_slope=(rejects_arrays(0.0),),
                         window=1.0)
     other = flat_history(x0=-0.3, s0=0.1)
     for ts in (TimeScale.integer_lattice(), TimeScale.real_interval(-2.0, 5.0, 0.1)):
         assert history_norm(plain, other, ts) == history_norm(const, other, ts)
+        # the ramp's quotients, 0.7, exceed its largest state gap, 0.5
         assert history_norm(plain, other, ts) == pytest.approx(0.7, abs=1e-12)
 
 
@@ -668,12 +680,16 @@ def test_history_norm_refuses_a_window_without_scale_points():
         history_norm(hist, hist, TimeScale.integer_lattice(), t0=0.5)
 
 
-@pytest.mark.parametrize("pair", ["trig", "steady"])
-@pytest.mark.parametrize("ts", [
+# the reference pairs' runs on a lattice, a dense grid and the hybrid scale
+HISTORY_SCALES = [
     pytest.param(TimeScale.integer_lattice(), id="Z"),
     pytest.param(TimeScale.real_interval(-2.0, 20.0, 0.01), id="R"),
     pytest.param(test_golden.HYBRID, id="hybrid"),
-])
+]
+
+
+@pytest.mark.parametrize("pair", ["trig", "steady"])
+@pytest.mark.parametrize("ts", HISTORY_SCALES)
 def test_history_norm_is_the_sup_gap_of_the_runs_history_columns(ts, pair):
     # Both sides of the certified inequality come from one evaluation of the
     # histories and one norm: gap_0 is the norm of the runs' own history
@@ -688,6 +704,40 @@ def test_history_norm_is_the_sup_gap_of_the_runs_history_columns(ts, pair):
     per_family = max(float(np.abs(fa[:, head] - fb[:, head]).max())
                      for fa, fb in ((ta.x, tb.x), (ta.s, tb.s), (ta.dx, tb.dx), (ta.ds, tb.ds)))
     assert history_norm(ha, hb, ts) == per_family
+
+
+@pytest.mark.parametrize("pair", ["trig", "steady"])
+@pytest.mark.parametrize("ts", HISTORY_SCALES)
+def test_history_slopes_are_the_backward_quotients_of_the_states(ts, pair):
+    # One slope rule for a history: its dY columns are the backward
+    # quotients of its Y columns on the grid's times, the first point takes
+    # the first panel's, and Trajectory.slope reads the same numbers
+    for hist in history_pairs()[pair]:
+        traj = simulate(two_neuron_spec(), hist, ts, t_end=1.0)
+        k0 = traj.start_index
+        Y, times = traj.Y[:, :k0 + 1], traj.times[:k0 + 1]
+        quotients = (Y[:, 1:] - Y[:, :-1]) / (times[1:] - times[:-1])
+        assert k0 >= 1
+        assert np.array_equal(traj.dY[:, 1:k0 + 1], quotients)
+        assert np.array_equal(traj.dY[:, 0], quotients[:, 0])
+        for i in range(2 * traj.n):
+            assert np.array_equal(traj.slope(i, times), traj.dY[i, :k0 + 1])
+
+
+def test_a_one_point_history_has_slope_zero():
+    # A one-point history has no panel, so its slope is 0 by rule: the
+    # run's first dY column, and the norm, see the states alone.  The run's
+    # polyline has a first panel, so Trajectory.slope at t0 reads that.
+    zero = ((Const(0.0),),)
+    spec = scalar_spec(varsigma=(Const(0.0),), tau=zero, sigma_d=zero, zeta=zero)
+    ts = TimeScale.real_interval(0.0, 1.0, 0.01)
+    ramp, flat = ramp_history(window=0.0), flat_history(x0=0.5, s0=0.1, window=0.0)
+    ta, tb = (simulate(spec, h, ts, t_end=1.0) for h in (ramp, flat))
+    assert ta.start_index == 0
+    assert np.array_equal(ta.dY[:, 0], [0.0, 0.0])
+    assert history_norm(ramp, flat, ts) == pytest.approx(0.3, abs=1e-12)
+    assert distance_series(ta, tb)[1][0] == history_norm(ramp, flat, ts)
+    assert ta.slope(0, 0.0) == (ta.x[0, 1] - ta.x[0, 0]) / (ta.times[1] - ta.times[0])
 
 
 def test_trajectory_state_arrays_are_views_of_its_blocks():

@@ -13,19 +13,31 @@ certificate promises: either no certificate is issued, or both histories
 simulate and ``verify_bound`` finds no violation.  A case that breaks it
 today is a strict expected failure whose reason is the finding, so a change
 that mends it has to flip the mark.
+
+A second table and a property hold where the scheme is exact: on hZ with
+every delay a constant multiple of h, no lookup snaps, so the scheme is the
+paper's equation on T = hZ (its windows' sums are the nabla integrals).
+There the certificates are issued as the CLI issues them (default radius
+grid, delayed feedback included), and a violation would be a finding about
+the theorem or its transcription, not about lookup semantics.
 """
 
 import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chronoscale.analyzer import verify_bound
 from chronoscale.benchmark import history_pairs, two_neuron_spec
-from chronoscale.coeffs import BoundPair, Const
-from chronoscale.conditions import ConditionsError, certify
+from chronoscale.coeffs import Add, Affine, BoundPair, Const, Scale, Sin, TimeVar
+from chronoscale.conditions import ConditionsError, certify, compute_bounds, compute_PQbar
 from chronoscale.config import build_timescale, parse_config
-from chronoscale.simulator import StepFailureError, simulate
+from chronoscale.network import ACTIVATIONS, NetworkSpec
+from chronoscale.simulator import HistorySpec, StepFailureError, history_norm, simulate
+from chronoscale.timescale import TimeScale
 
 
 def _xfail(raises, reason):
@@ -116,5 +128,156 @@ def test_certificate_is_refused_or_holds(model, desc, t_end):
     except ConditionsError:
         return
     traj_a, traj_b = (simulate(spec, hist, ts, t_end) for hist in (hist_a, hist_b))
+    report = verify_bound(traj_a, traj_b, hist_a, hist_b, cert, ts)
+    assert not report.violated, report.to_text()
+
+
+@pytest.mark.parametrize("shift", [1.0, 10.0])
+def test_declared_history_slopes_cannot_hide_a_violation(shift):
+    # The runs read only a history's states, and gap_0 reads the slopes the
+    # runs read, so shifting the second history's declared slopes leaves
+    # both, and 2.25Z's violation, as they are
+    spec = two_neuron_spec()
+    hist_a, hist_b = history_pairs()["trig"]
+    shifted = dataclasses.replace(hist_b, **{
+        name: tuple(Add(Const(shift), e) for e in getattr(hist_b, name))
+        for name in ("stm_slope", "ltm_slope")})
+    ts = build_timescale({"kind": "Z", "spacing": "2.25"})
+    _, cert = certify(spec, ts, (0.45,), include_delayed_feedback=False)
+    traj_a, traj_b, traj_s = (simulate(spec, h, ts, 40.0) for h in (hist_a, hist_b, shifted))
+    report = verify_bound(traj_a, traj_s, hist_a, shifted, cert, ts)
+    assert report.history_gap == pytest.approx(0.35, abs=1e-12)
+    assert report.violated
+    assert history_norm(hist_a, shifted, ts) == history_norm(hist_a, hist_b, ts)
+    assert np.array_equal(traj_s.Y, traj_b.Y) and np.array_equal(traj_s.dY, traj_b.dY)
+
+
+def _aligned(leak, other):
+    """The reference model with constant delays, ``leak`` for every ``eta``
+    and ``varsigma`` and ``other`` for every ``tau``, ``sigma_d`` and
+    ``zeta``; the delay overrides are removed, so those bounds are
+    enclosures, and the other overrides are kept."""
+    spec = two_neuron_spec()
+    delays = ("eta", "varsigma", "tau", "sigma_d", "zeta")
+    kept = {key: pair for key, pair in spec.bound_overrides.items()
+            if key.split(".")[0] not in delays}
+    grid = ((Const(other),) * spec.n,) * spec.n
+    return dataclasses.replace(spec, eta=(Const(leak),) * spec.n, varsigma=(Const(leak),) * spec.n,
+                               tau=grid, sigma_d=grid, zeta=grid, bound_overrides=kept)
+
+
+# (id, spacing h, leak delays, other delays, certified rate, fitted rate over
+# certified rate).  The ratio measures how conservative the certificate is
+# where the scheme is exact; the smallest relative margins are 0.72, 0.63
+# and 0.70.  Each case also verifies with 60 corrector passes (same fitted
+# rates), which takes up to 1.5 s a case and is left out of tier-1.
+ALIGNED = [
+    ("0.25Z", 0.25, 0.0, 0.25, 0.0600, 4.4),
+    ("0.1Z", 0.1, 0.1, 0.2, 0.0318, 8.8),
+    ("0.05Z", 0.05, 0.05, 0.1, 0.0459, 6.0),
+]
+
+
+@pytest.mark.parametrize("h, leak, other, lam, ratio",
+                         [pytest.param(*case[1:], id=case[0]) for case in ALIGNED])
+def test_where_no_lookup_snaps_the_reference_certificate_holds(h, leak, other, lam, ratio):
+    spec = _aligned(leak, other)
+    hist_a, hist_b = history_pairs()["trig"]
+    ts = build_timescale({"kind": "Z", "spacing": str(h)})
+    _, cert = certify(spec, ts)
+    assert cert.lam == pytest.approx(lam, abs=5e-5)
+    traj_a, traj_b = (simulate(spec, hist, ts, 60.0) for hist in (hist_a, hist_b))
+    report = verify_bound(traj_a, traj_b, hist_a, hist_b, cert, ts)
+    assert not report.violated, report.to_text()
+    assert report.lambda_fit / cert.lam == pytest.approx(ratio, abs=0.05)
+
+
+_T = TimeVar()
+
+
+@st.composite
+def aligned_networks(draw):
+    """A tanh network of one or two neurons on hZ: every coefficient
+    ``add(const, scale(sin))``, with ``h * alpha+ <= 0.5``, and every delay
+    a constant 0, h or 2h."""
+    n, h = draw(st.integers(1, 2)), draw(st.sampled_from([0.1, 0.25, 0.5]))
+    unit = st.floats(0.0, 1.0)
+
+    def wave(base, amp):
+        freq = 0.5 + 2.5 * draw(unit)
+        return Add(Const(base), Scale(amp, Sin(Affine(freq, 0.0, _T))))
+
+    def rate():  # base + amp <= 1.1 base <= 0.5 / h
+        base = 0.5 + (min(2.0, 0.5 / (1.1 * h)) - 0.5) * draw(unit)
+        return wave(base, 0.1 * base)
+
+    def vector(top):
+        return tuple(wave(0.0, top * draw(unit)) for _ in range(n))
+
+    def matrix(top):
+        return tuple(tuple(wave(0.0, top / n * draw(unit)) for _ in range(n)) for _ in range(n))
+
+    def delay():
+        return Const(h * draw(st.integers(0, 2)))
+
+    spec = NetworkSpec(
+        n=n, alpha=tuple(rate() for _ in range(n)), c=tuple(rate() for _ in range(n)),
+        D=matrix(0.1), Dtau=matrix(0.1), Dbar=matrix(0.1), Dtil=matrix(0.1),
+        B=vector(0.05), E=vector(0.1), I=vector(0.03), J=vector(0.03),
+        eta=tuple(delay() for _ in range(n)), varsigma=tuple(delay() for _ in range(n)),
+        **{name: tuple(tuple(delay() for _ in range(n)) for _ in range(n))
+           for name in ("tau", "sigma_d", "zeta")},
+        activations=(ACTIVATIONS["tanh"],) * n)
+    return spec, h
+
+
+def _small_histories(n):
+    """Two histories inside the smallest radius of the default grid, 0.1:
+    every state and backward quotient is at most 0.09 in size."""
+    zero = (Const(0.0),) * n
+    a = HistorySpec(stm=(Const(0.08),) * n, stm_slope=zero,
+                    ltm=(Const(-0.06),) * n, ltm_slope=zero, window=1.0)
+    b = HistorySpec(stm=(Add(Const(-0.05), Scale(0.04, Sin(_T))),) * n, stm_slope=zero,
+                    ltm=(Const(0.05),) * n, ltm_slope=zero, window=1.0)
+    return a, b
+
+
+def _uncoupled():
+    """The smallest draw of :func:`aligned_networks`: one neuron on 0.1Z,
+    no coupling and no input, every delay 0."""
+    wave = Add(Const(0.5), Scale(0.05, Sin(Affine(0.5, 0.0, _T))))
+    zero = Const(0.0)
+    return NetworkSpec(n=1, alpha=(wave,), c=(wave,), B=(zero,), E=(zero,), I=(zero,),
+                       J=(zero,), eta=(zero,), varsigma=(zero,),
+                       **{name: ((zero,),) for name in NetworkSpec.MATRIX_FIELDS},
+                       activations=(ACTIVATIONS["tanh"],))
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeWarning, reason=(
+    "certify sets M = max_i max(alpha_i- / Pbar_i, c_i- / Qbar_i); with no coupling, "
+    "no B or E input and zero leak delays Pbar = Qbar = 0, so M is inf, a bound that "
+    "says nothing, issued after a divide-by-zero warning"))
+def test_a_network_without_coupling_is_certified_with_a_finite_m():
+    _, cert = certify(_uncoupled(), TimeScale.integer_lattice(0.1))
+    assert np.isfinite(cert.big_m)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(aligned_networks())
+def test_where_no_lookup_snaps_every_issued_certificate_holds(drawn):
+    # 5 of the 10 examples are certified (measured with hypothesis
+    # 6.155.2), and all 5 hold.  A neuron with Pbar_i = 0 or Qbar_i = 0
+    # gets M = inf: that finding is the strict xfail above, so such draws
+    # are not certified here
+    spec, h = drawn
+    ts = TimeScale.integer_lattice(h)
+    bars = compute_PQbar(compute_bounds(spec, ts), spec.lipschitz)
+    assume(all((bar > 0.0).all() for bar in bars))
+    try:
+        _, cert = certify(spec, ts)
+    except ConditionsError:
+        return
+    hist_a, hist_b = _small_histories(spec.n)
+    traj_a, traj_b = (simulate(spec, hist, ts, 30.0) for hist in (hist_a, hist_b))
     report = verify_bound(traj_a, traj_b, hist_a, hist_b, cert, ts)
     assert not report.violated, report.to_text()
