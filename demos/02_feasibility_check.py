@@ -35,7 +35,6 @@ def main():
         print(line)
     print(f"  ... ({len(lines) - 9} more coefficient rows)")
     print(lines[-1])
-    print(f"  delay reach theta = {bounds.theta():g}")
     print(f"  decay cap min(alpha-, c-) = {bounds.decay_cap():g}")
 
     section("two-part check at radius r = 0.45")

@@ -156,10 +156,6 @@ class BoundSet:
             raise ConditionsError(
                 f"decay-rate infima must be positive: {', '.join(bad)}")
 
-    def theta(self) -> float:
-        """Largest delay bound: how much history the dynamics can reach."""
-        return float(max(self.sup[name].max() for name in NetworkSpec.DELAY_FIELDS))
-
     def decay_cap(self) -> float:
         """min over neurons of the decay-rate infima: the rate search ceiling."""
         return float(min(self.inf[name].min() for name in _DECAY_RATES))
@@ -468,10 +464,15 @@ def find_lambda(
     ulps of the threshold.  So the certificate is the plain bisection's,
     from about a dozen margin evaluations instead of 52.
 
-    Raises :class:`InfeasibleError` when the margin functions are not all
-    positive at 0+ (equivalently: the contraction check fails).
+    Raises :class:`ConditionsError` when some ``Pbar_i`` or ``Qbar_i`` is 0,
+    so M is unbounded, and :class:`InfeasibleError` when the margins are not
+    all positive at 0+ (equivalently: the contraction check fails).
     """
     L = np.asarray(L, dtype=float)
+    Pbar, Qbar = compute_PQbar(b, L, include_delayed_feedback)
+    for family, bar in (("Pbar", Pbar), ("Qbar", Qbar)):
+        if not bar.all():  # M divides alpha- by Pbar and c- by Qbar
+            raise ConditionsError(f"M is unbounded: {family} of neuron {bar.argmin() + 1} is 0")
     cap = b.decay_cap()
     if b.nu_sup > 0.0:
         cap = min(cap, (1.0 - 1e-9) / b.nu_sup)
@@ -558,7 +559,6 @@ def find_lambda(
                 "(scan resolution)"
             )
 
-    Pbar, Qbar = compute_PQbar(b, L, include_delayed_feedback)
     big_m = float(max((b.inf["alpha"] / Pbar).max(), (b.inf["c"] / Qbar).max()))
     return Certificate(
         lam=float(lam),

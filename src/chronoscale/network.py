@@ -181,7 +181,6 @@ class NetworkSpec:
 
     VECTOR_FIELDS = ("alpha", "c", "B", "E", "I", "J", "eta", "varsigma")
     MATRIX_FIELDS = ("D", "Dtau", "Dbar", "Dtil", "tau", "sigma_d", "zeta")
-    DELAY_FIELDS = ("eta", "varsigma", "tau", "sigma_d", "zeta")
 
     @classmethod
     @cache

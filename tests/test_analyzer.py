@@ -319,6 +319,27 @@ def test_translation_error_requires_coverage():
                                  window=(0.0, 5.0))
 
 
+_SHAPES = "times and distances must be 1-d arrays of equal length"
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: decay_fit([0.0, 1.0], [1.0]), _SHAPES, id="fit-lengths"),
+    pytest.param(lambda: decay_fit(np.ones((2, 2)), np.ones((2, 2))), _SHAPES, id="fit-2d"),
+    pytest.param(lambda: decay_fit([], []), "empty distance series", id="fit-empty"),
+    pytest.param(lambda: scan_translation_numbers(sine_run(), 0, 0.1, (1.0, 2.0), tau_step=0.0),
+                 "tau_step must be positive", id="scan-step"),
+    pytest.param(lambda: scan_translation_numbers(sine_run(), 0, 0.1, (2.0, 1.0)),
+                 "tau_range must be ordered", id="scan-range"),
+    pytest.param(lambda: scan_translation_numbers(sine_run(), 0, 0.1, (1.0, 2.0),
+                                                  window=(60.0, 70.0)),
+                 "no samples fall inside the window", id="scan-window"),
+])
+def test_malformed_analysis_inputs_are_refused(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_scan_on_the_unit_lattice_takes_only_shifts_that_stay_on_it():
     traj = series_run(TimeScale.integer_lattice(), 60.0, lambda t: np.cos(np.pi * t))
     scan = scan_translation_numbers(traj, 0, epsilon=1e-12, tau_range=(1.0, 10.0),

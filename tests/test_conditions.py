@@ -76,7 +76,6 @@ def test_overrides_land_in_boundset(bench_bounds):
     assert b.sup["zeta"] == pytest.approx(np.array([[0.06, 0.05], [0.02, 0.03]]), abs=0)
     assert b.overridden == frozenset(benchmark.two_neuron_spec().bound_overrides)
     assert b.decay_cap() == pytest.approx(0.27, abs=0)
-    assert b.theta() == pytest.approx(0.08, abs=0)
 
 
 def test_a_bound_set_has_five_fields():

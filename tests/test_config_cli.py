@@ -4,6 +4,7 @@ import dataclasses
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +181,48 @@ def test_parse_errors_carry_line_numbers():
         parse_config("[network]\nn = 1\n[mystery]\n")
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("[network]\nn = banana\n")
+
+
+_NETWORK = serialize_config(scalar_spec(), None)
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("[ ]\n" + _NETWORK, "line 1: empty section name", id="empty-section"),
+    pytest.param("[network]\nn 1\n", "line 2: expected 'key = value', got 'n 1'",
+                 id="no-assignment"),
+    pytest.param("n = 1\n[network]\n", "line 1: assignment before any [section] header",
+                 id="no-section"),
+    pytest.param("[network]\n= 1\n", "line 2: missing key before '='", id="no-key"),
+    pytest.param(_NETWORK.replace("alpha.1 = const 0.5\n", "") + "alpha.1 = sin\n",
+                 "line {last}: bad expression for alpha.1: ", id="bad-expression"),
+    pytest.param("[network]\nf.1 = tanh\n", "[network] section must set n", id="no-n"),
+    pytest.param("[network]\nn = 0\n", "line 2: n must be positive", id="zero-n"),
+    pytest.param("[network]\nn = 1\n", "[network] is missing activation f.1",
+                 id="no-activation"),
+    pytest.param("[network]\nn = 1\nf.1 = relu\n",
+                 "line 3: unknown activation 'relu' (known: identity, sin_half, tanh)",
+                 id="unknown-activation"),
+    pytest.param("[network]\nn = 1\nf.1 = tanh\n", "[network] is missing alpha.1",
+                 id="no-coefficient"),
+    pytest.param(_NETWORK + "[bounds]\nalpha.1 = 0.5 0.4 0.3\n",
+                 "line {last}: bounds need 'sup' or 'sup inf', got '0.5 0.4 0.3'",
+                 id="three-bounds"),
+    pytest.param(_NETWORK + "[history]\nphi.1 = const 0\n",
+                 "[history] section must set window", id="no-window"),
+    pytest.param(_NETWORK + "[history]\nwindow = 1\n", "[history] is missing phi.1",
+                 id="no-history-state"),
+])
+def test_each_malformed_config_is_refused_with_its_message(text, message):
+    # {last} is the text's last line, which holds the malformed entry
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value).startswith(message.format(last=text.count("\n")))
+
+
+def test_an_activation_without_l_takes_its_own_lipschitz_constant():
+    text = _NETWORK.replace("f.1 = identity\nL.1 = 1.0\n", "f.1 = sin_half\n")
+    assert "L.1" not in text
+    assert parse_config(text).spec.lipschitz == (ACTIVATIONS["sin_half"].lipschitz,)
 
 
 def test_union_interval_syntaxes_build_the_same_scale(tmp_path):
@@ -569,6 +612,23 @@ def test_history_window_must_be_finite():
 
 def test_stability_requires_second_history(bench_cfg, capsys):
     assert main(["stability", str(bench_cfg)]) == 2
+
+
+def test_stability_without_a_history_section_is_a_config_error(tmp_path, history2_file,
+                                                              capsys):
+    path = tmp_path / "nohist.cfg"
+    path.write_text(serialize_config(two_neuron_spec(), None, {"kind": "Z"}))
+    assert main(["stability", str(path), "--history2", str(history2_file)]) == 2
+    assert _one_config_error(capsys) == "config error: stability needs a [history] section"
+
+
+def test_a_network_without_finite_m_is_refused_a_certificate(capsys):
+    # the corpus's uncoupled network: Pbar = Qbar = 0, so M is unbounded
+    path = Path(__file__).parent / "data" / "uncoupled-0.1Z.cfg"
+    assert main(["certificate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "conditions error: M is unbounded: Pbar of neuron 1 is 0\n"
 
 
 def test_missing_file_is_config_error(capsys):

@@ -300,6 +300,34 @@ def test_rerun_is_bit_identical():
         assert np.array_equal(fa, fb)
 
 
+def test_the_compiled_plan_depends_on_the_spec_and_the_grid_alone():
+    # The trig pair shares one grid on the hybrid golden scale, and each
+    # history's engine compiles the same chunks, row for row from the grid
+    # start: term indices and weights, Dtau, panel masses and reach.
+    spec = two_neuron_spec()
+    a, b = (simulator._Engine(spec, hist, test_golden.HYBRID, 120.0, 0.0, 4)
+            for hist in history_pairs()["trig"])
+    assert np.array_equal(a.times, b.times) and a.chunk_len == b.chunk_len
+    starts = range(a.k0, len(a.times), a.chunk_len)
+    assert len(starts) > 1
+    for start in starts:
+        a._compile(start)
+        b._compile(start)
+        assert a.chunk[0] == b.chunk[0]
+        assert all(np.array_equal(x, y) for x, y in zip(a.chunk[1:], b.chunk[1:]))
+
+
+@pytest.mark.parametrize("pair", ["trig", "steady"])
+def test_a_run_is_the_same_after_another_history_ran_on_its_spec(pair):
+    ts, t_end = test_golden.CASES["hybrid"]
+    hist_a, hist_b = history_pairs()[pair]
+    alone = simulate(two_neuron_spec(), hist_b, ts, t_end)
+    spec = two_neuron_spec()
+    simulate(spec, hist_a, ts, t_end)
+    after = simulate(spec, hist_b, ts, t_end)
+    assert np.array_equal(after.Y, alone.Y) and np.array_equal(after.dY, alone.dY)
+
+
 def test_short_term_state_ignores_long_term_when_uncoupled():
     # B = 0 removes the only feedback path into the short-term equation, so
     # changing the long-term history must leave x bitwise unchanged.
@@ -412,6 +440,30 @@ def test_a_delay_below_a_one_point_history_names_the_underflow():
                        match=r"lookup at t=-1\.0 reaches below the recorded range"):
         simulate(scalar_spec(), flat_history(window=0.0),
                  TimeScale.real_interval(0.0, 1.0, 0.01), t_end=1.0)
+
+
+# Every one of the reference model's 16 delays equals 1 at each integer t,
+# although its overrides bound them by 0.02-0.08: how far back a run looks is
+# what its lookups realise, not a delay bound.
+_REACH_R = TimeScale.real_interval(-2.0, 10.0, 0.01)
+
+
+def test_the_reference_run_looks_back_further_than_its_delay_bounds():
+    # the dense first step evaluates the dynamics at t = 0, where the delays
+    # look up t = -1.0, below the window 0.08 of the largest bound
+    hist = dataclasses.replace(history_pairs()["trig"][0], window=0.08)
+    with pytest.raises(HistoryUnderflowError, match=r"lookup at t=-1\.0 reaches below"):
+        simulate(two_neuron_spec(), hist, _REACH_R, t_end=10.0)
+
+
+@pytest.mark.parametrize("ts, window", [(_REACH_R, 1.0), (TimeScale.integer_lattice(), 0.08)],
+                         ids=["R-window-1", "Z-window-0.08"])
+def test_a_window_covering_the_realised_reach_runs(ts, window):
+    # On the unit lattice the first step is to t = 1, whose delays of 1 look
+    # up t = 0, the one point of a window 0.08
+    hist = dataclasses.replace(history_pairs()["trig"][0], window=window)
+    traj = simulate(two_neuron_spec(), hist, ts, t_end=10.0)
+    assert np.isfinite(traj.Y).all() and np.isfinite(traj.dY).all()
 
 
 @pytest.mark.parametrize("chunk_bytes", CHUNK_BUDGETS)

@@ -27,13 +27,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronoscale.analyzer import verify_bound
 from chronoscale.benchmark import history_pairs, two_neuron_spec
 from chronoscale.coeffs import Add, Affine, BoundPair, Const, Scale, Sin, TimeVar
-from chronoscale.conditions import ConditionsError, certify, compute_bounds, compute_PQbar
+from chronoscale.conditions import ConditionsError, certify
 from chronoscale.config import build_timescale, parse_config
 from chronoscale.network import ACTIVATIONS, NetworkSpec
 from chronoscale.simulator import HistorySpec, StepFailureError, history_norm, simulate
@@ -243,20 +243,17 @@ def _small_histories(n):
 
 
 def _uncoupled():
-    """The smallest draw of :func:`aligned_networks`: one neuron on 0.1Z,
-    no coupling and no input, every delay 0."""
-    wave = Add(Const(0.5), Scale(0.05, Sin(Affine(0.5, 0.0, _T))))
-    zero = Const(0.0)
-    return NetworkSpec(n=1, alpha=(wave,), c=(wave,), B=(zero,), E=(zero,), I=(zero,),
-                       J=(zero,), eta=(zero,), varsigma=(zero,),
-                       **{name: ((zero,),) for name in NetworkSpec.MATRIX_FIELDS},
-                       activations=(ACTIVATIONS["tanh"],))
+    """The smallest draw of :func:`aligned_networks`, read from ``tests/data``:
+    one neuron with ``alpha = c = 0.5 + 0.05 sin(t/2)``, no coupling and no
+    input, every delay 0, on 0.1Z."""
+    path = Path(__file__).parent / "data" / "uncoupled-0.1Z.cfg"
+    return parse_config(path.read_text(encoding="utf-8")).spec
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeWarning, reason=(
-    "certify sets M = max_i max(alpha_i- / Pbar_i, c_i- / Qbar_i); with no coupling, "
-    "no B or E input and zero leak delays Pbar = Qbar = 0, so M is inf, a bound that "
-    "says nothing, issued after a divide-by-zero warning"))
+@pytest.mark.xfail(strict=True, raises=ConditionsError, reason=(
+    "M = max_i max(alpha_i- / Pbar_i, c_i- / Qbar_i); with no coupling, no B or E "
+    "input and zero leak delays Pbar = Qbar = 0, so M is unbounded and certify "
+    "refuses: a finite M for such a network needs its own derivation"))
 def test_a_network_without_coupling_is_certified_with_a_finite_m():
     _, cert = certify(_uncoupled(), TimeScale.integer_lattice(0.1))
     assert np.isfinite(cert.big_m)
@@ -265,14 +262,12 @@ def test_a_network_without_coupling_is_certified_with_a_finite_m():
 @settings(max_examples=10, derandomize=True, deadline=None)
 @given(aligned_networks())
 def test_where_no_lookup_snaps_every_issued_certificate_holds(drawn):
-    # 5 of the 10 examples are certified (measured with hypothesis
-    # 6.155.2), and all 5 hold.  A neuron with Pbar_i = 0 or Qbar_i = 0
-    # gets M = inf: that finding is the strict xfail above, so such draws
-    # are not certified here
+    # Of the 10 examples (measured with hypothesis 6.155.2) 5 are
+    # certified and all 5 hold, 2 fail the gate, and 3 have a neuron with
+    # Pbar_i = 0 or Qbar_i = 0, so no finite M, which certify refuses (the
+    # strict xfail above)
     spec, h = drawn
     ts = TimeScale.integer_lattice(h)
-    bars = compute_PQbar(compute_bounds(spec, ts), spec.lipschitz)
-    assume(all((bar > 0.0).all() for bar in bars))
     try:
         _, cert = certify(spec, ts)
     except ConditionsError:

@@ -125,6 +125,21 @@ class TestStructure:
         with pytest.raises(TimeScaleError):
             LatticePiece(0.0, 5.0, spacing=-1.0)
 
+    @pytest.mark.parametrize("build, message", [
+        pytest.param(lambda: LatticePiece(1.0, 0.0), "piece start must not exceed stop",
+                     id="reversed-piece"),
+        pytest.param(lambda: LatticePiece(0.2, 0.8), "lattice piece contains no node",
+                     id="nodeless-lattice"),
+        pytest.param(lambda: DensePiece(0.0, math.inf), "dense pieces must have finite bounds",
+                     id="infinite-dense"),
+        pytest.param(lambda: TimeScale.integer_lattice().grid(1.0, 0.0),
+                     "grid window requires a <= b", id="reversed-window"),
+    ])
+    def test_malformed_pieces_and_windows_are_refused(self, build, message):
+        with pytest.raises(TimeScaleError) as info:
+            build()
+        assert str(info.value) == message
+
     def test_dense_step_is_adjusted_to_fit(self):
         piece = DensePiece(0.0, 1.0, step=0.03)
         assert (1.0 - 0.0) / piece.step == pytest.approx(round(1.0 / piece.step))
