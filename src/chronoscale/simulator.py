@@ -417,8 +417,6 @@ class _Engine:
                 self._open(k, left, right)
                 self._write(self.Y[:, k])
 
-        self.prev_rhs: np.ndarray | None = None
-
     # -- grid columns ------------------------------------------------------
 
     def _masses(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -570,20 +568,21 @@ class _Engine:
 
     def _step_dense(self, k: int) -> None:
         w = self.width[k]
-        if self.prev_rhs is None:
-            self.prev_rhs = self._rhs(self._plan(k - 1)[0])
+        # a dense step committed its right-hand side as the derivative
+        d_prev = (self.dY[:, k - 1] if self.dense[k - 1] and k - 1 > self.k0
+                  else self._rhs(self._plan(k - 1)[0]))
         plan, left, right = self._plan(k)
         self._open(k, left, right)
         y_prev = self.Y[:, k - 1]
-        y_pred = y_prev + w * self.prev_rhs
+        y_pred = y_prev + w * d_prev
         if not np.isfinite(y_pred).all():
             raise StepFailureError(float(self.times[k]), "predictor became non-finite")
         self._write(y_pred)
-        y_new = y_prev + 0.5 * w * (self.prev_rhs + self._rhs(plan))
+        y_new = y_prev + 0.5 * w * (d_prev + self._rhs(plan))
         if not np.isfinite(y_new).all():
             raise StepFailureError(float(self.times[k]), "state became non-finite")
         self._write(y_new)
-        self.prev_rhs = self.dY[:, k] = self._rhs(plan)
+        self.dY[:, k] = self._rhs(plan)
 
     def _step_scattered(self, k: int) -> None:
         t = float(self.times[k])
@@ -617,7 +616,6 @@ class _Engine:
                    f"{ratio:.3g} per pass); {verdict}")
         self._write(y_live)
         self.dY[:, k] = (y_live - y_prev) / w
-        self.prev_rhs = None
 
     def run(self) -> Trajectory:
         for k in range(self.k0 + 1, len(self.times)):

@@ -505,8 +505,6 @@ class TimeScale:
         stretch right of it must integrate the dense-side values.
         """
         g, widths, dense, vals, nu = self._sampled(p, a, b)
-        if g.size < 2:
-            return g, np.empty(0)
         one_minus = 1.0 - widths * vals[1:]
         bad = (~dense) & ~(one_minus > 0.0)  # NaN is not positive either
         if np.any(bad):
@@ -558,8 +556,6 @@ class TimeScale:
         self._require_member(a, "window start")
         self._require_member(b, "window end")
         g, inc = self._log_increments(p, a, b)
-        if g.size == 0:
-            return g, g
         return g, np.exp(np.concatenate([[0.0], np.cumsum(inc)]))
 
     # -- regressivity -------------------------------------------------------
@@ -604,8 +600,8 @@ def cylinder(z: float, nu: float) -> float:
     if nu == 0.0:
         return float(z)
     w = 1.0 - nu * z
-    if w <= 0.0:
-        raise RegressivityError(f"cylinder undefined: 1 - nu*z = {w!r} <= 0")
+    if not w > 0.0:  # NaN is not positive either
+        raise RegressivityError(f"cylinder undefined: 1 - nu*z = {w!r} is not positive")
     return -math.log(w) / nu
 
 def circle_plus(p: float, q: float, nu: float) -> float:
@@ -616,6 +612,6 @@ def circle_plus(p: float, q: float, nu: float) -> float:
 def circle_minus(p: float, nu: float) -> float:
     """nu-circle negation: (-) p = -p / (1 - nu p); inverse of circle_plus."""
     w = 1.0 - nu * p
-    if w <= 0.0:
-        raise RegressivityError(f"circle_minus undefined: 1 - nu*p = {w!r} <= 0")
+    if not w > 0.0:  # NaN is not positive either
+        raise RegressivityError(f"circle_minus undefined: 1 - nu*p = {w!r} is not positive")
     return -p / w

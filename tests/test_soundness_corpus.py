@@ -34,7 +34,7 @@ from chronoscale.analyzer import verify_bound
 from chronoscale.benchmark import history_pairs, two_neuron_spec
 from chronoscale.coeffs import Add, Affine, BoundPair, Const, Scale, Sin, TimeVar
 from chronoscale.conditions import ConditionsError, certify
-from chronoscale.config import build_timescale, parse_config
+from chronoscale.config import build_timescale, parse_config, parse_history_text
 from chronoscale.network import ACTIVATIONS, NetworkSpec
 from chronoscale.simulator import HistorySpec, StepFailureError, history_norm, simulate
 from chronoscale.timescale import TimeScale
@@ -190,6 +190,19 @@ def test_where_no_lookup_snaps_the_reference_certificate_holds(h, leak, other, l
     report = verify_bound(traj_a, traj_b, hist_a, hist_b, cert, ts)
     assert not report.violated, report.to_text()
     assert report.lambda_fit / cert.lam == pytest.approx(ratio, abs=0.05)
+
+
+def test_the_committed_aligned_config_is_the_0_25z_case():
+    # The CLI checks the first ALIGNED case from tests/data (a CI step), so
+    # the file must hold the network and the history pair this test runs
+    data = Path(__file__).parent / "data"
+    cfg = parse_config((data / "aligned-0.25Z.cfg").read_text(encoding="utf-8"))
+    hist_a, hist_b = history_pairs()["trig"]
+    second = parse_history_text((data / "aligned-0.25Z-history2.cfg").read_text(encoding="utf-8"),
+                                cfg.spec.n)
+    assert cfg.spec == _aligned(0.0, 0.25)
+    assert (cfg.history, second) == (hist_a, hist_b)
+    assert cfg.timescale_desc == {"kind": "Z", "spacing": "0.25"}
 
 
 _T = TimeVar()

@@ -140,6 +140,12 @@ class TestStructure:
             build()
         assert str(info.value) == message
 
+    def test_a_dense_grid_outside_its_piece_is_empty(self):
+        assert DensePiece(0.0, 1.0).grid(5.0, 6.0).size == 0
+
+    def test_an_unbounded_lattice_describes_its_infinite_ends(self):
+        assert TimeScale.integer_lattice().describe() == "lattice[-inf..+inf; spacing 1]"
+
     def test_dense_step_is_adjusted_to_fit(self):
         piece = DensePiece(0.0, 1.0, step=0.03)
         assert (1.0 - 0.0) / piece.step == pytest.approx(round(1.0 / piece.step))
@@ -386,6 +392,14 @@ class TestCylinderAlgebra:
         with pytest.raises(RegressivityError):
             circle_minus(1.0, 1.0)
 
+    @pytest.mark.parametrize("transform, arg, nu", [
+        (cylinder, math.nan, 1.0), (cylinder, 1.0, math.nan),
+        (circle_minus, math.nan, 1.0), (circle_minus, 1.0, math.nan)])
+    def test_nan_does_not_pass_the_guards(self, transform, arg, nu):
+        # 1 - nu*z is NaN, which is not positive, as _log_increments holds
+        with pytest.raises(RegressivityError):
+            transform(arg, nu)
+
 
 # ---------------------------------------------------------------------------
 # nabla exponential
@@ -433,6 +447,13 @@ class TestExponential:
         for idx in (1, len(g) // 2, len(g) - 1):
             t = float(g[idx])
             assert vals[idx] == pytest.approx(union.nabla_exp(p, t, 0.0), rel=1e-12)
+
+    @pytest.mark.parametrize("scale", ["lattice", "interval", "union"])
+    def test_a_one_point_window_is_the_anchor_alone(self, scale, request):
+        ts = request.getfixturevalue(scale)
+        g, vals = ts.nabla_exp_grid(lambda t: 5.0, 1.0, 1.0)
+        assert g.tolist() == [1.0] and vals.tolist() == [1.0]
+        assert ts.is_positively_regressive(lambda t: 5.0, 1.0, 1.0)
 
     def test_positive_regressivity_scan(self, lattice, interval):
         assert lattice.is_positively_regressive(lambda t: 0.5, 0.0, 10.0)
